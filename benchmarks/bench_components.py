@@ -17,7 +17,7 @@ from repro.models import (
     LogisticRegression,
     RandomForestClassifier,
 )
-from repro.neighbors import BallTree, BruteKNN, TableNeighborSpace
+from repro.neighbors import BruteKNN, TableNeighborSpace
 from repro.rules import FeedbackRule, FeedbackRuleSet, Predicate, clause
 from repro.sampling import SMOTE, RuleConstrainedGenerator
 
@@ -39,14 +39,9 @@ def neighbor_space(adult):
 
 
 class TestNeighborThroughput:
-    def test_balltree_build(self, benchmark, neighbor_space):
+    def test_brute_build(self, benchmark, neighbor_space):
         space, E = neighbor_space
-        benchmark(lambda: BallTree(space.metric_).fit(E))
-
-    def test_balltree_query(self, benchmark, neighbor_space):
-        space, E = neighbor_space
-        tree = BallTree(space.metric_).fit(E)
-        benchmark(lambda: tree.kneighbors(E[:100], 5, exclude_self=True))
+        benchmark(lambda: BruteKNN(space.metric_).fit(E))
 
     def test_brute_query(self, benchmark, neighbor_space):
         space, E = neighbor_space

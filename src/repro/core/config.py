@@ -77,13 +77,9 @@ class FroteConfig:
         unstandardized encoders) and prediction caches extend over
         appended rows instead of recomputing.  Results are mathematically
         identical to the default rebuild path, but not guaranteed
-        bit-identical, hence off by default.  The caveats: NB refits from
-        exactly-merged moments (floating-point rounding only), and
-        ball-tree KNN may break *exact distance ties* at the k-th
-        neighbour differently than a from-scratch build — on tie-heavy
-        all-categorical data this can steer the loop down a different
-        (equally valid) trajectory.  Brute-force KNN and the
-        assignment/table layers are bit-exact always.
+        bit-identical, hence off by default: NB refits from
+        exactly-merged moments (floating-point rounding only).  KNN and
+        the assignment/table layers are bit-exact always.
     max_resident_mb:
         Opt into the out-of-core path: the active dataset's column
         buffers are sharded into fixed-size chunks whose sealed heap
@@ -91,13 +87,13 @@ class FroteConfig:
         spill to memory-mapped files and stream back on demand.
         Results are bit-identical to the dense path (the same bytes are
         read, only from different storage).  The budget bounds the
-        dataset's *storage* footprint; whole-column consumers — model
-        encoders on a full fit/predict pass, a full ``frs.assign`` —
-        still materialize transient O(n) working sets through the
-        :meth:`~repro.data.shards.ShardedTable.column` escape hatch, so
-        pair with ``incremental=True`` and a partial-update model to
-        keep full passes off the loop (chunked encode/predict is the
-        ROADMAP follow-up).  The resident floor outside the budget is
+        dataset's *storage* footprint.  Whole-table passes — encoder
+        ``transform``, :meth:`~repro.models.base.TableModel.predict_proba`,
+        rule coverage and ``frs.assign`` — walk shard-aligned row blocks,
+        so their transients are O(shard).  A full model *fit* still
+        encodes the whole table, so pair with ``incremental=True`` and a
+        partial-update model to keep the training-side peak
+        delta-proportional.  The resident floor outside the budget is
         one machine word per row for labels and cached FRS assignments.
         ``None`` (default) keeps every buffer dense in RAM, bit-for-bit
         as before.

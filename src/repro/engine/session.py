@@ -314,11 +314,11 @@ class EditSession:
         ``max_resident_mb`` budget spill to memory-mapped files under
         ``spill_dir`` (default: the platform temp dir) and stream back
         on demand.  Results are bit-identical to the dense path.  The
-        budget bounds the dataset's *storage* footprint — full model
-        fit/predict passes still materialize transient O(n) encoded
-        matrices — so pair with :meth:`incremental` and a
-        partial-update model to keep full-dataset passes off the hot
-        loop (see :class:`~repro.core.config.FroteConfig`).
+        budget bounds the dataset's *storage* footprint — a full model
+        fit still materializes a transient O(n) encoded matrix — so
+        pair with :meth:`incremental` and a partial-update model to keep
+        full refits off the hot loop (see
+        :class:`~repro.core.config.FroteConfig`).
         """
         # Only set the knobs the caller actually passed — configure()
         # documents merge semantics, and a bare out_of_core(budget) must

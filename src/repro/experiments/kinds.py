@@ -202,11 +202,30 @@ def run_trace_kind(spec: RunSpec) -> dict | None:
 
     from dataclasses import asdict
 
+    from repro.core.options import (
+        JOURNAL_FIELD_MAP,
+        KERNEL_FIELD_MAP,
+        STORAGE_FIELD_MAP,
+    )
+
+    # Grouped fields travel as their typed groups: passing them flat to
+    # configure() is deprecated.
+    config = frote_config_for(spec)
+    grouped = {
+        *STORAGE_FIELD_MAP.values(),
+        *JOURNAL_FIELD_MAP.values(),
+        *KERNEL_FIELD_MAP.values(),
+    }
     session = (
         repro.edit(prepared.train)
         .with_rules(frs)
         .with_algorithm(ctx.algorithm)
-        .configure(**asdict(frote_config_for(spec)))
+        .configure(
+            **{k: v for k, v in asdict(config).items() if k not in grouped},
+            storage=config.storage_options,
+            journal=config.journal_options,
+            kernel=config.kernel_options,
+        )
         .track_metric(score)
     )
     if want_timings:

@@ -10,20 +10,22 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.builder import GrowableArray
-from repro.neighbors import BallTree, BruteKNN
+from repro.neighbors import BruteKNN
 from repro.utils.validation import check_array_1d, check_array_2d
 
 
 class KNeighborsClassifier:
-    """Majority-vote KNN over an exact index.
+    """Majority-vote KNN over the exact brute-force index.
 
     Parameters
     ----------
     k:
         Number of neighbours.
     algorithm:
-        ``"ball_tree"`` (default, like the paper's neighbour config) or
-        ``"brute"``.
+        ``"ball_tree"`` (default, the paper's neighbour config) or
+        ``"brute"``.  Both build the same exact index,
+        :class:`~repro.neighbors.BruteKNN`; ``"ball_tree"`` is an alias
+        kept for existing callers.
     weights:
         ``"uniform"`` or ``"distance"`` (inverse-distance vote weights).
     """
@@ -49,7 +51,7 @@ class KNeighborsClassifier:
         self.k = k
         self.algorithm = algorithm
         self.weights = weights
-        self._index: BallTree | BruteKNN | None = None
+        self._index: BruteKNN | None = None
         self._y: GrowableArray | None = None
         self.n_classes_: int | None = None
 
@@ -63,8 +65,7 @@ class KNeighborsClassifier:
         if n_classes is None:
             n_classes = int(y.max()) + 1
         self.n_classes_ = n_classes
-        index = BallTree() if self.algorithm == "ball_tree" else BruteKNN()
-        self._index = index.fit(X)
+        self._index = BruteKNN().fit(X)
         self._y = GrowableArray(np.int64, initial=y)
         return self
 
@@ -75,7 +76,7 @@ class KNeighborsClassifier:
     def partial_update(self, X_new: np.ndarray, y_new: np.ndarray) -> "KNeighborsClassifier":
         """Add training rows in place; equivalent to refitting on the
         concatenated data (queries are answered against the exact same
-        reference set — see :meth:`BallTree.append`).
+        reference set — see :meth:`BruteKNN.append`).
 
         Parameters
         ----------

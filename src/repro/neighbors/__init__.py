@@ -1,7 +1,7 @@
-"""Nearest-neighbour substrate: distances, brute-force KNN, ball tree,
-and the blocked kernel layer (:mod:`repro.neighbors.kernels`)."""
+"""Nearest-neighbour substrate: distances, the exact brute-force KNN index
+(:class:`BruteKNN`), and the blocked kernel layer
+(:mod:`repro.neighbors.kernels`)."""
 
-from repro.neighbors.balltree import BallTree
 from repro.neighbors.brute import BruteKNN
 from repro.neighbors.distance import (
     MixedMetric,
@@ -18,7 +18,6 @@ from repro.neighbors.kernels import (
 )
 
 __all__ = [
-    "BallTree",
     "BruteKNN",
     "CODED_SELF_DISTANCE_TOL",
     "CodedLayout",
@@ -30,20 +29,3 @@ __all__ = [
     "pairwise_euclidean",
     "resolve_distance_backend",
 ]
-
-
-def make_knn(
-    algorithm: str = "ball_tree",
-    metric: str | MixedMetric = "euclidean",
-    *,
-    leaf_size: int = 32,
-):
-    """Factory matching the paper's configuration knob.
-
-    ``algorithm="ball_tree"`` (the paper's setting) or ``"brute"``.
-    """
-    if algorithm == "ball_tree":
-        return BallTree(metric, leaf_size=leaf_size)
-    if algorithm == "brute":
-        return BruteKNN(metric)
-    raise ValueError(f"unknown algorithm {algorithm!r}; use 'ball_tree' or 'brute'")

@@ -1,306 +1,13 @@
-"""Ball tree for exact k-nearest-neighbour search under any metric.
+"""Import location of the removed ball tree.
 
-The paper configures scikit-learn's ``NearestNeighbors`` with
-``algorithm="ball_tree"``; this module provides the equivalent structure.
-Balls are centred on actual data points (so the tree works for any true
-metric, including the HEOM :class:`~repro.neighbors.distance.MixedMetric`),
-and queries prune subtrees with the triangle inequality
-``d(q, ball) >= d(q, center) - radius``.
+``BallTree`` is :class:`~repro.neighbors.brute.BruteKNN`, the one exact KNN
+index, under its old name.  It stays importable from this path only because
+the benchmark tracer (``perfbench/spans.py``) wraps it here; it is not
+exported from :mod:`repro.neighbors`.
 """
 
-from __future__ import annotations
-
-import heapq
-from dataclasses import dataclass
-
-import numpy as np
-
-from repro.data.builder import append_rows_2d
-from repro.neighbors.brute import SELF_DISTANCE_TOL
-from repro.neighbors.distance import MixedMetric
-from repro.utils.rng import RandomState, check_random_state
+from repro.neighbors.brute import BruteKNN
 
 
-@dataclass
-class _Node:
-    center: int  # row index of the pivot point
-    radius: float
-    indices: np.ndarray | None  # leaf: member row indices; internal: None
-    left: "_Node | None" = None
-    right: "_Node | None" = None
-
-
-class BallTree:
-    """Exact KNN index with data-point pivots.
-
-    Parameters
-    ----------
-    metric:
-        ``"euclidean"`` or a :class:`MixedMetric`.
-    leaf_size:
-        Maximum number of points stored in a leaf.
-    random_state:
-        Seed for pivot selection (construction only; queries are exact
-        regardless).
-    """
-
-    def __init__(
-        self,
-        metric: str | MixedMetric = "euclidean",
-        *,
-        leaf_size: int = 32,
-        random_state: RandomState = 0,
-        rebuild_threshold: float = 0.5,
-    ) -> None:
-        if leaf_size < 1:
-            raise ValueError(f"leaf_size must be >= 1, got {leaf_size}")
-        if rebuild_threshold <= 0:
-            raise ValueError(
-                f"rebuild_threshold must be positive, got {rebuild_threshold}"
-            )
-        self.metric = metric
-        self.leaf_size = leaf_size
-        self.random_state = random_state
-        self.rebuild_threshold = rebuild_threshold
-        self._X: np.ndarray | None = None
-        self._buf: np.ndarray | None = None  # growable storage; _X = _buf[:_n]
-        self._n = 0
-        self._tree_n = 0  # rows covered by _root; [_tree_n, _n) are pending
-        self._root: _Node | None = None
-
-    # ------------------------------------------------------------------ #
-    def fit(self, X: np.ndarray) -> "BallTree":
-        """Build the tree over the reference matrix.
-
-        Parameters
-        ----------
-        X : ndarray of shape (n_samples, n_features)
-            Encoded reference rows (see
-            :class:`~repro.neighbors.distance.TableNeighborSpace`).
-
-        Returns
-        -------
-        BallTree
-            ``self``, for chaining.
-        """
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2:
-            raise ValueError(f"X must be 2-D, got shape {X.shape}")
-        self._buf = X
-        self._n = X.shape[0]
-        self._tree_n = X.shape[0]
-        self._X = X
-        rng = check_random_state(self.random_state)
-        if X.shape[0]:
-            self._root = self._build(np.arange(X.shape[0], dtype=np.intp), rng)
-        else:
-            self._root = None
-        return self
-
-    def append(self, X_new: np.ndarray) -> "BallTree":
-        """Insert new rows, amortizing tree maintenance.
-
-        Appended rows join a *pending* region that queries scan exactly
-        (a brute-force pass merged into the tree search), so results stay
-        identical to a fresh ``fit`` on the concatenated matrix —
-        bit-for-bit whenever neighbour distances are distinct, which is
-        the only case where tree shape could matter.  When the pending
-        region outgrows ``rebuild_threshold`` × the tree size, the whole
-        tree is rebuilt over all rows with the configured
-        ``random_state`` — byte-equivalent to refitting from scratch —
-        giving amortized O(log n) insertion cost per row.
-
-        Parameters
-        ----------
-        X_new : ndarray of shape (n_new, n_features)
-            Rows to add, same feature layout as the fitted matrix.
-
-        Returns
-        -------
-        BallTree
-            ``self``, for chaining.
-        """
-        if self._buf is None:
-            return self.fit(X_new)
-        X_new = np.asarray(X_new, dtype=np.float64)
-        if X_new.ndim != 2 or X_new.shape[1] != self._buf.shape[1]:
-            raise ValueError(
-                f"X_new must have shape (n, {self._buf.shape[1]}), "
-                f"got {X_new.shape}"
-            )
-        if X_new.shape[0] == 0:
-            return self
-        self._buf = append_rows_2d(self._buf, self._n, X_new)
-        self._n += X_new.shape[0]
-        self._X = self._buf[: self._n]
-        pending = self._n - self._tree_n
-        if self._root is None or pending > self.rebuild_threshold * self._tree_n:
-            self._rebuild()
-        return self
-
-    def _rebuild(self) -> None:
-        """Re-run construction over all rows — identical to a fresh fit."""
-        self._tree_n = self._n
-        rng = check_random_state(self.random_state)
-        if self._n:
-            self._root = self._build(np.arange(self._n, dtype=np.intp), rng)
-        else:
-            self._root = None
-
-    def checkpoint(self) -> tuple[int, int, "_Node | None"]:
-        """Opaque token capturing the index state before staged appends.
-
-        Restoring via :meth:`rollback` is O(1) even across an amortized
-        rebuild: tree nodes only reference row indices below their
-        build-time size, and committed rows are never overwritten.
-        """
-        if self._buf is None:
-            raise RuntimeError("BallTree is not fitted")
-        return (self._n, self._tree_n, self._root)
-
-    def rollback(self, token: tuple[int, int, "_Node | None"]) -> None:
-        """Forget every row appended since ``token`` was captured."""
-        if self._buf is None:
-            raise RuntimeError("BallTree is not fitted")
-        n, tree_n, root = token
-        if not 0 <= tree_n <= n <= self._n:
-            raise ValueError(f"invalid checkpoint token {token!r}")
-        self._n = n
-        self._tree_n = tree_n
-        self._root = root
-        self._X = self._buf[: self._n]
-
-    @property
-    def n_samples(self) -> int:
-        """Number of fitted reference rows."""
-        if self._X is None:
-            raise RuntimeError("BallTree is not fitted")
-        return self._X.shape[0]
-
-    def _dists(self, q: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        assert self._X is not None
-        sub = self._X[idx]
-        if isinstance(self.metric, MixedMetric):
-            return self.metric.dists_to(q, sub)
-        diff = sub - q
-        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
-
-    def _build(self, indices: np.ndarray, rng: np.random.Generator) -> _Node:
-        assert self._X is not None
-        # Pivot: the point furthest from a random member — a classic cheap
-        # approximation of the set diameter endpoint.
-        seed_pt = int(indices[rng.integers(indices.size)])
-        d_seed = self._dists(self._X[seed_pt], indices)
-        center = int(indices[int(np.argmax(d_seed))])
-        d_center = self._dists(self._X[center], indices)
-        radius = float(d_center.max(initial=0.0))
-        if indices.size <= self.leaf_size:
-            return _Node(center=center, radius=radius, indices=indices)
-        # Partition by median distance to the pivot.
-        median = float(np.median(d_center))
-        near = indices[d_center <= median]
-        far = indices[d_center > median]
-        if near.size == 0 or far.size == 0:
-            # Degenerate (many duplicate points): fall back to a leaf.
-            return _Node(center=center, radius=radius, indices=indices)
-        return _Node(
-            center=center,
-            radius=radius,
-            indices=None,
-            left=self._build(near, rng),
-            right=self._build(far, rng),
-        )
-
-    # ------------------------------------------------------------------ #
-    def kneighbors(
-        self, Q: np.ndarray, k: int, *, exclude_self: bool = False
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Return (distances, indices) of the ``k`` nearest fitted rows.
-
-        Mirrors :meth:`repro.neighbors.brute.BruteKNN.kneighbors`, including
-        ``exclude_self`` handling for leave-one-out queries.
-        """
-        if self._X is None:
-            raise RuntimeError("BallTree is not fitted")
-        Q = np.asarray(Q, dtype=np.float64)
-        if Q.ndim != 2:
-            raise ValueError(f"Q must be 2-D, got shape {Q.shape}")
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        n = self._X.shape[0]
-        budget = k + 1 if exclude_self else k
-        k_eff = min(budget, n)
-        out_k = min(k, n - 1) if exclude_self else min(k, n)
-        out_k = max(out_k, 0)
-        dists = np.full((Q.shape[0], out_k), np.inf)
-        idxs = np.zeros((Q.shape[0], out_k), dtype=np.intp)
-        # Rows appended since the last (re)build live outside the tree;
-        # they are scanned exactly, with the same heap discipline as a
-        # leaf, so appends never change query results (see append()).
-        pending = np.arange(self._tree_n, self._n, dtype=np.intp)
-        for r in range(Q.shape[0]):
-            heap: list[tuple[float, int]] = []  # max-heap via negated dists
-            q = Q[r]
-            if self._root is not None and k_eff:
-                d_root = float(self._dists(q, np.array([self._root.center]))[0])
-                self._query_one(q, self._root, k_eff, heap, d_root)
-            if pending.size and k_eff:
-                ds = self._dists(q, pending)
-                for d, i in zip(ds.tolist(), pending.tolist()):
-                    if len(heap) < k_eff:
-                        heapq.heappush(heap, (-d, i))
-                    elif d < -heap[0][0]:
-                        heapq.heapreplace(heap, (-d, i))
-            if not heap:
-                continue
-            neg_d = np.array([p[0] for p in heap])
-            found = np.array([p[1] for p in heap], dtype=np.intp)
-            # Sort by (distance asc, index asc) — matches sorted() on (d, i).
-            order = np.lexsort((found, -neg_d))
-            d_sorted = -neg_d[order]
-            i_sorted = found[order]
-            start = 1 if (exclude_self and d_sorted[0] < SELF_DISTANCE_TOL) else 0
-            take = min(out_k, d_sorted.size - start)
-            dists[r, :take] = d_sorted[start : start + take]
-            idxs[r, :take] = i_sorted[start : start + take]
-        return dists, idxs
-
-    def _query_one(
-        self,
-        q: np.ndarray,
-        node: _Node,
-        k: int,
-        heap: list[tuple[float, int]],
-        d_center: float,
-    ) -> None:
-        """Recursively collect the ``k`` nearest points into ``heap``.
-
-        ``d_center`` is ``d(q, node.center)``, computed by the caller so every
-        pivot distance is evaluated exactly once per query (the caller needs
-        it anyway to order the children).
-        """
-        assert self._X is not None
-        worst = -heap[0][0] if len(heap) == k else np.inf
-        if d_center - node.radius > worst:
-            return
-        if node.indices is not None:
-            ds = self._dists(q, node.indices)
-            for d, i in zip(ds.tolist(), node.indices.tolist()):
-                if len(heap) < k:
-                    heapq.heappush(heap, (-d, i))
-                elif d < -heap[0][0]:
-                    heapq.heapreplace(heap, (-d, i))
-            return
-        # Internal nodes always have both children (degenerate splits become
-        # leaves).  One batched distance call covers both pivots; visit the
-        # closer child first for tighter pruning (left wins ties, as before).
-        left, right = node.left, node.right
-        assert left is not None and right is not None
-        d_lr = self._dists(q, np.array([left.center, right.center], dtype=np.intp))
-        d_l, d_r = float(d_lr[0]), float(d_lr[1])
-        if d_l <= d_r:
-            self._query_one(q, left, k, heap, d_l)
-            self._query_one(q, right, k, heap, d_r)
-        else:
-            self._query_one(q, right, k, heap, d_r)
-            self._query_one(q, left, k, heap, d_l)
+class BallTree(BruteKNN):
+    """Old name of :class:`~repro.neighbors.brute.BruteKNN` (same index)."""

@@ -134,7 +134,7 @@ def _run_incremental_vs_rebuild(
     the edit loop.  The *rebuild* side pays full-dataset cost each time
     (``Dataset.concat``, from-scratch ``fit``, full ``frs.assign``); the
     *incremental* side drives the delta APIs end to end
-    (:class:`~repro.data.builder.DatasetBuilder` append, ``BallTree``
+    (:class:`~repro.data.builder.DatasetBuilder` append, ``BruteKNN``
     index append via ``partial_update``, and the
     :class:`~repro.engine.state.EditState` delta journal merging the
     cached assignment) at O(batch) per step.  The model's prediction
@@ -214,7 +214,7 @@ def _run_incremental_vs_rebuild(
             "speedup": rebuild_seconds / max(incremental_seconds, 1e-12),
             "batch_size": batch_size,
             "base_rows": base.n,
-            "model": "KNN(ball_tree)",
+            "model": "KNN(brute)",
             "work": "per accepted batch: extend dataset + refit model + FRS assignment",
         },
     )

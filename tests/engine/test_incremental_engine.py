@@ -80,15 +80,15 @@ class TestIncrementalRunParity:
         )
 
     def test_brute_knn_bit_identical_on_tie_heavy_categorical_data(self):
-        """Brute KNN is tie-proof: same matrix ⇒ same distance matrix ⇒
-        same top-k, so even all-categorical data (exact distance ties
-        everywhere under the overlap metric) runs identically."""
+        """The default KNN index (brute force) is tie-proof: same matrix ⇒
+        same distance matrix ⇒ same top-k, so even all-categorical data
+        (exact distance ties everywhere under the overlap metric) runs
+        identically."""
         from repro.datasets import load_dataset
 
         data = load_dataset("car", n=300, random_state=0)
         algorithm = make_algorithm(
-            lambda: KNeighborsClassifier(k=3, algorithm="brute"),
-            standardize=False,
+            lambda: KNeighborsClassifier(k=3), standardize=False
         )
         def run(incremental):
             return (

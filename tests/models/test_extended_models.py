@@ -82,6 +82,11 @@ class TestKNeighborsClassifier:
         p1 = KNeighborsClassifier(k=3, algorithm="brute").fit(X, y).predict(X)
         p2 = KNeighborsClassifier(k=3, algorithm="ball_tree").fit(X, y).predict(X)
         np.testing.assert_array_equal(p1, p2)
+        # "ball_tree" is an alias of the default exact index.
+        np.testing.assert_array_equal(
+            KNeighborsClassifier(k=3, algorithm="ball_tree").fit(X, y).predict_proba(X),
+            KNeighborsClassifier(k=3).fit(X, y).predict_proba(X),
+        )
 
     def test_distance_weights(self):
         X, y = _blobs()

@@ -2,14 +2,13 @@
 
 Randomized workloads: a sequence of appends must answer every query
 exactly like an index fitted from scratch on the concatenated matrix —
-same distances, same indices — across metrics, ``exclude_self``, and
-amortized BallTree rebuilds.
+same distances, same indices — across metrics and ``exclude_self``.
 """
 
 import numpy as np
 import pytest
 
-from repro.neighbors import BallTree, BruteKNN, MixedMetric
+from repro.neighbors import BruteKNN, MixedMetric
 
 
 def random_batches(seed, d=5, sizes=(120, 1, 40, 33, 260)):
@@ -17,7 +16,7 @@ def random_batches(seed, d=5, sizes=(120, 1, 40, 33, 260)):
     return [rng.normal(size=(n, d)) for n in sizes]
 
 
-@pytest.mark.parametrize("cls", [BruteKNN, BallTree], ids=["brute", "balltree"])
+@pytest.mark.parametrize("cls", [BruteKNN], ids=["brute"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_append_sequence_matches_fresh_fit(cls, seed):
     batches = random_batches(seed)
@@ -35,35 +34,7 @@ def test_append_sequence_matches_fresh_fit(cls, seed):
                 np.testing.assert_array_equal(i_inc, i_full)
 
 
-def test_balltree_rebuild_threshold_crossed():
-    """Appends large enough to trigger the amortized rebuild stay exact."""
-    rng = np.random.default_rng(7)
-    X0 = rng.normal(size=(64, 3))
-    tree = BallTree(rebuild_threshold=0.25)
-    tree.fit(X0)
-    parts = [X0]
-    for step in range(6):
-        batch = rng.normal(size=(48, 3))
-        parts.append(batch)
-        tree.append(batch)
-        full = BallTree().fit(np.concatenate(parts))
-        Q = rng.normal(size=(25, 3))
-        d_inc, i_inc = tree.kneighbors(Q, 6)
-        d_full, i_full = full.kneighbors(Q, 6)
-        np.testing.assert_array_equal(d_inc, d_full)
-        np.testing.assert_array_equal(i_inc, i_full)
-    # At least one amortized rebuild folded pending rows into the tree.
-    assert tree._tree_n > 64
-
-
-def test_balltree_small_appends_stay_pending():
-    rng = np.random.default_rng(8)
-    tree = BallTree(rebuild_threshold=0.5).fit(rng.normal(size=(200, 4)))
-    tree.append(rng.normal(size=(5, 4)))
-    assert tree._tree_n == 200 and tree._n == 205
-
-
-@pytest.mark.parametrize("cls", [BruteKNN, BallTree], ids=["brute", "balltree"])
+@pytest.mark.parametrize("cls", [BruteKNN], ids=["brute"])
 def test_append_with_mixed_metric(cls):
     rng = np.random.default_rng(9)
     # Columns 0-1 numeric, column 2 categorical overlap-coded.
@@ -83,7 +54,7 @@ def test_append_with_mixed_metric(cls):
     np.testing.assert_array_equal(i_inc, i_full)
 
 
-@pytest.mark.parametrize("cls", [BruteKNN, BallTree], ids=["brute", "balltree"])
+@pytest.mark.parametrize("cls", [BruteKNN], ids=["brute"])
 def test_checkpoint_rollback_restores_exactly(cls):
     rng = np.random.default_rng(11)
     X0 = rng.normal(size=(150, 4))
@@ -93,7 +64,7 @@ def test_checkpoint_rollback_restores_exactly(cls):
     baseline = cls().fit(inc._X.copy())
     # A rejected-candidate append cycle, twice, each rolled back.
     for _ in range(2):
-        inc.append(rng.normal(size=(500, 4)))  # large: may trigger rebuild
+        inc.append(rng.normal(size=(500, 4)))  # larger than the fitted matrix
         inc.rollback(token)
     Q = rng.normal(size=(40, 4))
     d_inc, i_inc = inc.kneighbors(Q, 8)
@@ -105,13 +76,12 @@ def test_checkpoint_rollback_restores_exactly(cls):
 def test_append_to_unfitted_is_fit():
     rng = np.random.default_rng(13)
     X = rng.normal(size=(20, 3))
-    for cls in (BruteKNN, BallTree):
-        idx = cls()
-        idx.append(X)
-        assert idx.n_samples == 20
+    idx = BruteKNN()
+    idx.append(X)
+    assert idx.n_samples == 20
 
 
-@pytest.mark.parametrize("cls", [BruteKNN, BallTree], ids=["brute", "balltree"])
+@pytest.mark.parametrize("cls", [BruteKNN], ids=["brute"])
 def test_append_empty_batch_is_noop(cls):
     rng = np.random.default_rng(14)
     X = rng.normal(size=(20, 3))

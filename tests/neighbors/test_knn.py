@@ -1,11 +1,11 @@
-"""Tests for brute-force KNN and the ball tree (including equivalence)."""
+"""Tests for the brute-force KNN index, checked against a per-query reference."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.neighbors import BallTree, BruteKNN, MixedMetric, make_knn
+from repro.neighbors import BruteKNN, MixedMetric
 
 
 def _data(n=100, d=3, seed=0, n_cat=0):
@@ -63,69 +63,42 @@ class TestBruteKNN:
         assert d.shape == (5, 3)
 
 
-class TestBallTree:
-    def test_matches_brute_euclidean(self):
-        X, _ = _data(n=200, seed=1)
-        Q = X[:30]
-        d_bt, _ = BallTree(leaf_size=5).fit(X).kneighbors(Q, 7)
-        d_bf, _ = BruteKNN().fit(X).kneighbors(Q, 7)
-        # Brute force computes distances via the quadratic expansion, which
-        # carries ~1e-8 of floating error on exact-zero self distances.
-        np.testing.assert_allclose(d_bt, d_bf, atol=1e-6)
-
-    def test_matches_brute_mixed(self):
-        X, m = _data(n=150, seed=2, n_cat=2)
-        d_bt, _ = BallTree(m, leaf_size=8).fit(X).kneighbors(X[:20], 5, exclude_self=True)
-        d_bf, _ = BruteKNN(m).fit(X).kneighbors(X[:20], 5, exclude_self=True)
-        np.testing.assert_allclose(d_bt, d_bf, atol=1e-6)
-
-    def test_duplicate_points(self):
-        X = np.zeros((20, 2))
-        bt = BallTree(leaf_size=4).fit(X)
-        d, i = bt.kneighbors(X[:3], 5)
-        np.testing.assert_allclose(d, 0.0, atol=1e-9)
-
-    def test_single_point(self):
-        X = np.array([[1.0, 2.0]])
-        d, i = BallTree().fit(X).kneighbors(np.array([[0.0, 0.0]]), 3)
-        assert i.shape == (1, 1)
-
-    def test_invalid_leaf_size(self):
-        with pytest.raises(ValueError, match="leaf_size"):
-            BallTree(leaf_size=0)
-
-    def test_unfitted_raises(self):
-        with pytest.raises(RuntimeError):
-            BallTree().kneighbors(np.zeros((1, 2)), 1)
+def _euclidean_dists_to(q, X):
+    return np.sqrt(((X - q) ** 2).sum(axis=1))
 
 
-class TestMakeKnn:
-    def test_ball_tree(self):
-        assert isinstance(make_knn("ball_tree"), BallTree)
-
-    def test_brute(self):
-        assert isinstance(make_knn("brute"), BruteKNN)
-
-    def test_unknown_raises(self):
-        with pytest.raises(ValueError, match="unknown algorithm"):
-            make_knn("kd_tree")
-
-
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(
-    n=st.integers(min_value=5, max_value=80),
-    k=st.integers(min_value=1, max_value=10),
+    n=st.integers(min_value=2, max_value=80),
+    k=st.integers(min_value=1, max_value=12),
     seed=st.integers(min_value=0, max_value=10**6),
-    leaf=st.integers(min_value=1, max_value=16),
+    mixed=st.booleans(),
+    exclude_self=st.booleans(),
 )
-def test_balltree_brute_equivalence_property(n, k, seed, leaf):
-    """Ball tree and brute force agree on distances for any configuration."""
+def test_brute_matches_per_query_reference_property(n, k, seed, mixed, exclude_self):
+    """BruteKNN's sorted top-k distances equal an independent per-query
+    scan: ``MixedMetric.dists_to`` (or direct differences) plus a sort,
+    dropping one zero-distance self match under ``exclude_self``."""
     rng = np.random.default_rng(seed)
     X = rng.uniform(0, 1, (n, 3))
     X[:, 2] = rng.integers(0, 3, n)
-    m = MixedMetric(np.array([False, False, True]))
-    Q = rng.uniform(0, 1, (5, 3))
-    Q[:, 2] = rng.integers(0, 3, 5)
-    d_bt, _ = BallTree(m, leaf_size=leaf).fit(X).kneighbors(Q, k)
-    d_bf, _ = BruteKNN(m).fit(X).kneighbors(Q, k)
-    np.testing.assert_allclose(d_bt, d_bf, atol=1e-6)
+    # Fitted rows (self matches for exclude_self) plus fresh queries.
+    fresh = rng.uniform(0, 1, (3, 3))
+    fresh[:, 2] = rng.integers(0, 3, 3)
+    Q = np.vstack([X[:4], fresh])
+    if mixed:
+        metric = MixedMetric(np.array([False, False, True]))
+        reference = metric.dists_to
+    else:
+        metric = "euclidean"
+        reference = _euclidean_dists_to
+    d, i = BruteKNN(metric).fit(X).kneighbors(Q, k, exclude_self=exclude_self)
+    out_k = min(k, n - 1 if exclude_self else n)
+    assert d.shape == i.shape == (Q.shape[0], out_k)
+    for q, d_q, i_q in zip(Q, d, i):
+        ref = np.sort(reference(q, X))
+        if exclude_self and ref[0] < 1e-6:
+            ref = ref[1:]
+        np.testing.assert_allclose(d_q, ref[:out_k], atol=1e-6)
+        # Every returned index is a real row at the reported distance.
+        np.testing.assert_allclose(reference(q, X)[i_q], d_q, atol=1e-6)
