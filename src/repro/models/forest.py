@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.models.tree import DecisionTreeClassifier
+from repro.models.tree import DecisionTreeClassifier, _BinnedX, _check_fit_inputs
 from repro.utils.rng import RandomState, check_random_state, spawn_rng
-from repro.utils.validation import check_array_1d, check_array_2d
+from repro.utils.validation import check_array_2d
 
 
 class RandomForestClassifier:
@@ -28,6 +28,9 @@ class RandomForestClassifier:
     bootstrap:
         Sample the training set with replacement per tree.
     """
+
+    #: Tree type fit grows (the seed reference swaps in the original split).
+    _tree_class = DecisionTreeClassifier
 
     def __init__(
         self,
@@ -55,24 +58,20 @@ class RandomForestClassifier:
         self.n_classes_: int | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray, *, n_classes: int | None = None) -> "RandomForestClassifier":
-        X = check_array_2d(X, name="X")
-        y = check_array_1d(y, name="y", dtype=np.int64)
-        if X.shape[0] != y.shape[0]:
-            raise ValueError("X and y have different numbers of rows")
-        if n_classes is None:
-            n_classes = int(y.max()) + 1
+        X, y, n_classes = _check_fit_inputs(X, y, n_classes)
         self.n_classes_ = n_classes
         rng = check_random_state(self.random_state)
         rngs = spawn_rng(rng, self.n_estimators)
         self.trees_ = []
+        # Code the columns once; every tree trains on a row sample of them.
+        data = _BinnedX.from_array(X)
         n = X.shape[0]
         for tree_rng in rngs:
             if self.bootstrap:
-                sample = tree_rng.integers(0, n, size=n)
-                Xb, yb = X[sample], y[sample]
+                rows = tree_rng.integers(0, n, size=n)
             else:
-                Xb, yb = X, y
-            tree = DecisionTreeClassifier(
+                rows = np.arange(n, dtype=np.intp)
+            tree = self._tree_class(
                 max_depth=self.max_depth,
                 min_samples_split=self.min_samples_split,
                 min_samples_leaf=self.min_samples_leaf,
@@ -80,7 +79,7 @@ class RandomForestClassifier:
                 criterion=self.criterion,
                 random_state=tree_rng,
             )
-            tree.fit(Xb, yb, n_classes=n_classes)
+            tree._fit_binned(data, y, n_classes, rows)
             self.trees_.append(tree)
         return self
 

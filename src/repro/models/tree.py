@@ -1,10 +1,20 @@
 """CART decision tree classifier (gini / entropy) built from scratch.
 
-The split search is vectorized per feature: sort the node's values once,
-take prefix sums of one-hot class counts, and evaluate the impurity decrease
-of every candidate threshold in one pass.  This follows the scikit-learn
-performance guidance of replacing inner Python loops with NumPy array
-operations.
+The split search is a histogram search.  Each column of ``X`` is coded
+once per fit as an index into its sorted distinct values (a random forest
+codes its data once for all of its trees).  At a node, one sort of flat
+(feature, code, class) keys counts the node's rows for every scanned
+feature at once, into a histogram of the values present at the node;
+its cost follows the node's rows, not the columns' distinct values.
+Cumulative class counts within each feature give the left/right class
+counts at every boundary between two adjacent present values, and the
+impurity decrease of all candidates of all features is evaluated in one
+pass.  Only boundaries between distinct values are scored, never the
+rows between them.
+
+The result is bit-identical to sorting each feature's values and scoring
+every row position, the original search, which is kept as
+:func:`repro.perf.seed_reference.seed_cart_best_split`.
 """
 
 from __future__ import annotations
@@ -17,6 +27,14 @@ from repro.utils.rng import RandomState, check_random_state
 from repro.utils.validation import check_array_1d, check_array_2d
 
 
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """Mask of the entries of sorted ``a`` that differ from their predecessor."""
+    mask = np.empty(a.size, dtype=bool)
+    mask[:1] = True
+    np.not_equal(a[1:], a[:-1], out=mask[1:])
+    return mask
+
+
 @dataclass
 class _TreeNode:
     feature: int = -1  # -1 marks a leaf
@@ -24,6 +42,45 @@ class _TreeNode:
     left: int = -1  # child node ids
     right: int = -1
     proba: np.ndarray | None = None  # leaf class distribution
+
+
+@dataclass(frozen=True)
+class _BinnedX:
+    """``X`` with every column coded by rank among its distinct values."""
+
+    X: np.ndarray  # raw values: nodes route rows by comparing these
+    codes: np.ndarray  # (d, n): codes[f, i] indexes values[f]
+    values: tuple[np.ndarray, ...]  # sorted distinct values of each column
+    n_bins: np.ndarray  # (d,): len(values[f])
+
+    @classmethod
+    def from_array(cls, X: np.ndarray) -> "_BinnedX":
+        codes = np.empty((X.shape[1], X.shape[0]), dtype=np.intp)
+        values = []
+        for f in range(X.shape[1]):
+            uniq, codes[f] = np.unique(X[:, f], return_inverse=True)
+            values.append(uniq)
+        n_bins = np.array([v.size for v in values], dtype=np.intp)
+        return cls(X, codes, tuple(values), n_bins)
+
+
+def _check_fit_inputs(
+    X: np.ndarray, y: np.ndarray, n_classes: int | None
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Validate a tree or forest training set; resolve ``n_classes``."""
+    X = check_array_2d(X, name="X")
+    y = check_array_1d(y, name="y", dtype=np.int64)
+    if X.shape[0] != y.shape[0]:
+        raise ValueError("X and y have different numbers of rows")
+    if X.shape[0] == 0:
+        raise ValueError("cannot fit a tree on an empty dataset")
+    if n_classes is None:
+        n_classes = int(y.max()) + 1
+    if y.min() < 0 or y.max() >= n_classes:
+        raise ValueError(
+            f"labels must lie in [0, {n_classes}), got [{y.min()}, {y.max()}]"
+        )
+    return X, y, n_classes
 
 
 def _impurity_from_counts(counts: np.ndarray, criterion: str) -> np.ndarray:
@@ -83,19 +140,23 @@ class DecisionTreeClassifier:
 
     # ------------------------------------------------------------------ #
     def fit(self, X: np.ndarray, y: np.ndarray, *, n_classes: int | None = None) -> "DecisionTreeClassifier":
-        X = check_array_2d(X, name="X")
-        y = check_array_1d(y, name="y", dtype=np.int64)
-        if X.shape[0] != y.shape[0]:
-            raise ValueError("X and y have different numbers of rows")
-        if X.shape[0] == 0:
-            raise ValueError("cannot fit a tree on an empty dataset")
-        if n_classes is None:
-            n_classes = int(y.max()) + 1
+        X, y, n_classes = _check_fit_inputs(X, y, n_classes)
+        rows = np.arange(X.shape[0], dtype=np.intp)
+        return self._fit_binned(_BinnedX.from_array(X), y, n_classes, rows)
+
+    def _fit_binned(
+        self, data: _BinnedX, y: np.ndarray, n_classes: int, rows: np.ndarray
+    ) -> "DecisionTreeClassifier":
+        """Grow the tree on the rows ``rows`` of validated, binned data.
+
+        ``rows`` may repeat a row (a bootstrap sample); a repeat counts as
+        often as it appears, exactly as if the sample had been copied out.
+        """
         self.n_classes_ = n_classes
         rng = check_random_state(self.random_state)
         self.nodes_ = []
-        self._n_split_features = self._resolve_max_features(X.shape[1])
-        self._build(X, y, np.arange(X.shape[0], dtype=np.intp), depth=0, rng=rng)
+        self._n_split_features = self._resolve_max_features(data.X.shape[1])
+        self._build(data, y, rows, depth=0, rng=rng)
         return self
 
     def _resolve_max_features(self, d: int) -> int:
@@ -116,7 +177,7 @@ class DecisionTreeClassifier:
 
     def _build(
         self,
-        X: np.ndarray,
+        data: _BinnedX,
         y: np.ndarray,
         idx: np.ndarray,
         *,
@@ -130,72 +191,90 @@ class DecisionTreeClassifier:
         if pure or depth_done or n < self.min_samples_split:
             return self._leaf(y_node)
 
-        feat, thr = self._best_split(X, y, idx, rng)
+        feat, thr = self._best_split(data, y_node, idx, rng)
         if feat < 0:
             return self._leaf(y_node)
 
         node_id = len(self.nodes_)
         self.nodes_.append(_TreeNode(feature=feat, threshold=thr))
-        go_left = X[idx, feat] <= thr
-        left_id = self._build(X, y, idx[go_left], depth=depth + 1, rng=rng)
-        right_id = self._build(X, y, idx[~go_left], depth=depth + 1, rng=rng)
+        # Route on the raw values, not the codes: a midpoint of two
+        # adjacent floats can round onto the upper one.
+        go_left = data.X[idx, feat] <= thr
+        left_id = self._build(data, y, idx[go_left], depth=depth + 1, rng=rng)
+        right_id = self._build(data, y, idx[~go_left], depth=depth + 1, rng=rng)
         self.nodes_[node_id].left = left_id
         self.nodes_[node_id].right = right_id
         return node_id
 
     def _best_split(
-        self, X: np.ndarray, y: np.ndarray, idx: np.ndarray, rng: np.random.Generator
+        self,
+        data: _BinnedX,
+        y_node: np.ndarray,
+        idx: np.ndarray,
+        rng: np.random.Generator,
     ) -> tuple[int, float]:
         """Return (feature, threshold) of the best split, or (-1, 0) if none."""
-        assert self.n_classes_ is not None
+        c = self.n_classes_
+        assert c is not None
         n = idx.size
-        d = X.shape[1]
+        d = data.X.shape[1]
         features = (
             rng.choice(d, size=self._n_split_features, replace=False)
             if self._n_split_features < d
             else np.arange(d)
         )
-        y_node = y[idx]
-        onehot = np.zeros((n, self.n_classes_))
-        onehot[np.arange(n), y_node] = 1.0
-
-        best_gain = 1e-12
-        best_feat, best_thr = -1, 0.0
-        parent_imp = _impurity_from_counts(
-            onehot.sum(axis=0)[None, :], self.criterion
-        )[0]
-
-        for f in features:
-            x = X[idx, f]
-            order = np.argsort(x, kind="stable")
-            xs = x[order]
-            if xs[0] == xs[-1]:
-                continue
-            counts_sorted = onehot[order]
-            left_counts = np.cumsum(counts_sorted, axis=0)[:-1]  # split after i
-            total = left_counts[-1] + counts_sorted[-1]
-            right_counts = total[None, :] - left_counts
-            n_left = np.arange(1, n)
-            n_right = n - n_left
-            valid = (
-                (xs[:-1] < xs[1:])
-                & (n_left >= self.min_samples_leaf)
-                & (n_right >= self.min_samples_leaf)
-            )
-            if not np.any(valid):
-                continue
-            imp_left = _impurity_from_counts(left_counts, self.criterion)
-            imp_right = _impurity_from_counts(right_counts, self.criterion)
-            weighted = (n_left * imp_left + n_right * imp_right) / n
-            gain = parent_imp - weighted
-            gain[~valid] = -np.inf
-            best_pos = int(np.argmax(gain))
-            if gain[best_pos] > best_gain:
-                best_gain = float(gain[best_pos])
-                best_feat = int(f)
-                # Midpoint threshold, matching CART convention.
-                best_thr = float((xs[best_pos] + xs[best_pos + 1]) / 2.0)
-        return best_feat, best_thr
+        # Histogram bins: feature features[j] owns bins [starts[j], ends[j]),
+        # one per distinct value; a key is bin * c + label.
+        n_bins = data.n_bins[features]
+        ends = np.cumsum(n_bins)
+        starts = ends - n_bins
+        node_codes = data.codes.take(features[:, None] * data.codes.shape[1] + idx)
+        keys = ((node_codes + starts[:, None]) * c + y_node).ravel()
+        # hist[i] counts the classes of present bin bins[i] (a value present
+        # at the node).  Counting sorted keys costs the node's rows, not the
+        # columns' distinct values, so deep nodes on many-valued columns
+        # stay cheap.
+        keys.sort()
+        first = np.flatnonzero(_run_starts(keys))
+        cells = keys[first]  # one per present (bin, class)
+        cell_bins = cells // c
+        new_bin = _run_starts(cell_bins)
+        bins = cell_bins[new_bin]
+        hist = np.zeros((bins.size, c), dtype=np.intp)
+        run_lengths = np.append(first[1:], keys.size) - first
+        hist[np.cumsum(new_bin) - 1, cells % c] = run_lengths
+        seg = np.searchsorted(ends, bins, side="right")  # j of each bin
+        # A boundary follows every present value but each feature's largest.
+        cand = np.flatnonzero(seg[:-1] == seg[1:])
+        if cand.size == 0:
+            return -1, 0.0
+        totals = np.bincount(y_node, minlength=c)
+        # Cumulative counts run across features; each earlier feature
+        # contributed the node's class totals once.
+        left = np.cumsum(hist, axis=0)[cand] - seg[cand, None] * totals
+        n_left = left.sum(axis=1)
+        n_right = n - n_left
+        # One impurity pass over every left side, right side and the parent.
+        imp = _impurity_from_counts(
+            np.concatenate((left, totals - left, totals[None, :])).astype(np.float64),
+            self.criterion,
+        )
+        k = cand.size
+        weighted = (n_left * imp[:k] + n_right * imp[k : 2 * k]) / n
+        gain = imp[-1] - weighted
+        gain[(n_left < self.min_samples_leaf) | (n_right < self.min_samples_leaf)] = -np.inf
+        # Candidates run in the order of ``features`` and, within a feature,
+        # by value, so the first maximum is the one a feature-by-feature scan
+        # keeping only strict improvements would pick.
+        best = int(np.argmax(gain))
+        if gain[best] <= 1e-12:
+            return -1, 0.0
+        j = int(seg[cand[best]])
+        values = data.values[int(features[j])]
+        lo = values[bins[cand[best]] - starts[j]]
+        hi = values[bins[cand[best] + 1] - starts[j]]
+        # Midpoint threshold, matching CART convention.
+        return int(features[j]), float((lo + hi) / 2.0)
 
     # ------------------------------------------------------------------ #
     def predict_proba(self, X: np.ndarray) -> np.ndarray:

@@ -21,14 +21,20 @@ registry dataset):
 * ``constrained_categorical`` — rule-constrained categorical generation;
 * ``borderline_weights`` — Han-2005 category→weight mapping;
 * ``selection_membership`` — IP-selection chosen-row membership;
-* ``smote_generate`` — the full SMOTE candidate-generation path.
+* ``smote_generate`` — the full SMOTE candidate-generation path;
+* ``cart_fit`` — a random forest fit in the paper's configuration
+  (``max_depth=3``): the per-feature argsort split search (seed) versus
+  the histogram split search (current).  Both sides must predict the
+  same probability bits before the speedup is recorded.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.data.encoding import TabularEncoder
 from repro.data.table import Table, make_schema
+from repro.models import RandomForestClassifier
 from repro.neighbors import BruteKNN, TableNeighborSpace, kneighbors_blocked
 from repro.perf import seed_reference as seed_ref
 from repro.perf.harness import CompareRecord, compare
@@ -60,6 +66,7 @@ HOTPATH_NAMES = (
     "borderline_weights",
     "selection_membership",
     "smote_generate",
+    "cart_fit",
 )
 
 
@@ -84,17 +91,21 @@ def synthetic_mixed_table(n: int, seed: int) -> Table:
     )
 
 
-def _bench_table(dataset: str, n: int, seed: int) -> Table:
+def _bench_data(dataset: str, n: int, seed: int) -> tuple[Table, np.ndarray]:
+    """The benchmark table and its class labels."""
     if dataset == "synthetic":
-        return synthetic_mixed_table(n, seed)
+        table = synthetic_mixed_table(n, seed)
+        return table, (table.column("age") < 45).astype(np.int64)
     from repro.datasets import load_dataset
 
-    return load_dataset(dataset, n, random_state=seed).X
+    data = load_dataset(dataset, n, random_state=seed)
+    return data.X, data.y
 
 
 def _table_benchmarks(
     dataset: str,
     table: Table,
+    labels: np.ndarray,
     *,
     seed: int,
     repeats: int,
@@ -276,6 +287,35 @@ def _table_benchmarks(
                 extra={"n_samples": n_samples, "backend": "numpy"},
             )
         )
+
+    # --- random forest fit: CART split search -------------------------- #
+    if want("cart_fit"):
+        X = TabularEncoder(standardize=False).fit(table).transform(table)
+
+        def fit_forest(forest_cls: type[RandomForestClassifier]) -> RandomForestClassifier:
+            # The "RF" registry entry's configuration.
+            return forest_cls(max_depth=3, random_state=42).fit(X, labels)
+
+        seed_proba = fit_forest(seed_ref.SeedSplitForest).predict_proba(X)
+        current_proba = fit_forest(RandomForestClassifier).predict_proba(X)
+        if seed_proba.tobytes() != current_proba.tobytes():
+            raise AssertionError(
+                f"cart_fit on {dataset}: the histogram split search changed "
+                "the forest's predict_proba bits"
+            )
+        records.append(
+            compare(
+                "cart_fit", dataset, n,
+                lambda: fit_forest(seed_ref.SeedSplitForest),
+                lambda: fit_forest(RandomForestClassifier),
+                repeats=repeats,
+                extra={
+                    "n_features": X.shape[1],
+                    "seed_side": "per-feature argsort + one-hot cumsum split",
+                    "current_side": "one histogram per node",
+                },
+            )
+        )
     return records
 
 
@@ -317,10 +357,10 @@ def run_hotpath_benchmarks(
     names = datasets if datasets is not None else ("synthetic", "adult")
     records: list[CompareRecord] = []
     for dataset in names:
-        table = _bench_table(dataset, n, seed)
+        table, labels = _bench_data(dataset, n, seed)
         records.extend(
             _table_benchmarks(
-                dataset, table, seed=seed, repeats=repeats, only=selected
+                dataset, table, labels, seed=seed, repeats=repeats, only=selected
             )
         )
     return records

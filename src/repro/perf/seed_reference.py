@@ -9,6 +9,11 @@ loops were moved here verbatim (modulo being standalone functions) so that
 * ``repro.perf.hotpaths`` can measure the speedup the vectorization buys,
   emitted to ``BENCH_hotpaths.json``.
 
+The CART split search is kept the same way: :func:`seed_cart_best_split`
+is the per-feature argsort search that the histogram search in
+:mod:`repro.models.tree` replaced, and :class:`SeedSplitTree` /
+:class:`SeedSplitForest` grow trees with it.
+
 Nothing here is used by the production edit loop.
 """
 
@@ -17,6 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.table import Table
+from repro.models.forest import RandomForestClassifier
+from repro.models.tree import DecisionTreeClassifier, _BinnedX, _impurity_from_counts
 from repro.neighbors import BruteKNN, TableNeighborSpace
 from repro.neighbors.brute import SELF_DISTANCE_TOL
 from repro.rules.predicate import Predicate
@@ -148,3 +155,79 @@ def seed_borderline_weights(
 ) -> np.ndarray:
     """Seed borderline weight mapping: per-row dict lookup."""
     return np.array([weights[c] for c in cats], dtype=np.float64)
+
+
+def seed_cart_best_split(
+    tree: DecisionTreeClassifier,
+    X: np.ndarray,
+    y_node: np.ndarray,
+    idx: np.ndarray,
+    rng: np.random.Generator,
+) -> tuple[int, float]:
+    """Seed CART split search: per feature, a stable argsort, a cumsum over
+    the node's one-hot labels and the impurity of every sorted row."""
+    assert tree.n_classes_ is not None
+    n = idx.size
+    d = X.shape[1]
+    features = (
+        rng.choice(d, size=tree._n_split_features, replace=False)
+        if tree._n_split_features < d
+        else np.arange(d)
+    )
+    onehot = np.zeros((n, tree.n_classes_))
+    onehot[np.arange(n), y_node] = 1.0
+
+    best_gain = 1e-12
+    best_feat, best_thr = -1, 0.0
+    parent_imp = _impurity_from_counts(onehot.sum(axis=0)[None, :], tree.criterion)[0]
+
+    for f in features:
+        x = X[idx, f]
+        order = np.argsort(x, kind="stable")
+        xs = x[order]
+        if xs[0] == xs[-1]:
+            continue
+        counts_sorted = onehot[order]
+        left_counts = np.cumsum(counts_sorted, axis=0)[:-1]  # split after i
+        total = left_counts[-1] + counts_sorted[-1]
+        right_counts = total[None, :] - left_counts
+        n_left = np.arange(1, n)
+        n_right = n - n_left
+        valid = (
+            (xs[:-1] < xs[1:])
+            & (n_left >= tree.min_samples_leaf)
+            & (n_right >= tree.min_samples_leaf)
+        )
+        if not np.any(valid):
+            continue
+        imp_left = _impurity_from_counts(left_counts, tree.criterion)
+        imp_right = _impurity_from_counts(right_counts, tree.criterion)
+        weighted = (n_left * imp_left + n_right * imp_right) / n
+        gain = parent_imp - weighted
+        gain[~valid] = -np.inf
+        best_pos = int(np.argmax(gain))
+        if gain[best_pos] > best_gain:
+            best_gain = float(gain[best_pos])
+            best_feat = int(f)
+            # Midpoint threshold, matching CART convention.
+            best_thr = float((xs[best_pos] + xs[best_pos + 1]) / 2.0)
+    return best_feat, best_thr
+
+
+class SeedSplitTree(DecisionTreeClassifier):
+    """A CART tree whose splits come from :func:`seed_cart_best_split`."""
+
+    def _best_split(
+        self,
+        data: _BinnedX,
+        y_node: np.ndarray,
+        idx: np.ndarray,
+        rng: np.random.Generator,
+    ) -> tuple[int, float]:
+        return seed_cart_best_split(self, data.X, y_node, idx, rng)
+
+
+class SeedSplitForest(RandomForestClassifier):
+    """A random forest of :class:`SeedSplitTree` trees."""
+
+    _tree_class = SeedSplitTree

@@ -60,6 +60,15 @@ class TestRandomForest:
         with pytest.raises(ValueError, match="n_estimators"):
             RandomForestClassifier(n_estimators=0)
 
+    def test_label_outside_n_classes_raises(self):
+        X, y = _data(20)
+        with pytest.raises(ValueError, match="labels must lie in"):
+            RandomForestClassifier(n_estimators=2).fit(X, y + 1, n_classes=2)
+
+    def test_empty_data_raises(self):
+        with pytest.raises(ValueError, match="cannot fit a tree on an empty dataset"):
+            RandomForestClassifier().fit(np.zeros((0, 2)), np.zeros(0, dtype=int))
+
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):
             RandomForestClassifier().predict(np.zeros((1, 2)))

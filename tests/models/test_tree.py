@@ -65,6 +65,11 @@ class TestFit:
         with pytest.raises(ValueError, match="empty"):
             DecisionTreeClassifier().fit(np.zeros((0, 2)), np.zeros(0, dtype=int))
 
+    @pytest.mark.parametrize("labels,n_classes", [([0, 2], 2), ([-1, 0], None)])
+    def test_label_outside_n_classes_raises(self, labels, n_classes):
+        with pytest.raises(ValueError, match="labels must lie in"):
+            DecisionTreeClassifier().fit(np.zeros((2, 1)), labels, n_classes=n_classes)
+
     def test_max_features_sqrt(self):
         X, y = _xor()
         m = DecisionTreeClassifier(max_depth=3, max_features="sqrt", random_state=0)

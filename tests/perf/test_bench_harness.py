@@ -158,3 +158,27 @@ class TestCliIntegration:
         assert rc == 0
         for name in (HOTPATHS_FILENAME, END2END_FILENAME):
             validate_bench_payload(json.loads((tmp_path / name).read_text()))
+
+
+class TestCartFitHotPath:
+    def test_records_a_speedup(self):
+        from repro.perf.hotpaths import run_hotpath_benchmarks
+
+        (record,) = run_hotpath_benchmarks(
+            quick=True, datasets=("synthetic",), only=["cart_fit"]
+        )
+        assert record.name == "cart_fit"
+        assert record.seed_seconds > 0 and record.current_seconds > 0
+
+    def test_refuses_forests_that_predict_differently(self, monkeypatch):
+        from repro.models import RandomForestClassifier
+        from repro.perf import seed_reference
+        from repro.perf.hotpaths import run_hotpath_benchmarks
+
+        class HalvedForest(RandomForestClassifier):
+            def predict_proba(self, X):
+                return super().predict_proba(X) / 2
+
+        monkeypatch.setattr(seed_reference, "SeedSplitForest", HalvedForest)
+        with pytest.raises(AssertionError, match="cart_fit on synthetic"):
+            run_hotpath_benchmarks(quick=True, datasets=("synthetic",), only=["cart_fit"])

@@ -8,8 +8,11 @@ implementations live in :mod:`repro.perf.seed_reference`.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data import Table, make_schema
+from repro.models import DecisionTreeClassifier, RandomForestClassifier
 from repro.neighbors.brute import _topk_from_dists
 from repro.perf import seed_reference as seed_ref
 from repro.rules import Predicate
@@ -166,3 +169,86 @@ class TestGeneratorIndexCache:
         out = gen.generate(smaller, positions[:3], np.random.default_rng(0), cache_token=2)
         assert gen._index_cache is not first
         assert out.n == 3
+
+
+@st.composite
+def cart_training_sets(draw):
+    """Small training sets whose columns tie heavily, are continuous, mix
+    -0.0 with 0.0, or copy the previous column (so that two features tie
+    on every gain and only the scan order decides)."""
+    n = draw(st.integers(min_value=2, max_value=60))
+    kinds = draw(
+        st.lists(
+            st.sampled_from(["binary", "ties", "continuous", "signed_zero", "copy"]),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    n_classes = draw(st.integers(min_value=2, max_value=4))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    cols: list[np.ndarray] = []
+    for kind in kinds:
+        if kind == "copy" and cols:
+            cols.append(cols[-1].copy())
+        elif kind == "ties":
+            cols.append(rng.integers(-2, 3, n) * 0.5)
+        elif kind == "continuous":
+            cols.append(rng.normal(size=n))
+        elif kind == "signed_zero":
+            cols.append(rng.choice([-0.0, 0.0, 1.0, -1.0], n))
+        else:
+            cols.append(rng.integers(0, 2, n).astype(np.float64))
+    return np.column_stack(cols), rng.integers(0, n_classes, n), n_classes
+
+
+cart_params = st.fixed_dictionaries(
+    {
+        "max_depth": st.sampled_from([None, 1, 3]),
+        "min_samples_leaf": st.integers(min_value=1, max_value=4),
+        "max_features": st.sampled_from([None, "sqrt", 1, 2]),
+        "criterion": st.sampled_from(["gini", "entropy"]),
+        "random_state": st.integers(min_value=0, max_value=2**31 - 1),
+    }
+)
+
+
+def _node_list(tree: DecisionTreeClassifier) -> list[tuple]:
+    return [
+        (
+            node.feature,
+            np.float64(node.threshold).tobytes(),
+            node.left,
+            node.right,
+            None if node.proba is None else node.proba.tobytes(),
+        )
+        for node in tree.nodes_
+    ]
+
+
+class TestCartSplitParity:
+    """The histogram split search grows the trees the seed's per-feature
+    argsort search grows: same (feature, threshold) bits, same leaves."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=cart_training_sets(), params=cart_params)
+    def test_tree_bit_for_bit(self, data, params):
+        X, y, n_classes = data
+        current = DecisionTreeClassifier(**params).fit(X, y, n_classes=n_classes)
+        seed = seed_ref.SeedSplitTree(**params).fit(X, y, n_classes=n_classes)
+        assert _node_list(current) == _node_list(seed)
+        assert current.predict_proba(X).tobytes() == seed.predict_proba(X).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=cart_training_sets(), params=cart_params)
+    def test_forest_bit_for_bit(self, data, params):
+        X, y, n_classes = data
+        current = RandomForestClassifier(n_estimators=4, **params).fit(
+            X, y, n_classes=n_classes
+        )
+        seed = seed_ref.SeedSplitForest(n_estimators=4, **params).fit(
+            X, y, n_classes=n_classes
+        )
+        assert [_node_list(t) for t in current.trees_] == [
+            _node_list(t) for t in seed.trees_
+        ]
+        assert current.predict_proba(X).tobytes() == seed.predict_proba(X).tobytes()
