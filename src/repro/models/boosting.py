@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.models.logistic import softmax
 from repro.utils.validation import check_array_1d, check_array_2d
 
 
@@ -278,9 +279,7 @@ class GradientBoostingClassifier:
             Y = np.zeros((n, n_classes))
             Y[np.arange(n), y] = 1.0
             for _ in range(self.n_estimators):
-                Z = F - F.max(axis=1, keepdims=True)
-                P = np.exp(Z)
-                P /= P.sum(axis=1, keepdims=True)
+                P = softmax(F)
                 round_trees: list[_HistTree] = []
                 for c in range(n_classes):
                     g = P[:, c] - Y[:, c]
@@ -313,10 +312,7 @@ class GradientBoostingClassifier:
         if self.n_classes_ == 2:
             p1 = _sigmoid(F)
             return np.column_stack([1 - p1, p1])
-        Z = F - F.max(axis=1, keepdims=True)
-        P = np.exp(Z)
-        P /= P.sum(axis=1, keepdims=True)
-        return P
+        return softmax(F)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return np.argmax(self.predict_proba(X), axis=1).astype(np.int64)

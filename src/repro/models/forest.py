@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.models.tree import DecisionTreeClassifier, _BinnedX, _check_fit_inputs
+from repro.models.tree import DecisionTreeClassifier, _BinnedX
 from repro.utils.rng import RandomState, check_random_state, spawn_rng
-from repro.utils.validation import check_array_2d
+from repro.utils.validation import check_array_2d, check_fit_inputs
 
 
 class RandomForestClassifier:
@@ -58,7 +58,7 @@ class RandomForestClassifier:
         self.n_classes_: int | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray, *, n_classes: int | None = None) -> "RandomForestClassifier":
-        X, y, n_classes = _check_fit_inputs(X, y, n_classes)
+        X, y, n_classes = check_fit_inputs(X, y, n_classes, model="tree")
         self.n_classes_ = n_classes
         rng = check_random_state(self.random_state)
         rngs = spawn_rng(rng, self.n_estimators)

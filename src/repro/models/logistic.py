@@ -3,22 +3,41 @@
 Re-implements the paper's scikit-learn ``LogisticRegression(max_iter=500)``
 configuration: softmax cross-entropy with L2 regularization (C = 1.0,
 intercept unpenalized), optimized via :func:`scipy.optimize.minimize`.
+
+The objective takes one shifted exponential per evaluation and reuses it,
+normalized in place, as the gradient.  Its row max is a running
+``np.maximum`` over the columns: a NumPy reduction along a short row (two
+classes) pays a fixed cost per row, and max is exact, so any class count
+keeps the bits of a reduction.  The two ``sum`` reductions must stay as
+they are: a column loop adds in another order (NumPy sums eight or more
+terms pairwise, and axis 0 row by row) and changes the fitted bits.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 from scipy.optimize import minimize
 
-from repro.utils.validation import check_array_1d, check_array_2d
+from repro.utils.validation import check_array_2d, check_fit_inputs
+
+
+def _shifted_exp(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``exp(Z - row max)`` as a new array, with the row max and row sums."""
+    Zmax = Z[:, 0].copy()
+    for c in range(1, Z.shape[1]):
+        np.maximum(Zmax, Z[:, c], out=Zmax)
+    E = Z - Zmax[:, None]
+    np.exp(E, out=E)
+    return E, Zmax, E.sum(axis=1)
 
 
 def softmax(Z: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max-subtraction for numerical stability."""
-    Z = Z - Z.max(axis=1, keepdims=True)
-    np.exp(Z, out=Z)
-    Z /= Z.sum(axis=1, keepdims=True)
-    return Z
+    E, _, S = _shifted_exp(Z)
+    E /= S[:, None]
+    return E
 
 
 class LogisticRegression:
@@ -77,35 +96,12 @@ class LogisticRegression:
 
     # ------------------------------------------------------------------ #
     def fit(self, X: np.ndarray, y: np.ndarray, *, n_classes: int | None = None) -> "LogisticRegression":
-        X = check_array_2d(X, name="X")
-        y = check_array_1d(y, name="y", dtype=np.int64)
-        if X.shape[0] != y.shape[0]:
-            raise ValueError("X and y have different numbers of rows")
-        if n_classes is None:
-            n_classes = int(y.max()) + 1
+        X, y, n_classes = check_fit_inputs(X, y, n_classes, model="logistic regression")
         if n_classes < 2:
             raise ValueError("need at least 2 classes")
         n, d = X.shape
         self.n_classes_ = n_classes
-
-        Y = np.zeros((n, n_classes))
-        Y[np.arange(n), y] = 1.0
-        lam = 1.0 / (self.C * max(n, 1))
-
-        def objective(w_flat: np.ndarray) -> tuple[float, np.ndarray]:
-            W = w_flat[: d * n_classes].reshape(d, n_classes)
-            b = w_flat[d * n_classes :]
-            Z = X @ W + b
-            # log-sum-exp cross entropy
-            Zmax = Z.max(axis=1, keepdims=True)
-            logsumexp = Zmax[:, 0] + np.log(np.exp(Z - Zmax).sum(axis=1))
-            ll = (Z[np.arange(n), y] - logsumexp).sum()
-            P = softmax(Z.copy())
-            G = P - Y
-            grad_W = X.T @ G / n + 2.0 * lam * W
-            grad_b = G.sum(axis=0) / n
-            loss = -ll / n + lam * float((W * W).sum())
-            return loss, np.concatenate([grad_W.ravel(), grad_b])
+        objective = self._objective(X, y, n_classes, lam=1.0 / (self.C * n))
 
         w0 = np.zeros(d * n_classes + n_classes)
         init_coef, init_intercept = self._init_coef, self._init_intercept
@@ -130,6 +126,30 @@ class LogisticRegression:
         self.intercept_ = w[d * n_classes :]
         self.n_iter_ = int(res.nit)
         return self
+
+    @staticmethod
+    def _objective(
+        X: np.ndarray, y: np.ndarray, n_classes: int, lam: float
+    ) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
+        """Loss and gradient of the flat parameters ``[W.ravel(), b]``."""
+        n, d = X.shape
+        rows = np.arange(n)
+
+        def objective(w_flat: np.ndarray) -> tuple[float, np.ndarray]:
+            W = w_flat[: d * n_classes].reshape(d, n_classes)
+            b = w_flat[d * n_classes :]
+            Z = X @ W + b
+            E, Zmax, S = _shifted_exp(Z)
+            ll = (Z[rows, y] - (Zmax + np.log(S))).sum()
+            # E becomes the softmax minus the one-hot labels.
+            E /= S[:, None]
+            E[rows, y] -= 1.0
+            grad_W = X.T @ E / n + 2.0 * lam * W
+            grad_b = E.sum(axis=0) / n  # kept a reduction: see the module docstring
+            loss = -ll / n + lam * float((W * W).sum())
+            return loss, np.concatenate([grad_W.ravel(), grad_b])
+
+        return objective
 
     # ------------------------------------------------------------------ #
     def decision_function(self, X: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.utils.rng import RandomState, check_random_state
-from repro.utils.validation import check_array_1d, check_array_2d
+from repro.utils.validation import check_array_2d, check_fit_inputs
 
 
 def _run_starts(a: np.ndarray) -> np.ndarray:
@@ -62,25 +62,6 @@ class _BinnedX:
             values.append(uniq)
         n_bins = np.array([v.size for v in values], dtype=np.intp)
         return cls(X, codes, tuple(values), n_bins)
-
-
-def _check_fit_inputs(
-    X: np.ndarray, y: np.ndarray, n_classes: int | None
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Validate a tree or forest training set; resolve ``n_classes``."""
-    X = check_array_2d(X, name="X")
-    y = check_array_1d(y, name="y", dtype=np.int64)
-    if X.shape[0] != y.shape[0]:
-        raise ValueError("X and y have different numbers of rows")
-    if X.shape[0] == 0:
-        raise ValueError("cannot fit a tree on an empty dataset")
-    if n_classes is None:
-        n_classes = int(y.max()) + 1
-    if y.min() < 0 or y.max() >= n_classes:
-        raise ValueError(
-            f"labels must lie in [0, {n_classes}), got [{y.min()}, {y.max()}]"
-        )
-    return X, y, n_classes
 
 
 def _impurity_from_counts(counts: np.ndarray, criterion: str) -> np.ndarray:
@@ -140,7 +121,7 @@ class DecisionTreeClassifier:
 
     # ------------------------------------------------------------------ #
     def fit(self, X: np.ndarray, y: np.ndarray, *, n_classes: int | None = None) -> "DecisionTreeClassifier":
-        X, y, n_classes = _check_fit_inputs(X, y, n_classes)
+        X, y, n_classes = check_fit_inputs(X, y, n_classes, model="tree")
         rows = np.arange(X.shape[0], dtype=np.intp)
         return self._fit_binned(_BinnedX.from_array(X), y, n_classes, rows)
 

@@ -25,7 +25,11 @@ registry dataset):
 * ``cart_fit`` — a random forest fit in the paper's configuration
   (``max_depth=3``): the per-feature argsort split search (seed) versus
   the histogram split search (current).  Both sides must predict the
-  same probability bits before the speedup is recorded.
+  same probability bits before the speedup is recorded;
+* ``lr_fit`` — a logistic regression fit in the paper's configuration
+  (``max_iter=500``, standardized columns): the seed objective versus the
+  fused one.  Both sides must reach the same coefficient bits and
+  iteration count before the speedup is recorded.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import numpy as np
 
 from repro.data.encoding import TabularEncoder
 from repro.data.table import Table, make_schema
-from repro.models import RandomForestClassifier
+from repro.models import LogisticRegression, RandomForestClassifier
 from repro.neighbors import BruteKNN, TableNeighborSpace, kneighbors_blocked
 from repro.perf import seed_reference as seed_ref
 from repro.perf.harness import CompareRecord, compare
@@ -67,6 +71,7 @@ HOTPATH_NAMES = (
     "selection_membership",
     "smote_generate",
     "cart_fit",
+    "lr_fit",
 )
 
 
@@ -313,6 +318,40 @@ def _table_benchmarks(
                     "n_features": X.shape[1],
                     "seed_side": "per-feature argsort + one-hot cumsum split",
                     "current_side": "one histogram per node",
+                },
+            )
+        )
+
+    # --- logistic regression fit: the L-BFGS objective ----------------- #
+    if want("lr_fit"):
+        X_std = TabularEncoder().fit(table).transform(table)
+
+        def fit_lr(lr_cls: type[LogisticRegression]) -> LogisticRegression:
+            # The "LR" registry entry's configuration.
+            return lr_cls(max_iter=500).fit(X_std, labels)
+
+        seed_lr = fit_lr(seed_ref.SeedObjectiveLR)
+        current_lr = fit_lr(LogisticRegression)
+        if (
+            seed_lr.coef_.tobytes() != current_lr.coef_.tobytes()
+            or seed_lr.intercept_.tobytes() != current_lr.intercept_.tobytes()
+            or seed_lr.n_iter_ != current_lr.n_iter_
+        ):
+            raise AssertionError(
+                f"lr_fit on {dataset}: the fused objective changed the "
+                "fitted coefficient bits"
+            )
+        records.append(
+            compare(
+                "lr_fit", dataset, n,
+                lambda: fit_lr(seed_ref.SeedObjectiveLR),
+                lambda: fit_lr(LogisticRegression),
+                repeats=repeats,
+                extra={
+                    "n_features": X_std.shape[1],
+                    "lbfgs_iters": current_lr.n_iter_,
+                    "seed_side": "row max along axis 1, two exps, one-hot gradient",
+                    "current_side": "column-wise row max, one exp, gradient in place",
                 },
             )
         )

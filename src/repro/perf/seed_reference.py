@@ -14,15 +14,24 @@ is the per-feature argsort search that the histogram search in
 :mod:`repro.models.tree` replaced, and :class:`SeedSplitTree` /
 :class:`SeedSplitForest` grow trees with it.
 
+The logistic-regression objective is kept the same way:
+:class:`SeedObjectiveLR` fits with the seed objective (a row max along
+axis 1, two ``exp`` passes, a copied softmax and a one-hot label matrix)
+that :class:`repro.models.LogisticRegression` replaced with a fused one,
+and predicts through :func:`seed_softmax`.
+
 Nothing here is used by the production edit loop.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from repro.data.table import Table
 from repro.models.forest import RandomForestClassifier
+from repro.models.logistic import LogisticRegression
 from repro.models.tree import DecisionTreeClassifier, _BinnedX, _impurity_from_counts
 from repro.neighbors import BruteKNN, TableNeighborSpace
 from repro.neighbors.brute import SELF_DISTANCE_TOL
@@ -231,3 +240,43 @@ class SeedSplitForest(RandomForestClassifier):
     """A random forest of :class:`SeedSplitTree` trees."""
 
     _tree_class = SeedSplitTree
+
+
+def seed_softmax(Z: np.ndarray) -> np.ndarray:
+    """Seed row-wise softmax: the row max as a reduction along axis 1."""
+    Z = Z - Z.max(axis=1, keepdims=True)
+    np.exp(Z, out=Z)
+    Z /= Z.sum(axis=1, keepdims=True)
+    return Z
+
+
+class SeedObjectiveLR(LogisticRegression):
+    """Logistic regression fitted with the seed objective."""
+
+    @staticmethod
+    def _objective(
+        X: np.ndarray, y: np.ndarray, n_classes: int, lam: float
+    ) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
+        n, d = X.shape
+        Y = np.zeros((n, n_classes))
+        Y[np.arange(n), y] = 1.0
+
+        def objective(w_flat: np.ndarray) -> tuple[float, np.ndarray]:
+            W = w_flat[: d * n_classes].reshape(d, n_classes)
+            b = w_flat[d * n_classes :]
+            Z = X @ W + b
+            # log-sum-exp cross entropy
+            Zmax = Z.max(axis=1, keepdims=True)
+            logsumexp = Zmax[:, 0] + np.log(np.exp(Z - Zmax).sum(axis=1))
+            ll = (Z[np.arange(n), y] - logsumexp).sum()
+            P = seed_softmax(Z.copy())
+            G = P - Y
+            grad_W = X.T @ G / n + 2.0 * lam * W
+            grad_b = G.sum(axis=0) / n
+            loss = -ll / n + lam * float((W * W).sum())
+            return loss, np.concatenate([grad_W.ravel(), grad_b])
+
+        return objective
+
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        return seed_softmax(self.decision_function(X))

@@ -23,6 +23,29 @@ def check_array_1d(y, *, name: str = "y", dtype=None) -> np.ndarray:
     return arr
 
 
+def check_fit_inputs(
+    X, y, n_classes: int | None, *, model: str
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Validate a classifier's training set; resolve ``n_classes``.
+
+    ``model`` names the estimator in the empty-dataset error.  Labels must
+    lie in ``[0, n_classes)``; ``n_classes`` defaults to ``max(y) + 1``.
+    """
+    X = check_array_2d(X, name="X")
+    y = check_array_1d(y, name="y", dtype=np.int64)
+    if X.shape[0] != y.shape[0]:
+        raise ValueError("X and y have different numbers of rows")
+    if X.shape[0] == 0:
+        raise ValueError(f"cannot fit a {model} on an empty dataset")
+    if n_classes is None:
+        n_classes = int(y.max()) + 1
+    if y.min() < 0 or y.max() >= n_classes:
+        raise ValueError(
+            f"labels must lie in [0, {n_classes}), got [{y.min()}, {y.max()}]"
+        )
+    return X, y, n_classes
+
+
 def check_fraction(value: float, *, name: str, inclusive_low: bool = True) -> float:
     """Validate that ``value`` lies in [0, 1] (or (0, 1] if not inclusive)."""
     value = float(value)

@@ -81,3 +81,12 @@ class TestLogisticRegression:
     def test_single_class_requires_two(self):
         with pytest.raises(ValueError, match="at least 2"):
             LogisticRegression().fit(np.zeros((3, 2)), np.zeros(3, dtype=int))
+
+    @pytest.mark.parametrize("labels,n_classes", [([0, -1, 2], 3), ([0, 1, 3], 3)])
+    def test_label_outside_n_classes_raises(self, labels, n_classes):
+        with pytest.raises(ValueError, match="labels must lie in"):
+            LogisticRegression().fit(np.zeros((3, 2)), labels, n_classes=n_classes)
+
+    def test_empty_dataset_raises(self):
+        with pytest.raises(ValueError, match="cannot fit a logistic regression on an empty"):
+            LogisticRegression().fit(np.zeros((0, 2)), np.zeros(0, dtype=int), n_classes=2)

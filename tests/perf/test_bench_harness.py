@@ -182,3 +182,28 @@ class TestCartFitHotPath:
         monkeypatch.setattr(seed_reference, "SeedSplitForest", HalvedForest)
         with pytest.raises(AssertionError, match="cart_fit on synthetic"):
             run_hotpath_benchmarks(quick=True, datasets=("synthetic",), only=["cart_fit"])
+
+
+class TestLrFitHotPath:
+    def test_records_a_speedup(self):
+        from repro.perf.hotpaths import run_hotpath_benchmarks
+
+        (record,) = run_hotpath_benchmarks(
+            quick=True, datasets=("synthetic",), only=["lr_fit"]
+        )
+        assert record.name == "lr_fit"
+        assert record.seed_seconds > 0 and record.current_seconds > 0
+        assert record.extra["lbfgs_iters"] > 0
+
+    def test_refuses_fits_with_different_coefficients(self, monkeypatch):
+        from repro.models import LogisticRegression
+        from repro.perf import seed_reference
+        from repro.perf.hotpaths import run_hotpath_benchmarks
+
+        class LooserLR(LogisticRegression):
+            def __init__(self, max_iter=500):
+                super().__init__(max_iter=max_iter, tol=1e-3)
+
+        monkeypatch.setattr(seed_reference, "SeedObjectiveLR", LooserLR)
+        with pytest.raises(AssertionError, match="lr_fit on synthetic"):
+            run_hotpath_benchmarks(quick=True, datasets=("synthetic",), only=["lr_fit"])

@@ -12,7 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data import Table, make_schema
-from repro.models import DecisionTreeClassifier, RandomForestClassifier
+from repro.models import (
+    DecisionTreeClassifier,
+    GradientBoostingClassifier,
+    LogisticRegression,
+    RandomForestClassifier,
+    softmax,
+)
 from repro.neighbors.brute import _topk_from_dists
 from repro.perf import seed_reference as seed_ref
 from repro.rules import Predicate
@@ -252,3 +258,70 @@ class TestCartSplitParity:
             _node_list(t) for t in seed.trees_
         ]
         assert current.predict_proba(X).tobytes() == seed.predict_proba(X).tobytes()
+
+
+@st.composite
+def lr_training_sets(draw):
+    """Small LR problems: k in 2..10 (eight or more classes sum pairwise),
+    absent classes, large logits, duplicated rows and signed zeros."""
+    n = draw(st.integers(min_value=1, max_value=60))
+    d = draw(st.integers(min_value=1, max_value=5))
+    n_classes = draw(st.integers(min_value=2, max_value=10))
+    present = draw(st.integers(min_value=1, max_value=n_classes))
+    scale = draw(st.sampled_from([1.0, 30.0, 1e3]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    X = rng.normal(size=(n, d)) * scale
+    if draw(st.booleans()):
+        X = X[rng.integers(0, n, n)]  # duplicated rows
+    if draw(st.booleans()):
+        X[rng.random((n, d)) < 0.3] = rng.choice([-0.0, 0.0])
+    classes = rng.choice(n_classes, size=present, replace=False)
+    return X, classes[rng.integers(0, present, n)], n_classes
+
+
+class TestLogisticObjectiveParity:
+    """The fused objective walks the seed objective's L-BFGS path: same
+    coefficient bits, same iteration count, same probabilities."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=lr_training_sets(),
+        C=st.sampled_from([0.01, 1.0, 100.0]),
+        warm_seed=st.one_of(st.none(), st.integers(min_value=0, max_value=2**32 - 1)),
+    )
+    def test_fit_bit_for_bit(self, data, C, warm_seed):
+        X, y, n_classes = data
+        fits = []
+        for lr_cls in (LogisticRegression, seed_ref.SeedObjectiveLR):
+            lr = lr_cls(C=C, max_iter=100)
+            if warm_seed is not None:
+                rng = np.random.default_rng(warm_seed)
+                lr.warm_start_from(
+                    rng.normal(size=(X.shape[1], n_classes)), rng.normal(size=n_classes)
+                )
+            fits.append(lr.fit(X, y, n_classes=n_classes))
+        current, seed = fits
+        assert current.coef_.tobytes() == seed.coef_.tobytes()
+        assert current.intercept_.tobytes() == seed.intercept_.tobytes()
+        assert current.n_iter_ == seed.n_iter_
+        assert current.predict_proba(X).tobytes() == seed.predict_proba(X).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(min_value=1, max_value=10),
+        n=st.integers(min_value=0, max_value=20),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_softmax_bit_for_bit(self, k, n, seed):
+        rng = np.random.default_rng(seed)
+        Z = rng.normal(size=(n, k)) * rng.choice([1.0, 1e3], size=(n, 1))
+        Z[rng.random((n, k)) < 0.2] = rng.choice([-0.0, 0.0])
+        assert softmax(Z).tobytes() == seed_ref.seed_softmax(Z).tobytes()
+
+    def test_multiclass_boosting_proba_matches_seed_softmax(self):
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(200, 4))
+        y = np.digitize(X[:, 0] + 0.3 * X[:, 1], [-0.6, 0.0, 0.6]).astype(np.int64)
+        gb = GradientBoostingClassifier(n_estimators=5).fit(X, y)
+        P = seed_ref.seed_softmax(gb.decision_function(X))
+        assert gb.predict_proba(X).tobytes() == P.tobytes()
