@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.models.logistic import softmax
-from repro.utils.validation import check_array_1d, check_array_2d
+from repro.utils.validation import check_array_2d, check_fit_inputs
 
 
 class _Binner:
@@ -239,12 +239,7 @@ class GradientBoostingClassifier:
 
     # ------------------------------------------------------------------ #
     def fit(self, X: np.ndarray, y: np.ndarray, *, n_classes: int | None = None) -> "GradientBoostingClassifier":
-        X = check_array_2d(X, name="X")
-        y = check_array_1d(y, name="y", dtype=np.int64)
-        if X.shape[0] != y.shape[0]:
-            raise ValueError("X and y have different numbers of rows")
-        if n_classes is None:
-            n_classes = int(y.max()) + 1
+        X, y, n_classes = check_fit_inputs(X, y, n_classes, model="gradient boosting model")
         if n_classes < 2:
             raise ValueError("need at least 2 classes")
         self.n_classes_ = n_classes

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.models.tree import DecisionTreeClassifier, _BinnedX
+from repro.models.tree import DecisionTreeClassifier, _BinnedX, _grow
 from repro.utils.rng import RandomState, check_random_state, spawn_rng
 from repro.utils.validation import check_array_2d, check_fit_inputs
 
@@ -28,9 +28,6 @@ class RandomForestClassifier:
     bootstrap:
         Sample the training set with replacement per tree.
     """
-
-    #: Tree type fit grows (the seed reference swaps in the original split).
-    _tree_class = DecisionTreeClassifier
 
     def __init__(
         self,
@@ -62,16 +59,14 @@ class RandomForestClassifier:
         self.n_classes_ = n_classes
         rng = check_random_state(self.random_state)
         rngs = spawn_rng(rng, self.n_estimators)
-        self.trees_ = []
-        # Code the columns once; every tree trains on a row sample of them.
-        data = _BinnedX.from_array(X)
         n = X.shape[0]
-        for tree_rng in rngs:
-            if self.bootstrap:
-                rows = tree_rng.integers(0, n, size=n)
-            else:
-                rows = np.arange(n, dtype=np.intp)
-            tree = self._tree_class(
+        # Each tree draws its sample, then its features, from its own stream.
+        samples = [
+            tree_rng.integers(0, n, size=n) if self.bootstrap else np.arange(n, dtype=np.intp)
+            for tree_rng in rngs
+        ]
+        self.trees_ = [
+            DecisionTreeClassifier(
                 max_depth=self.max_depth,
                 min_samples_split=self.min_samples_split,
                 min_samples_leaf=self.min_samples_leaf,
@@ -79,8 +74,10 @@ class RandomForestClassifier:
                 criterion=self.criterion,
                 random_state=tree_rng,
             )
-            tree._fit_binned(data, y, n_classes, rows)
-            self.trees_.append(tree)
+            for tree_rng in rngs
+        ]
+        # Code the columns once and grow every tree on a row sample of them.
+        _grow(self.trees_, _BinnedX.from_array(X), y, n_classes, samples, rngs)
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.data.builder import GrowableArray
 from repro.neighbors import BruteKNN
-from repro.utils.validation import check_array_1d, check_array_2d
+from repro.utils.validation import check_array_1d, check_array_2d, check_fit_inputs
 
 
 class KNeighborsClassifier:
@@ -56,14 +56,7 @@ class KNeighborsClassifier:
         self.n_classes_: int | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray, *, n_classes: int | None = None) -> "KNeighborsClassifier":
-        X = check_array_2d(X, name="X")
-        y = check_array_1d(y, name="y", dtype=np.int64)
-        if X.shape[0] != y.shape[0]:
-            raise ValueError("X and y have different numbers of rows")
-        if X.shape[0] == 0:
-            raise ValueError("cannot fit on an empty dataset")
-        if n_classes is None:
-            n_classes = int(y.max()) + 1
+        X, y, n_classes = check_fit_inputs(X, y, n_classes, model="KNN classifier")
         self.n_classes_ = n_classes
         self._index = BruteKNN().fit(X)
         self._y = GrowableArray(np.int64, initial=y)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.utils.validation import check_array_1d, check_array_2d
+from repro.utils.validation import check_array_1d, check_array_2d, check_fit_inputs
 
 
 class GaussianNB:
@@ -47,14 +47,7 @@ class GaussianNB:
         self._g_m2: np.ndarray | None = None  # (d,)
 
     def fit(self, X: np.ndarray, y: np.ndarray, *, n_classes: int | None = None) -> "GaussianNB":
-        X = check_array_2d(X, name="X")
-        y = check_array_1d(y, name="y", dtype=np.int64)
-        if X.shape[0] != y.shape[0]:
-            raise ValueError("X and y have different numbers of rows")
-        if X.shape[0] == 0:
-            raise ValueError("cannot fit on an empty dataset")
-        if n_classes is None:
-            n_classes = int(y.max()) + 1
+        X, y, n_classes = check_fit_inputs(X, y, n_classes, model="naive Bayes model")
         self.n_classes_ = n_classes
         n, d = X.shape
         theta = np.zeros((n_classes, d))

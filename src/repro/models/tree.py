@@ -1,20 +1,32 @@
 """CART decision tree classifier (gini / entropy) built from scratch.
 
-The split search is a histogram search.  Each column of ``X`` is coded
-once per fit as an index into its sorted distinct values (a random forest
-codes its data once for all of its trees).  At a node, one sort of flat
-(feature, code, class) keys counts the node's rows for every scanned
-feature at once, into a histogram of the values present at the node;
-its cost follows the node's rows, not the columns' distinct values.
-Cumulative class counts within each feature give the left/right class
-counts at every boundary between two adjacent present values, and the
-impurity decrease of all candidates of all features is evaluated in one
-pass.  Only boundaries between distinct values are scored, never the
-rows between them.
+Trees grow in lockstep.  :func:`_grow` takes a list of trees (one for a
+standalone tree, all of them for a random forest) and advances them in
+rounds.  Each tree walks its nodes in pre-order from an explicit stack, so
+a tree that samples features draws them from its own generator in exactly
+the order a recursive builder would.  A round moves every tree to its next
+node that needs a split, closing leaves on the way, and one call of
+:func:`_best_splits` then scores every waiting node of every tree at once.
+A tree that draws no features has independent stack entries, so a round
+takes its whole stack; its node ids are put in pre-order afterwards.
 
-The result is bit-identical to sorting each feature's values and scoring
-every row position, the original search, which is kept as
-:func:`repro.perf.seed_reference.seed_cart_best_split`.
+The split search is a histogram search.  Each column of ``X`` is coded
+once per fit as an index into its sorted distinct values.  One sort of
+flat (node, feature, code, class) keys counts the rows of every scanned
+feature of every waiting node into a histogram of the values present at
+the node; its cost follows the nodes' rows, not the columns' distinct
+values.  Cumulative class counts give the left/right class counts at
+every boundary between two adjacent present values, and the impurity
+decrease of all candidates is evaluated in one pass.  Only boundaries
+between distinct values are scored, never the rows between them.  A
+child's class counts are its parent's chosen left or right counts.
+
+The result is bit-identical to a recursive builder that sorts each
+feature's values and scores every row position, the original tree, which
+is kept as :class:`repro.perf.seed_reference.SeedSplitTree`.  The one
+exception is a split between two adjacent floats whose midpoint rounds
+onto the upper one: there the original sent every row left and never
+stopped, and the lower value is the threshold here.
 """
 
 from __future__ import annotations
@@ -48,10 +60,10 @@ class _TreeNode:
 class _BinnedX:
     """``X`` with every column coded by rank among its distinct values."""
 
-    X: np.ndarray  # raw values: nodes route rows by comparing these
-    codes: np.ndarray  # (d, n): codes[f, i] indexes values[f]
-    values: tuple[np.ndarray, ...]  # sorted distinct values of each column
-    n_bins: np.ndarray  # (d,): len(values[f])
+    codes: np.ndarray  # (d, n): codes[f, i] indexes column f's values
+    values: np.ndarray  # every column's sorted distinct values, column after column
+    first: np.ndarray  # (d,): where column f's values start in ``values``
+    n_bins: np.ndarray  # (d,): how many distinct values column f has
 
     @classmethod
     def from_array(cls, X: np.ndarray) -> "_BinnedX":
@@ -61,12 +73,19 @@ class _BinnedX:
             uniq, codes[f] = np.unique(X[:, f], return_inverse=True)
             values.append(uniq)
         n_bins = np.array([v.size for v in values], dtype=np.intp)
-        return cls(X, codes, tuple(values), n_bins)
+        first = np.cumsum(n_bins) - n_bins
+        return cls(codes, np.concatenate(values), first, n_bins)
 
 
-def _impurity_from_counts(counts: np.ndarray, criterion: str) -> np.ndarray:
-    """Impurity of distributions given as rows of class counts."""
-    total = counts.sum(axis=-1, keepdims=True)
+def _impurity_from_counts(
+    counts: np.ndarray, criterion: str, total: np.ndarray | None = None
+) -> np.ndarray:
+    """Impurity of distributions given as rows of class counts.
+
+    ``total`` holds the row sums of ``counts`` if the caller knows them.
+    """
+    if total is None:
+        total = counts.sum(axis=-1, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
         p = np.where(total > 0, counts / total, 0.0)
     if criterion == "gini":
@@ -75,6 +94,233 @@ def _impurity_from_counts(counts: np.ndarray, criterion: str) -> np.ndarray:
     logp = np.zeros_like(p)
     np.log2(p, out=logp, where=p > 0)
     return -(p * logp).sum(axis=-1)
+
+
+@dataclass(frozen=True)
+class _Splits:
+    """The nodes of one round that split, in ascending order of ``node``."""
+
+    node: np.ndarray  # index of the node in the round
+    feature: np.ndarray
+    code: np.ndarray  # rows with codes[feature] <= code go left
+    threshold: np.ndarray
+    left: np.ndarray  # (k, c): class counts of the left child
+
+
+def _best_splits(
+    data: _BinnedX,
+    keys_table: np.ndarray,
+    rows: list[np.ndarray],
+    counts: np.ndarray,
+    features: np.ndarray,
+    *,
+    criterion: str,
+    min_samples_leaf: int,
+) -> _Splits:
+    """Best split of every node of a round, found in one pass.
+
+    Node ``i`` holds the rows ``rows[i]`` (repeats allowed), with class
+    counts ``counts[i]``, and scans the features ``features[i]``.
+    ``keys_table`` is ``codes * c + y``.
+    """
+    n_nodes, m = features.shape
+    c = counts.shape[1]
+    n = keys_table.shape[1]
+    sizes = np.array([r.size for r in rows])
+    all_rows = np.concatenate(rows)
+    # Histogram bins: slot s = i * m + j (node i, its j-th feature) owns
+    # bins [starts[s], ends[s]), one per distinct value of the feature; a
+    # key is bin * c + label.
+    n_bins = data.n_bins[features].ravel()
+    ends = np.cumsum(n_bins)
+    starts = ends - n_bins
+    keys = keys_table.take(np.repeat(features * n, sizes, axis=0) + all_rows[:, None])
+    keys += np.repeat(starts.reshape(n_nodes, m) * c, sizes, axis=0)
+    keys = keys.ravel()
+    # hist[i] counts the classes of present bin bins[i] (a value present
+    # at the node).  Counting sorted keys costs the nodes' rows, not the
+    # columns' distinct values, so deep nodes on many-valued columns stay
+    # cheap.
+    keys.sort()
+    first = np.flatnonzero(_run_starts(keys))
+    cells = keys[first]  # one per present (bin, class)
+    cell_bins = cells // c
+    new_bin = _run_starts(cell_bins)
+    bins = cell_bins[new_bin]
+    hist = np.zeros((bins.size, c), dtype=np.intp)
+    run_lengths = np.append(first[1:], keys.size) - first
+    hist[np.cumsum(new_bin) - 1, cells % c] = run_lengths
+    seg = np.searchsorted(ends, bins, side="right")  # slot of each bin
+    # A boundary follows every present value but each slot's largest.
+    cand = np.flatnonzero(seg[:-1] == seg[1:])
+    cand_slot = seg[cand]
+    cand_node = cand_slot // m
+    # Cumulative counts run across slots; each earlier slot contributed
+    # its node's class totals once.
+    slot_totals = np.repeat(counts, m, axis=0)
+    before = np.cumsum(slot_totals, axis=0) - slot_totals
+    left = np.cumsum(hist, axis=0)[cand] - before[cand_slot]
+    totals = counts[cand_node]
+    n_node = sizes[cand_node]
+    # Rows left of a boundary: the keys up to it, less the earlier slots'.
+    slot_rows = np.repeat(sizes, m)
+    keys_before = np.cumsum(np.diff(np.append(first[new_bin], keys.size)))
+    n_left = keys_before[cand] - (np.cumsum(slot_rows) - slot_rows)[cand_slot]
+    n_right = n_node - n_left
+    # One impurity pass over every left side, right side and parent.
+    imp = _impurity_from_counts(
+        np.concatenate((left, totals - left, counts)).astype(np.float64),
+        criterion,
+        np.concatenate((n_left, n_right, sizes)).astype(np.float64)[:, None],
+    )
+    k = cand.size
+    weighted = (n_left * imp[:k] + n_right * imp[k : 2 * k]) / n_node
+    gain = imp[2 * k :][cand_node] - weighted
+    gain[(n_left < min_samples_leaf) | (n_right < min_samples_leaf)] = -np.inf
+    # A node's candidates run in the order of its features and, within a
+    # feature, by value, so its first maximum is the one a feature-by-
+    # feature scan keeping only strict improvements would pick.
+    node_first = np.flatnonzero(_run_starts(cand_node))
+    best_gain = np.maximum.reduceat(gain, node_first) if k else gain
+    hits = np.flatnonzero(gain == np.repeat(best_gain, np.diff(np.append(node_first, k))))
+    best = hits[_run_starts(cand_node[hits])][best_gain > 1e-12]
+    slot = cand_slot[best]
+    node = cand_node[best]
+    feature = features.ravel()[slot]
+    code = bins[cand[best]] - starts[slot]
+    lo = data.values[data.first[feature] + code]
+    hi = data.values[data.first[feature] + bins[cand[best] + 1] - starts[slot]]
+    # Midpoint threshold, matching CART convention.  Where the midpoint of
+    # two adjacent floats rounds onto the upper one, the lower one is the
+    # threshold, so that routing by value agrees with the counted split.
+    mid = (lo + hi) / 2.0
+    return _Splits(node, feature, code, np.where(mid < hi, mid, lo), left[best])
+
+
+def _preorder(nodes: list[_TreeNode]) -> list[_TreeNode]:
+    """``nodes`` (root first) renumbered in pre-order."""
+    order = []
+    stack = [0]
+    while stack:
+        node_id = stack.pop()
+        order.append(node_id)
+        node = nodes[node_id]
+        if node.feature >= 0:
+            stack += [node.right, node.left]
+    new_id = {old: new for new, old in enumerate(order)}
+    for node in nodes:
+        if node.feature >= 0:
+            node.left, node.right = new_id[node.left], new_id[node.right]
+    return [nodes[i] for i in order]
+
+
+def _grow(
+    trees: list[DecisionTreeClassifier],
+    data: _BinnedX,
+    y: np.ndarray,
+    n_classes: int,
+    samples: list[np.ndarray],
+    rngs: list[np.random.Generator],
+) -> None:
+    """Grow ``trees``, which share their parameters, in lockstep.
+
+    Tree ``t`` trains on the rows ``samples[t]`` of the validated, binned
+    data and draws its features from ``rngs[t]``.  A row may repeat (a
+    bootstrap sample); a repeat counts as often as it appears, exactly as
+    if the sample had been copied out.
+    """
+    params = trees[0]
+    d, n = data.codes.shape
+    n_split_features = params._resolve_max_features(d)
+    draws = n_split_features < d
+    all_features = np.arange(d)
+    keys_table = data.codes * n_classes + y
+
+    def leaf_probas(counts: np.ndarray, depth: np.ndarray) -> list[np.ndarray | None]:
+        """The class distribution of each node that is a leaf without a
+        split search (pure, too small or at the depth cap), else None."""
+        n_rows = counts.sum(axis=1)
+        leaf = (np.count_nonzero(counts, axis=1) == 1) | (n_rows < params.min_samples_split)
+        if params.max_depth is not None:
+            leaf |= depth >= params.max_depth
+        proba = counts / n_rows[:, None]
+        return [p if is_leaf else None for p, is_leaf in zip(proba, leaf.tolist())]
+
+    def attach(t: int, node: _TreeNode, parent: _TreeNode | None, is_left: bool) -> None:
+        node_id = len(trees[t].nodes_)
+        trees[t].nodes_.append(node)
+        if parent is not None:
+            if is_left:
+                parent.left = node_id
+            else:
+                parent.right = node_id
+
+    for tree in trees:
+        tree.n_classes_ = n_classes
+        tree.nodes_ = []
+    # A stack entry is a node to visit: (rows, class counts, depth, its
+    # class distribution if it is a leaf, parent node, whether it is the
+    # parent's left child).
+    counts = np.array([np.bincount(y[rows], minlength=n_classes) for rows in samples])
+    roots = zip(samples, counts, leaf_probas(counts, np.zeros(len(trees))))
+    stacks = [[(rows, c, 0, proba, None, True)] for rows, c, proba in roots]
+    while True:
+        waiting = []  # (tree, rows, counts, depth, parent, is_left, features)
+        for t, stack in enumerate(stacks):
+            while stack:
+                rows, c, depth, proba, parent, is_left = stack.pop()
+                if proba is not None:
+                    attach(t, _TreeNode(proba=proba), parent, is_left)
+                    continue
+                if draws:
+                    features = rngs[t].choice(d, size=n_split_features, replace=False)
+                    waiting.append((t, rows, c, depth, parent, is_left, features))
+                    break  # the tree's next node depends on this split
+                waiting.append((t, rows, c, depth, parent, is_left, all_features))
+        if not waiting:
+            break
+        counts = np.array([w[2] for w in waiting])
+        splits = _best_splits(
+            data,
+            keys_table,
+            [w[1] for w in waiting],
+            counts,
+            np.array([w[6] for w in waiting]),
+            criterion=params.criterion,
+            min_samples_leaf=params.min_samples_leaf,
+        )
+        split_nodes = splits.node.tolist()
+        # Route the rows of every node that splits at once.  The left rows,
+        # and the right rows, stay grouped by node, in node order.
+        split_rows = [waiting[i][1] for i in split_nodes]
+        sizes = np.array([r.size for r in split_rows], dtype=np.intp)
+        go_rows = np.concatenate(split_rows) if split_rows else np.empty(0, np.intp)
+        go_left = data.codes.take(np.repeat(splits.feature * n, sizes) + go_rows)
+        go_left = go_left <= np.repeat(splits.code, sizes)
+        left_rows, right_rows = go_rows[go_left], go_rows[~go_left]
+        left, right = splits.left, counts[splits.node] - splits.left
+        left_bounds = [0, *np.cumsum(left.sum(axis=1)).tolist()]
+        right_bounds = [0, *np.cumsum(right.sum(axis=1)).tolist()]
+        child_depth = np.array([waiting[i][3] + 1 for i in split_nodes])
+        child_proba = leaf_probas(np.concatenate((left, right)), np.tile(child_depth, 2))
+        no_split_proba = counts / counts.sum(axis=1, keepdims=True)
+        features, thresholds = splits.feature.tolist(), splits.threshold.tolist()
+        split_of = {i: k for k, i in enumerate(split_nodes)}
+        for i, (t, _, _, depth, parent, is_left, _) in enumerate(waiting):
+            k = split_of.get(i)
+            if k is None:
+                attach(t, _TreeNode(proba=no_split_proba[i]), parent, is_left)
+                continue
+            node = _TreeNode(feature=features[k], threshold=thresholds[k])
+            attach(t, node, parent, is_left)
+            # The right child goes on the stack first, so the left is visited first.
+            right_k = right_rows[right_bounds[k] : right_bounds[k + 1]]
+            left_k = left_rows[left_bounds[k] : left_bounds[k + 1]]
+            stacks[t].append((right_k, right[k], depth + 1, child_proba[len(features) + k], node, False))
+            stacks[t].append((left_k, left[k], depth + 1, child_proba[k], node, True))
+    if not draws:
+        for tree in trees:
+            tree.nodes_ = _preorder(tree.nodes_)
 
 
 class DecisionTreeClassifier:
@@ -123,21 +369,8 @@ class DecisionTreeClassifier:
     def fit(self, X: np.ndarray, y: np.ndarray, *, n_classes: int | None = None) -> "DecisionTreeClassifier":
         X, y, n_classes = check_fit_inputs(X, y, n_classes, model="tree")
         rows = np.arange(X.shape[0], dtype=np.intp)
-        return self._fit_binned(_BinnedX.from_array(X), y, n_classes, rows)
-
-    def _fit_binned(
-        self, data: _BinnedX, y: np.ndarray, n_classes: int, rows: np.ndarray
-    ) -> "DecisionTreeClassifier":
-        """Grow the tree on the rows ``rows`` of validated, binned data.
-
-        ``rows`` may repeat a row (a bootstrap sample); a repeat counts as
-        often as it appears, exactly as if the sample had been copied out.
-        """
-        self.n_classes_ = n_classes
         rng = check_random_state(self.random_state)
-        self.nodes_ = []
-        self._n_split_features = self._resolve_max_features(data.X.shape[1])
-        self._build(data, y, rows, depth=0, rng=rng)
+        _grow([self], _BinnedX.from_array(X), y, n_classes, [rows], [rng])
         return self
 
     def _resolve_max_features(self, d: int) -> int:
@@ -148,114 +381,6 @@ class DecisionTreeClassifier:
         if isinstance(self.max_features, (int, np.integer)):
             return int(np.clip(self.max_features, 1, d))
         raise ValueError(f"invalid max_features: {self.max_features!r}")
-
-    def _leaf(self, y: np.ndarray) -> int:
-        assert self.n_classes_ is not None
-        counts = np.bincount(y, minlength=self.n_classes_).astype(np.float64)
-        node = _TreeNode(proba=counts / counts.sum())
-        self.nodes_.append(node)
-        return len(self.nodes_) - 1
-
-    def _build(
-        self,
-        data: _BinnedX,
-        y: np.ndarray,
-        idx: np.ndarray,
-        *,
-        depth: int,
-        rng: np.random.Generator,
-    ) -> int:
-        y_node = y[idx]
-        n = idx.size
-        pure = np.all(y_node == y_node[0])
-        depth_done = self.max_depth is not None and depth >= self.max_depth
-        if pure or depth_done or n < self.min_samples_split:
-            return self._leaf(y_node)
-
-        feat, thr = self._best_split(data, y_node, idx, rng)
-        if feat < 0:
-            return self._leaf(y_node)
-
-        node_id = len(self.nodes_)
-        self.nodes_.append(_TreeNode(feature=feat, threshold=thr))
-        # Route on the raw values, not the codes: a midpoint of two
-        # adjacent floats can round onto the upper one.
-        go_left = data.X[idx, feat] <= thr
-        left_id = self._build(data, y, idx[go_left], depth=depth + 1, rng=rng)
-        right_id = self._build(data, y, idx[~go_left], depth=depth + 1, rng=rng)
-        self.nodes_[node_id].left = left_id
-        self.nodes_[node_id].right = right_id
-        return node_id
-
-    def _best_split(
-        self,
-        data: _BinnedX,
-        y_node: np.ndarray,
-        idx: np.ndarray,
-        rng: np.random.Generator,
-    ) -> tuple[int, float]:
-        """Return (feature, threshold) of the best split, or (-1, 0) if none."""
-        c = self.n_classes_
-        assert c is not None
-        n = idx.size
-        d = data.X.shape[1]
-        features = (
-            rng.choice(d, size=self._n_split_features, replace=False)
-            if self._n_split_features < d
-            else np.arange(d)
-        )
-        # Histogram bins: feature features[j] owns bins [starts[j], ends[j]),
-        # one per distinct value; a key is bin * c + label.
-        n_bins = data.n_bins[features]
-        ends = np.cumsum(n_bins)
-        starts = ends - n_bins
-        node_codes = data.codes.take(features[:, None] * data.codes.shape[1] + idx)
-        keys = ((node_codes + starts[:, None]) * c + y_node).ravel()
-        # hist[i] counts the classes of present bin bins[i] (a value present
-        # at the node).  Counting sorted keys costs the node's rows, not the
-        # columns' distinct values, so deep nodes on many-valued columns
-        # stay cheap.
-        keys.sort()
-        first = np.flatnonzero(_run_starts(keys))
-        cells = keys[first]  # one per present (bin, class)
-        cell_bins = cells // c
-        new_bin = _run_starts(cell_bins)
-        bins = cell_bins[new_bin]
-        hist = np.zeros((bins.size, c), dtype=np.intp)
-        run_lengths = np.append(first[1:], keys.size) - first
-        hist[np.cumsum(new_bin) - 1, cells % c] = run_lengths
-        seg = np.searchsorted(ends, bins, side="right")  # j of each bin
-        # A boundary follows every present value but each feature's largest.
-        cand = np.flatnonzero(seg[:-1] == seg[1:])
-        if cand.size == 0:
-            return -1, 0.0
-        totals = np.bincount(y_node, minlength=c)
-        # Cumulative counts run across features; each earlier feature
-        # contributed the node's class totals once.
-        left = np.cumsum(hist, axis=0)[cand] - seg[cand, None] * totals
-        n_left = left.sum(axis=1)
-        n_right = n - n_left
-        # One impurity pass over every left side, right side and the parent.
-        imp = _impurity_from_counts(
-            np.concatenate((left, totals - left, totals[None, :])).astype(np.float64),
-            self.criterion,
-        )
-        k = cand.size
-        weighted = (n_left * imp[:k] + n_right * imp[k : 2 * k]) / n
-        gain = imp[-1] - weighted
-        gain[(n_left < self.min_samples_leaf) | (n_right < self.min_samples_leaf)] = -np.inf
-        # Candidates run in the order of ``features`` and, within a feature,
-        # by value, so the first maximum is the one a feature-by-feature scan
-        # keeping only strict improvements would pick.
-        best = int(np.argmax(gain))
-        if gain[best] <= 1e-12:
-            return -1, 0.0
-        j = int(seg[cand[best]])
-        values = data.values[int(features[j])]
-        lo = values[bins[cand[best]] - starts[j]]
-        hi = values[bins[cand[best] + 1] - starts[j]]
-        # Midpoint threshold, matching CART convention.
-        return int(features[j]), float((lo + hi) / 2.0)
 
     # ------------------------------------------------------------------ #
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
@@ -291,11 +416,13 @@ class DecisionTreeClassifier:
         """Actual depth of the fitted tree."""
         if not self.nodes_:
             raise RuntimeError("DecisionTreeClassifier is not fitted")
-
-        def walk(node_id: int) -> int:
+        depth = 0
+        stack = [(0, 0)]
+        while stack:
+            node_id, node_depth = stack.pop()
             node = self.nodes_[node_id]
             if node.feature < 0:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        return walk(0)
+                depth = max(depth, node_depth)
+            else:
+                stack += [(node.left, node_depth + 1), (node.right, node_depth + 1)]
+        return depth

@@ -23,9 +23,11 @@ registry dataset):
 * ``selection_membership`` — IP-selection chosen-row membership;
 * ``smote_generate`` — the full SMOTE candidate-generation path;
 * ``cart_fit`` — a random forest fit in the paper's configuration
-  (``max_depth=3``): the per-feature argsort split search (seed) versus
-  the histogram split search (current).  Both sides must predict the
-  same probability bits before the speedup is recorded;
+  (``max_depth=3``): the per-tree recursive builder with its per-feature
+  argsort split search, one node at a time (seed), versus the lockstep
+  grower with one batched histogram split search per round over every
+  tree's waiting node (current).  Both sides must predict the same
+  probability bits before the speedup is recorded;
 * ``lr_fit`` — a logistic regression fit in the paper's configuration
   (``max_iter=500``, standardized columns): the seed objective versus the
   fused one.  Both sides must reach the same coefficient bits and
@@ -305,7 +307,7 @@ def _table_benchmarks(
         current_proba = fit_forest(RandomForestClassifier).predict_proba(X)
         if seed_proba.tobytes() != current_proba.tobytes():
             raise AssertionError(
-                f"cart_fit on {dataset}: the histogram split search changed "
+                f"cart_fit on {dataset}: the lockstep grower changed "
                 "the forest's predict_proba bits"
             )
         records.append(
@@ -316,8 +318,8 @@ def _table_benchmarks(
                 repeats=repeats,
                 extra={
                     "n_features": X.shape[1],
-                    "seed_side": "per-feature argsort + one-hot cumsum split",
-                    "current_side": "one histogram per node",
+                    "seed_side": "recursive per-tree builder, per-feature argsort split",
+                    "current_side": "lockstep trees, one histogram per round",
                 },
             )
         )

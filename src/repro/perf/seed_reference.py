@@ -9,10 +9,11 @@ loops were moved here verbatim (modulo being standalone functions) so that
 * ``repro.perf.hotpaths`` can measure the speedup the vectorization buys,
   emitted to ``BENCH_hotpaths.json``.
 
-The CART split search is kept the same way: :func:`seed_cart_best_split`
-is the per-feature argsort search that the histogram search in
+The CART tree is kept the same way: :func:`seed_cart_best_split` is the
+per-feature argsort search that the histogram search in
 :mod:`repro.models.tree` replaced, and :class:`SeedSplitTree` /
-:class:`SeedSplitForest` grow trees with it.
+:class:`SeedSplitForest` grow trees with it, one node at a time, by the
+recursive builder that the lockstep grower replaced.
 
 The logistic-regression objective is kept the same way:
 :class:`SeedObjectiveLR` fits with the seed objective (a row max along
@@ -32,7 +33,7 @@ import numpy as np
 from repro.data.table import Table
 from repro.models.forest import RandomForestClassifier
 from repro.models.logistic import LogisticRegression
-from repro.models.tree import DecisionTreeClassifier, _BinnedX, _impurity_from_counts
+from repro.models.tree import DecisionTreeClassifier, _impurity_from_counts, _TreeNode
 from repro.neighbors import BruteKNN, TableNeighborSpace
 from repro.neighbors.brute import SELF_DISTANCE_TOL
 from repro.rules.predicate import Predicate
@@ -42,6 +43,8 @@ from repro.sampling.rule_generation import (
     pick_categorical,
     sample_in_window,
 )
+from repro.utils.rng import check_random_state, spawn_rng
+from repro.utils.validation import check_fit_inputs
 
 
 def seed_topk_from_dists(
@@ -224,22 +227,80 @@ def seed_cart_best_split(
 
 
 class SeedSplitTree(DecisionTreeClassifier):
-    """A CART tree whose splits come from :func:`seed_cart_best_split`."""
+    """A CART tree grown node by node, recursively, with the splits of
+    :func:`seed_cart_best_split`."""
 
-    def _best_split(
+    def fit(self, X: np.ndarray, y: np.ndarray, *, n_classes: int | None = None) -> "SeedSplitTree":
+        X, y, n_classes = check_fit_inputs(X, y, n_classes, model="tree")
+        return self._fit_rows(X, y, n_classes, np.arange(X.shape[0], dtype=np.intp))
+
+    def _fit_rows(
+        self, X: np.ndarray, y: np.ndarray, n_classes: int, rows: np.ndarray
+    ) -> "SeedSplitTree":
+        """Grow the tree on the rows ``rows`` (repeats allowed) of ``X``."""
+        self.n_classes_ = n_classes
+        rng = check_random_state(self.random_state)
+        self.nodes_ = []
+        self._n_split_features = self._resolve_max_features(X.shape[1])
+        self._build(X, y, rows, depth=0, rng=rng)
+        return self
+
+    def _leaf(self, y: np.ndarray) -> int:
+        assert self.n_classes_ is not None
+        counts = np.bincount(y, minlength=self.n_classes_).astype(np.float64)
+        self.nodes_.append(_TreeNode(proba=counts / counts.sum()))
+        return len(self.nodes_) - 1
+
+    def _build(
         self,
-        data: _BinnedX,
-        y_node: np.ndarray,
+        X: np.ndarray,
+        y: np.ndarray,
         idx: np.ndarray,
+        *,
+        depth: int,
         rng: np.random.Generator,
-    ) -> tuple[int, float]:
-        return seed_cart_best_split(self, data.X, y_node, idx, rng)
+    ) -> int:
+        y_node = y[idx]
+        pure = np.all(y_node == y_node[0])
+        depth_done = self.max_depth is not None and depth >= self.max_depth
+        if pure or depth_done or idx.size < self.min_samples_split:
+            return self._leaf(y_node)
+
+        feat, thr = seed_cart_best_split(self, X, y_node, idx, rng)
+        if feat < 0:
+            return self._leaf(y_node)
+
+        node_id = len(self.nodes_)
+        self.nodes_.append(_TreeNode(feature=feat, threshold=thr))
+        go_left = X[idx, feat] <= thr
+        left_id = self._build(X, y, idx[go_left], depth=depth + 1, rng=rng)
+        right_id = self._build(X, y, idx[~go_left], depth=depth + 1, rng=rng)
+        self.nodes_[node_id].left = left_id
+        self.nodes_[node_id].right = right_id
+        return node_id
 
 
 class SeedSplitForest(RandomForestClassifier):
-    """A random forest of :class:`SeedSplitTree` trees."""
+    """A random forest of :class:`SeedSplitTree` trees, grown one by one."""
 
-    _tree_class = SeedSplitTree
+    def fit(self, X: np.ndarray, y: np.ndarray, *, n_classes: int | None = None) -> "SeedSplitForest":
+        X, y, n_classes = check_fit_inputs(X, y, n_classes, model="tree")
+        self.n_classes_ = n_classes
+        rngs = spawn_rng(check_random_state(self.random_state), self.n_estimators)
+        n = X.shape[0]
+        self.trees_ = []
+        for tree_rng in rngs:
+            rows = tree_rng.integers(0, n, size=n) if self.bootstrap else np.arange(n, dtype=np.intp)
+            tree = SeedSplitTree(
+                max_depth=self.max_depth,
+                min_samples_split=self.min_samples_split,
+                min_samples_leaf=self.min_samples_leaf,
+                max_features=self.max_features,
+                criterion=self.criterion,
+                random_state=tree_rng,
+            )
+            self.trees_.append(tree._fit_rows(X, y, n_classes, rows))
+        return self
 
 
 def seed_softmax(Z: np.ndarray) -> np.ndarray:

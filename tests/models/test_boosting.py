@@ -98,6 +98,15 @@ class TestGradientBoosting:
         with pytest.raises(RuntimeError):
             GradientBoostingClassifier().predict(np.zeros((1, 2)))
 
+    def test_empty_fit_raises(self):
+        with pytest.raises(ValueError, match="empty dataset"):
+            GradientBoostingClassifier().fit(np.zeros((0, 2)), np.zeros(0, dtype=int))
+
+    @pytest.mark.parametrize("labels", [[0, -1], [0, 2]])
+    def test_label_outside_n_classes_raises(self, labels):
+        with pytest.raises(ValueError, match="labels must lie in"):
+            GradientBoostingClassifier().fit(np.zeros((2, 1)), labels, n_classes=2)
+
     def test_single_class_label_with_n_classes(self):
         # All labels 0 but n_classes=2: base score saturates, still predicts 0.
         X = np.random.default_rng(0).normal(size=(30, 2))

@@ -58,8 +58,14 @@ class TestGaussianNB:
             GaussianNB().predict(np.zeros((1, 2)))
 
     def test_empty_fit_raises(self):
-        with pytest.raises(ValueError, match="empty"):
+        with pytest.raises(ValueError, match="empty dataset"):
             GaussianNB().fit(np.zeros((0, 2)), np.zeros(0, dtype=int))
+
+    @pytest.mark.parametrize("labels", [[0, -1], [0, 2]])
+    def test_label_outside_n_classes_raises(self, labels):
+        # -1 used to alias the last class.
+        with pytest.raises(ValueError, match="labels must lie in"):
+            GaussianNB().fit(np.zeros((2, 1)), labels, n_classes=2)
 
     def test_invalid_smoothing_raises(self):
         with pytest.raises(ValueError, match="var_smoothing"):
@@ -114,6 +120,16 @@ class TestKNeighborsClassifier:
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):
             KNeighborsClassifier().predict(np.zeros((1, 2)))
+
+    def test_empty_fit_raises(self):
+        with pytest.raises(ValueError, match="empty dataset"):
+            KNeighborsClassifier().fit(np.zeros((0, 2)), np.zeros(0, dtype=int))
+
+    @pytest.mark.parametrize("labels", [[0, -1], [0, 2]])
+    def test_label_outside_n_classes_raises(self, labels):
+        # -1 used to alias the last class.
+        with pytest.raises(ValueError, match="labels must lie in"):
+            KNeighborsClassifier().fit(np.zeros((2, 1)), labels, n_classes=2)
 
 
 class TestExtendedRegistry:

@@ -87,6 +87,26 @@ class TestFit:
         m = DecisionTreeClassifier().fit(X, y)
         assert m.n_nodes == 1
 
+    def test_deep_tree(self):
+        # Every split peels one row off: a recursive builder overflowed the
+        # interpreter's stack here.
+        X = np.arange(3000.0)[:, None]
+        y = np.arange(3000) % 2
+        m = DecisionTreeClassifier().fit(X, y)
+        assert m.depth > 1000
+        np.testing.assert_array_equal(m.predict(X), y)
+
+    def test_midpoint_of_adjacent_floats(self):
+        # (lo + hi) / 2 rounds onto hi: a threshold there would send every
+        # row left, forever.  The lower value splits the same rows.
+        lo, hi = 1 + 2.0**-52, 1 + 2.0**-51
+        assert (lo + hi) / 2 == hi
+        X = np.array([[lo], [hi], [2.0]])
+        y = np.array([0, 1, 1])
+        m = DecisionTreeClassifier().fit(X, y)
+        assert m.nodes_[0].threshold == lo
+        np.testing.assert_array_equal(m.predict(X), y)
+
 
 class TestPredict:
     def test_proba_rows_sum_to_one(self):

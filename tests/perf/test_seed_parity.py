@@ -181,7 +181,8 @@ class TestGeneratorIndexCache:
 def cart_training_sets(draw):
     """Small training sets whose columns tie heavily, are continuous, mix
     -0.0 with 0.0, or copy the previous column (so that two features tie
-    on every gain and only the scan order decides)."""
+    on every gain and only the scan order decides).  From eight classes
+    up, NumPy sums each row of class counts pairwise."""
     n = draw(st.integers(min_value=2, max_value=60))
     kinds = draw(
         st.lists(
@@ -190,7 +191,7 @@ def cart_training_sets(draw):
             max_size=6,
         )
     )
-    n_classes = draw(st.integers(min_value=2, max_value=4))
+    n_classes = draw(st.integers(min_value=2, max_value=10))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     cols: list[np.ndarray] = []
     for kind in kinds:
@@ -232,8 +233,9 @@ def _node_list(tree: DecisionTreeClassifier) -> list[tuple]:
 
 
 class TestCartSplitParity:
-    """The histogram split search grows the trees the seed's per-feature
-    argsort search grows: same (feature, threshold) bits, same leaves."""
+    """The lockstep grower with its batched histogram split search grows
+    the trees the seed's recursive builder and per-feature argsort search
+    grow: same (feature, threshold) bits, same node ids, same leaves."""
 
     @settings(max_examples=80, deadline=None)
     @given(data=cart_training_sets(), params=cart_params)
@@ -244,14 +246,26 @@ class TestCartSplitParity:
         assert _node_list(current) == _node_list(seed)
         assert current.predict_proba(X).tobytes() == seed.predict_proba(X).tobytes()
 
-    @settings(max_examples=30, deadline=None)
-    @given(data=cart_training_sets(), params=cart_params)
-    def test_forest_bit_for_bit(self, data, params):
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=cart_training_sets(),
+        params=cart_params,
+        forest_params=st.fixed_dictionaries(
+            {
+                "n_estimators": st.sampled_from([1, 3, 8]),
+                "bootstrap": st.booleans(),
+                "min_samples_split": st.integers(min_value=2, max_value=6),
+            }
+        ),
+    )
+    def test_forest_bit_for_bit(self, data, params, forest_params):
+        """Trees grown in lockstep match trees grown one by one, each node
+        in turn."""
         X, y, n_classes = data
-        current = RandomForestClassifier(n_estimators=4, **params).fit(
+        current = RandomForestClassifier(**forest_params, **params).fit(
             X, y, n_classes=n_classes
         )
-        seed = seed_ref.SeedSplitForest(n_estimators=4, **params).fit(
+        seed = seed_ref.SeedSplitForest(**forest_params, **params).fit(
             X, y, n_classes=n_classes
         )
         assert [_node_list(t) for t in current.trees_] == [
