@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.models.logistic import softmax
-from repro.utils.validation import check_array_2d, check_fit_inputs
+from repro.utils.validation import check_fit_inputs, check_predict_input
 
 
 class _Binner:
@@ -236,6 +236,7 @@ class GradientBoostingClassifier:
         self.trees_: list[list[_HistTree]] = []  # [round][class]
         self.base_score_: np.ndarray | None = None
         self.n_classes_: int | None = None
+        self.n_features_in_: int | None = None
 
     # ------------------------------------------------------------------ #
     def fit(self, X: np.ndarray, y: np.ndarray, *, n_classes: int | None = None) -> "GradientBoostingClassifier":
@@ -243,6 +244,7 @@ class GradientBoostingClassifier:
         if n_classes < 2:
             raise ValueError("need at least 2 classes")
         self.n_classes_ = n_classes
+        self.n_features_in_ = X.shape[1]
         n = X.shape[0]
         self.binner_ = _Binner(self.max_bins).fit(X)
         B = self.binner_.transform(X)
@@ -289,7 +291,7 @@ class GradientBoostingClassifier:
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         if self.binner_ is None or self.base_score_ is None or self.n_classes_ is None:
             raise RuntimeError("GradientBoostingClassifier is not fitted")
-        X = check_array_2d(X, name="X")
+        X = check_predict_input(X, self.n_features_in_)
         B = self.binner_.transform(X)
         if self.n_classes_ == 2:
             F = np.full(X.shape[0], self.base_score_[0])

@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.models.tree import DecisionTreeClassifier, _BinnedX, _grow
 from repro.utils.rng import RandomState, check_random_state, spawn_rng
-from repro.utils.validation import check_array_2d, check_fit_inputs
+from repro.utils.validation import check_fit_inputs, check_predict_input
 
 
 class RandomForestClassifier:
@@ -53,10 +53,12 @@ class RandomForestClassifier:
         self.random_state = random_state
         self.trees_: list[DecisionTreeClassifier] = []
         self.n_classes_: int | None = None
+        self.n_features_in_: int | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray, *, n_classes: int | None = None) -> "RandomForestClassifier":
         X, y, n_classes = check_fit_inputs(X, y, n_classes, model="tree")
         self.n_classes_ = n_classes
+        self.n_features_in_ = X.shape[1]
         rng = check_random_state(self.random_state)
         rngs = spawn_rng(rng, self.n_estimators)
         n = X.shape[0]
@@ -83,7 +85,7 @@ class RandomForestClassifier:
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         if not self.trees_ or self.n_classes_ is None:
             raise RuntimeError("RandomForestClassifier is not fitted")
-        X = check_array_2d(X, name="X")
+        X = check_predict_input(X, self.n_features_in_)
         proba = np.zeros((X.shape[0], self.n_classes_))
         for tree in self.trees_:
             proba += tree.predict_proba(X)

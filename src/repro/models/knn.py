@@ -11,7 +11,12 @@ import numpy as np
 
 from repro.data.builder import GrowableArray
 from repro.neighbors import BruteKNN
-from repro.utils.validation import check_array_1d, check_array_2d, check_fit_inputs
+from repro.utils.validation import (
+    check_array_1d,
+    check_array_2d,
+    check_fit_inputs,
+    check_predict_input,
+)
 
 
 class KNeighborsClassifier:
@@ -54,10 +59,12 @@ class KNeighborsClassifier:
         self._index: BruteKNN | None = None
         self._y: GrowableArray | None = None
         self.n_classes_: int | None = None
+        self.n_features_in_: int | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray, *, n_classes: int | None = None) -> "KNeighborsClassifier":
         X, y, n_classes = check_fit_inputs(X, y, n_classes, model="KNN classifier")
         self.n_classes_ = n_classes
+        self.n_features_in_ = X.shape[1]
         self._index = BruteKNN().fit(X)
         self._y = GrowableArray(np.int64, initial=y)
         return self
@@ -109,7 +116,7 @@ class KNeighborsClassifier:
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         if self._index is None or self._y is None or self.n_classes_ is None:
             raise RuntimeError("KNeighborsClassifier is not fitted")
-        X = check_array_2d(X, name="X")
+        X = check_predict_input(X, self.n_features_in_)
         y = self._y.view()
         k_eff = min(self.k, y.shape[0])
         dists, idx = self._index.kneighbors(X, k_eff)

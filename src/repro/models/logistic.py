@@ -5,12 +5,24 @@ configuration: softmax cross-entropy with L2 regularization (C = 1.0,
 intercept unpenalized), optimized via :func:`scipy.optimize.minimize`.
 
 The objective takes one shifted exponential per evaluation and reuses it,
-normalized in place, as the gradient.  Its row max is a running
-``np.maximum`` over the columns: a NumPy reduction along a short row (two
-classes) pays a fixed cost per row, and max is exact, so any class count
-keeps the bits of a reduction.  The two ``sum`` reductions must stay as
-they are: a column loop adds in another order (NumPy sums eight or more
-terms pairwise, and axis 0 row by row) and changes the fitted bits.
+normalized in place, as the gradient.  It makes no NumPy reduction along
+the short class axis and no 2-D fancy index, because each of those pays a
+fixed cost per row; yet it reproduces NumPy's summation order, so every
+fitted bit is the bit the plain reductions give:
+
+* The row max is a running ``np.maximum`` over the columns.  Max is exact,
+  so any class count keeps the bits.
+* The row sums are a sequential column loop below eight classes.  NumPy
+  adds a row of fewer than eight terms one after another; from eight it
+  sums pairwise, so there ``E.sum(axis=1)`` stays.  The cutoff is NumPy's,
+  not a tuning knob.
+* The intercept gradient is ``np.cumsum`` down each column.  A reduction
+  over axis 0 of a C-ordered array adds row by row, as ``cumsum`` does;
+  ``E[:, c].sum()`` would sum pairwise and change the bits.
+* The label logits are a flat ``take`` and the one-hot subtraction is
+  ``E -= Y``: subtracting ``+0.0`` leaves every double unchanged.
+
+The two BLAS products stay as they are: their bits depend on memory order.
 """
 
 from __future__ import annotations
@@ -20,17 +32,27 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import minimize
 
-from repro.utils.validation import check_array_2d, check_fit_inputs
+from repro.utils.validation import check_fit_inputs, check_predict_input
 
 
 def _shifted_exp(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``exp(Z - row max)`` as a new array, with the row max and row sums."""
+    """``exp(Z - row max)`` as a new array, with the row max and row sums.
+
+    Below eight columns the row sums are a column loop, which adds in the
+    order ``E.sum(axis=1)`` does; from eight NumPy sums pairwise, so the
+    reduction stays.
+    """
     Zmax = Z[:, 0].copy()
     for c in range(1, Z.shape[1]):
         np.maximum(Zmax, Z[:, c], out=Zmax)
     E = Z - Zmax[:, None]
     np.exp(E, out=E)
-    return E, Zmax, E.sum(axis=1)
+    if Z.shape[1] >= 8:
+        return E, Zmax, E.sum(axis=1)
+    S = E[:, 0].copy()
+    for c in range(1, Z.shape[1]):
+        S += E[:, c]
+    return E, Zmax, S
 
 
 def softmax(Z: np.ndarray) -> np.ndarray:
@@ -77,12 +99,16 @@ class LogisticRegression:
         self.coef_: np.ndarray | None = None  # (n_features, n_classes)
         self.intercept_: np.ndarray | None = None  # (n_classes,)
         self.n_classes_: int | None = None
+        self.n_features_in_: int | None = None
         self.n_iter_: int | None = None  # L-BFGS iterations of the last fit
         self._init_coef: np.ndarray | None = None
         self._init_intercept: np.ndarray | None = None
 
     def warm_start_from(self, coef: np.ndarray, intercept: np.ndarray) -> "LogisticRegression":
         """Seed the next :meth:`fit`'s optimizer with explicit coefficients.
+
+        The seed is consumed by that fit; later fits start as
+        ``warm_start`` says.
 
         Used by :func:`repro.models.base.make_algorithm`'s warm-start
         path, where every refit builds a *fresh* estimator (so the
@@ -101,10 +127,13 @@ class LogisticRegression:
             raise ValueError("need at least 2 classes")
         n, d = X.shape
         self.n_classes_ = n_classes
+        self.n_features_in_ = d
         objective = self._objective(X, y, n_classes, lam=1.0 / (self.C * n))
 
         w0 = np.zeros(d * n_classes + n_classes)
+        # An explicit seed serves this fit only.
         init_coef, init_intercept = self._init_coef, self._init_intercept
+        self._init_coef = self._init_intercept = None
         if init_coef is None and self.warm_start and self.coef_ is not None:
             init_coef, init_intercept = self.coef_, self.intercept_
         if (
@@ -133,19 +162,24 @@ class LogisticRegression:
     ) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
         """Loss and gradient of the flat parameters ``[W.ravel(), b]``."""
         n, d = X.shape
-        rows = np.arange(n)
+        # Flat positions of the label logits, and the one-hot labels.
+        lab = np.arange(n) * n_classes + y
+        Y = np.zeros((n, n_classes))
+        Y.ravel()[lab] = 1.0
 
         def objective(w_flat: np.ndarray) -> tuple[float, np.ndarray]:
             W = w_flat[: d * n_classes].reshape(d, n_classes)
             b = w_flat[d * n_classes :]
-            Z = X @ W + b
+            Z = X @ W
+            Z += b
             E, Zmax, S = _shifted_exp(Z)
-            ll = (Z[rows, y] - (Zmax + np.log(S))).sum()
+            ll = (Z.ravel().take(lab) - (Zmax + np.log(S))).sum()
             # E becomes the softmax minus the one-hot labels.
             E /= S[:, None]
-            E[rows, y] -= 1.0
+            E -= Y
             grad_W = X.T @ E / n + 2.0 * lam * W
-            grad_b = E.sum(axis=0) / n  # kept a reduction: see the module docstring
+            # Row by row down each column: the order of an axis-0 reduction.
+            grad_b = np.array([np.cumsum(E[:, c])[-1] for c in range(n_classes)]) / n
             loss = -ll / n + lam * float((W * W).sum())
             return loss, np.concatenate([grad_W.ravel(), grad_b])
 
@@ -155,7 +189,7 @@ class LogisticRegression:
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         if self.coef_ is None or self.intercept_ is None:
             raise RuntimeError("LogisticRegression is not fitted")
-        X = check_array_2d(X, name="X")
+        X = check_predict_input(X, self.n_features_in_)
         return X @ self.coef_ + self.intercept_
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:

@@ -9,7 +9,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.utils.validation import check_array_1d, check_array_2d, check_fit_inputs
+from repro.utils.validation import (
+    check_array_1d,
+    check_array_2d,
+    check_fit_inputs,
+    check_predict_input,
+)
 
 
 class GaussianNB:
@@ -35,6 +40,7 @@ class GaussianNB:
         self.var_: np.ndarray | None = None  # (n_classes, d) variances
         self.class_log_prior_: np.ndarray | None = None
         self.n_classes_: int | None = None
+        self.n_features_in_: int | None = None
         # Sufficient statistics for incremental refits: per-class counts,
         # means, and centred second moments (M2, à la Welford/Chan), plus
         # the same trio over all rows for the smoothing eps and the
@@ -49,6 +55,7 @@ class GaussianNB:
     def fit(self, X: np.ndarray, y: np.ndarray, *, n_classes: int | None = None) -> "GaussianNB":
         X, y, n_classes = check_fit_inputs(X, y, n_classes, model="naive Bayes model")
         self.n_classes_ = n_classes
+        self.n_features_in_ = X.shape[1]
         n, d = X.shape
         theta = np.zeros((n_classes, d))
         var = np.ones((n_classes, d))
@@ -190,7 +197,7 @@ class GaussianNB:
     def _joint_log_likelihood(self, X: np.ndarray) -> np.ndarray:
         assert self.theta_ is not None and self.var_ is not None
         assert self.class_log_prior_ is not None
-        X = check_array_2d(X, name="X")
+        X = check_predict_input(X, self.n_features_in_)
         n_classes = self.theta_.shape[0]
         jll = np.empty((X.shape[0], n_classes))
         for c in range(n_classes):

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.utils.rng import RandomState, check_random_state
-from repro.utils.validation import check_array_2d, check_fit_inputs
+from repro.utils.validation import check_fit_inputs, check_predict_input
 
 
 def _run_starts(a: np.ndarray) -> np.ndarray:
@@ -257,6 +257,7 @@ def _grow(
 
     for tree in trees:
         tree.n_classes_ = n_classes
+        tree.n_features_in_ = d
         tree.nodes_ = []
     # A stack entry is a node to visit: (rows, class counts, depth, its
     # class distribution if it is a leaf, parent node, whether it is the
@@ -364,6 +365,7 @@ class DecisionTreeClassifier:
         self.random_state = random_state
         self.nodes_: list[_TreeNode] = []
         self.n_classes_: int | None = None
+        self.n_features_in_: int | None = None
 
     # ------------------------------------------------------------------ #
     def fit(self, X: np.ndarray, y: np.ndarray, *, n_classes: int | None = None) -> "DecisionTreeClassifier":
@@ -386,7 +388,7 @@ class DecisionTreeClassifier:
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         if not self.nodes_ or self.n_classes_ is None:
             raise RuntimeError("DecisionTreeClassifier is not fitted")
-        X = check_array_2d(X, name="X")
+        X = check_predict_input(X, self.n_features_in_)
         n = X.shape[0]
         out = np.zeros((n, self.n_classes_))
         # Iterative routing: frontier of (node_id, row indices).

@@ -30,8 +30,8 @@ registry dataset):
   probability bits before the speedup is recorded;
 * ``lr_fit`` — a logistic regression fit in the paper's configuration
   (``max_iter=500``, standardized columns): the seed objective versus the
-  fused one.  Both sides must reach the same coefficient bits and
-  iteration count before the speedup is recorded.
+  fused one.  Both sides must reach the same coefficient bits, iteration
+  count and ``predict_proba`` bits before the speedup is recorded.
 """
 
 from __future__ import annotations
@@ -338,10 +338,12 @@ def _table_benchmarks(
             seed_lr.coef_.tobytes() != current_lr.coef_.tobytes()
             or seed_lr.intercept_.tobytes() != current_lr.intercept_.tobytes()
             or seed_lr.n_iter_ != current_lr.n_iter_
+            or seed_lr.predict_proba(X_std).tobytes()
+            != current_lr.predict_proba(X_std).tobytes()
         ):
             raise AssertionError(
                 f"lr_fit on {dataset}: the fused objective changed the "
-                "fitted coefficient bits"
+                "fitted coefficient or probability bits"
             )
         records.append(
             compare(
@@ -353,7 +355,8 @@ def _table_benchmarks(
                     "n_features": X_std.shape[1],
                     "lbfgs_iters": current_lr.n_iter_,
                     "seed_side": "row max along axis 1, two exps, one-hot gradient",
-                    "current_side": "column-wise row max, one exp, gradient in place",
+                    "current_side": "column loops for row max and sums, one exp, "
+                    "flat label take, cumsum intercept gradient",
                 },
             )
         )

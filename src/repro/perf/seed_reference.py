@@ -239,6 +239,7 @@ class SeedSplitTree(DecisionTreeClassifier):
     ) -> "SeedSplitTree":
         """Grow the tree on the rows ``rows`` (repeats allowed) of ``X``."""
         self.n_classes_ = n_classes
+        self.n_features_in_ = X.shape[1]
         rng = check_random_state(self.random_state)
         self.nodes_ = []
         self._n_split_features = self._resolve_max_features(X.shape[1])
@@ -286,6 +287,7 @@ class SeedSplitForest(RandomForestClassifier):
     def fit(self, X: np.ndarray, y: np.ndarray, *, n_classes: int | None = None) -> "SeedSplitForest":
         X, y, n_classes = check_fit_inputs(X, y, n_classes, model="tree")
         self.n_classes_ = n_classes
+        self.n_features_in_ = X.shape[1]
         rngs = spawn_rng(check_random_state(self.random_state), self.n_estimators)
         n = X.shape[0]
         self.trees_ = []

@@ -46,6 +46,17 @@ def check_fit_inputs(
     return X, y, n_classes
 
 
+def check_predict_input(X, n_features: int) -> np.ndarray:
+    """Validate a fitted classifier's input: :func:`check_array_2d`, then
+    the ``n_features`` columns it was fitted on."""
+    X = check_array_2d(X, name="X")
+    if X.shape[1] != n_features:
+        raise ValueError(
+            f"X has {X.shape[1]} features, but the model was fitted on {n_features}"
+        )
+    return X
+
+
 def check_fraction(value: float, *, name: str, inclusive_low: bool = True) -> float:
     """Validate that ``value`` lies in [0, 1] (or (0, 1] if not inclusive)."""
     value = float(value)

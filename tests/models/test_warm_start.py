@@ -46,6 +46,32 @@ class TestEstimatorSeeding:
         np.testing.assert_array_equal(seeded.coef_, cold.coef_)
         assert seeded.n_iter_ == cold.n_iter_
 
+    def test_explicit_seed_serves_one_cold_fit(self):
+        X, y = self.fit_xy()
+        rng = np.random.default_rng(5)
+        lr = LogisticRegression(warm_start=False)
+        lr.warm_start_from(rng.normal(size=(4, 2)), rng.normal(size=2))
+        lr.fit(X, y, n_classes=2)
+        lr.fit(X, y, n_classes=2)
+        cold = LogisticRegression().fit(X, y, n_classes=2)
+        assert lr.coef_.tobytes() == cold.coef_.tobytes()
+        assert lr.intercept_.tobytes() == cold.intercept_.tobytes()
+        assert lr.n_iter_ == cold.n_iter_
+
+    def test_explicit_seed_serves_one_warm_fit(self):
+        X, y = self.fit_xy()
+        X2, y2 = self.fit_xy(seed=1)
+        rng = np.random.default_rng(5)
+        lr = LogisticRegression(warm_start=True)
+        lr.warm_start_from(rng.normal(size=(4, 2)), rng.normal(size=2))
+        lr.fit(X, y, n_classes=2)
+        expected = LogisticRegression().warm_start_from(lr.coef_, lr.intercept_)
+        expected.fit(X2, y2, n_classes=2)
+        lr.fit(X2, y2, n_classes=2)
+        assert lr.coef_.tobytes() == expected.coef_.tobytes()
+        assert lr.intercept_.tobytes() == expected.intercept_.tobytes()
+        assert lr.n_iter_ == expected.n_iter_
+
     def test_default_fit_is_deterministic_zero_init(self):
         X, y = self.fit_xy()
         a = LogisticRegression().fit(X, y, n_classes=2)

@@ -207,3 +207,15 @@ class TestLrFitHotPath:
         monkeypatch.setattr(seed_reference, "SeedObjectiveLR", LooserLR)
         with pytest.raises(AssertionError, match="lr_fit on synthetic"):
             run_hotpath_benchmarks(quick=True, datasets=("synthetic",), only=["lr_fit"])
+
+    def test_refuses_fits_with_different_probabilities(self, monkeypatch):
+        from repro.perf import seed_reference
+        from repro.perf.hotpaths import run_hotpath_benchmarks
+
+        class HalvedLR(seed_reference.SeedObjectiveLR):
+            def predict_proba(self, X):
+                return super().predict_proba(X) / 2
+
+        monkeypatch.setattr(seed_reference, "SeedObjectiveLR", HalvedLR)
+        with pytest.raises(AssertionError, match="lr_fit on synthetic"):
+            run_hotpath_benchmarks(quick=True, datasets=("synthetic",), only=["lr_fit"])

@@ -276,9 +276,11 @@ class TestCartSplitParity:
 
 @st.composite
 def lr_training_sets(draw):
-    """Small LR problems: k in 2..10 (eight or more classes sum pairwise),
-    absent classes, large logits, duplicated rows and signed zeros."""
-    n = draw(st.integers(min_value=1, max_value=60))
+    """Small LR problems: k in 2..10 (eight or more classes sum each row
+    pairwise), n up to 300 (so a pairwise column sum would cross NumPy's
+    8- and 128-term blocks), absent classes, large logits, duplicated rows
+    and signed zeros."""
+    n = draw(st.integers(min_value=1, max_value=300))
     d = draw(st.integers(min_value=1, max_value=5))
     n_classes = draw(st.integers(min_value=2, max_value=10))
     present = draw(st.integers(min_value=1, max_value=n_classes))
@@ -322,8 +324,8 @@ class TestLogisticObjectiveParity:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        k=st.integers(min_value=1, max_value=10),
-        n=st.integers(min_value=0, max_value=20),
+        k=st.integers(min_value=1, max_value=12),
+        n=st.integers(min_value=0, max_value=300),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     def test_softmax_bit_for_bit(self, k, n, seed):
