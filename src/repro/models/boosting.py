@@ -13,11 +13,12 @@ Implements the core LightGBM recipe the paper's third model relies on:
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.models.logistic import softmax
+from repro.models.tree import _leaf_walk
 from repro.utils.validation import check_fit_inputs, check_predict_input
 
 
@@ -52,45 +53,26 @@ class _Binner:
         return len(self.edges_[f]) + 1
 
 
-@dataclass
-class _Leaf:
-    idx: np.ndarray
-    value: float = 0.0
-    # Split bookkeeping (filled by _find_best_split):
-    gain: float = -np.inf
-    feature: int = -1
-    bin_threshold: int = -1
-
-
-@dataclass
-class _SplitNode:
-    feature: int
-    bin_threshold: int
-    left: "int"
-    right: "int"
-
-
-@dataclass
+@dataclass(frozen=True)
 class _HistTree:
-    """Flattened tree: ``nodes[i]`` is a _SplitNode or a float leaf value."""
+    """A regression tree on bin codes as flat node arrays, laid out as a
+    :class:`~repro.models.tree.DecisionTreeClassifier`'s: node ``j`` sends
+    a row right where its code of ``feature[j]`` exceeds
+    ``bin_threshold[j]``, and ``value[j]`` is a leaf's value (0.0 at a
+    split)."""
 
-    nodes: list = field(default_factory=list)
+    feature: np.ndarray
+    bin_threshold: np.ndarray
+    children: np.ndarray
+    value: np.ndarray
+    depth: int
 
     def predict_binned(self, B: np.ndarray) -> np.ndarray:
-        out = np.zeros(B.shape[0])
-        frontier = [(0, np.arange(B.shape[0], dtype=np.intp))]
-        while frontier:
-            node_id, rows = frontier.pop()
-            if rows.size == 0:
-                continue
-            node = self.nodes[node_id]
-            if isinstance(node, float):
-                out[rows] = node
-                continue
-            go_left = B[rows, node.feature] <= node.bin_threshold
-            frontier.append((node.left, rows[go_left]))
-            frontier.append((node.right, rows[~go_left]))
-        return out
+        row_base = np.arange(B.shape[0]) * B.shape[1]
+        leaves = _leaf_walk(
+            B.ravel(), row_base, self.feature, self.bin_threshold, self.children, self.depth
+        )
+        return self.value.take(leaves)
 
 
 class _HistTreeBuilder:
@@ -113,44 +95,71 @@ class _HistTreeBuilder:
         self.reg_lambda = reg_lambda
         self.min_gain = min_gain
 
+    def best_split(
+        self, B: np.ndarray, g: np.ndarray, h: np.ndarray, idx: np.ndarray
+    ) -> tuple[float, int, int]:
+        """Return (gain, feature, bin_threshold) for the node at ``idx``."""
+        lam = self.reg_lambda
+        G, H = g[idx].sum(), h[idx].sum()
+        parent = G * G / (H + lam)
+        best = (-np.inf, -1, -1)
+        for f in range(B.shape[1]):
+            nb = self.binner.n_bins(f)
+            if nb < 2:
+                continue
+            bins_f = B[idx, f]
+            hist_g = np.bincount(bins_f, weights=g[idx], minlength=nb)
+            hist_h = np.bincount(bins_f, weights=h[idx], minlength=nb)
+            hist_n = np.bincount(bins_f, minlength=nb)
+            GL = np.cumsum(hist_g)[:-1]
+            HL = np.cumsum(hist_h)[:-1]
+            NL = np.cumsum(hist_n)[:-1]
+            GR, HR, NR = G - GL, H - HL, idx.size - NL
+            valid = (NL >= self.min_child_samples) & (NR >= self.min_child_samples)
+            if not np.any(valid):
+                continue
+            gain = GL * GL / (HL + lam) + GR * GR / (HR + lam) - parent
+            gain[~valid] = -np.inf
+            b = int(np.argmax(gain))
+            if gain[b] > best[0]:
+                best = (float(gain[b]), f, b)
+        return best
+
     def build(self, B: np.ndarray, g: np.ndarray, h: np.ndarray) -> _HistTree:
         lam = self.reg_lambda
 
         def leaf_value(idx: np.ndarray) -> float:
             return float(-g[idx].sum() / (h[idx].sum() + lam))
 
-        def best_split(idx: np.ndarray) -> tuple[float, int, int]:
-            """Return (gain, feature, bin_threshold) for the node at ``idx``."""
-            G, H = g[idx].sum(), h[idx].sum()
-            parent = G * G / (H + lam)
-            best = (-np.inf, -1, -1)
-            for f in range(B.shape[1]):
-                nb = self.binner.n_bins(f)
-                if nb < 2:
-                    continue
-                bins_f = B[idx, f]
-                hist_g = np.bincount(bins_f, weights=g[idx], minlength=nb)
-                hist_h = np.bincount(bins_f, weights=h[idx], minlength=nb)
-                hist_n = np.bincount(bins_f, minlength=nb)
-                GL = np.cumsum(hist_g)[:-1]
-                HL = np.cumsum(hist_h)[:-1]
-                NL = np.cumsum(hist_n)[:-1]
-                GR, HR, NR = G - GL, H - HL, idx.size - NL
-                valid = (NL >= self.min_child_samples) & (NR >= self.min_child_samples)
-                if not np.any(valid):
-                    continue
-                gain = GL * GL / (HL + lam) + GR * GR / (HR + lam) - parent
-                gain[~valid] = -np.inf
-                b = int(np.argmax(gain))
-                if gain[b] > best[0]:
-                    best = (float(gain[b]), f, b)
-            return best
+        # Node arrays (see _HistTree); every node starts as a leaf that
+        # loops to itself.
+        feature: list[int] = []
+        bin_threshold: list[int] = []
+        children: list[int] = []
+        value: list[float] = []
+        depth_reached = 0
 
-        tree = _HistTree()
+        def add_leaf(idx: np.ndarray) -> int:
+            node_id = len(value)
+            feature.append(0)
+            bin_threshold.append(0)
+            children.extend((node_id, node_id))
+            value.append(leaf_value(idx))
+            return node_id
+
+        def tree() -> _HistTree:
+            return _HistTree(
+                np.array(feature, dtype=np.intp),
+                np.array(bin_threshold, dtype=np.intp),
+                np.array(children, dtype=np.intp),
+                np.array(value, dtype=np.float64),
+                depth_reached,
+            )
+
         root_idx = np.arange(B.shape[0], dtype=np.intp)
-        tree.nodes.append(leaf_value(root_idx))
+        add_leaf(root_idx)
         if root_idx.size < 2 * self.min_child_samples:
-            return tree
+            return tree()
 
         # Leaf-wise growth: a heap of candidate splits keyed by -gain.
         heap: list[tuple[float, int, int, int, int, np.ndarray]] = []
@@ -162,7 +171,7 @@ class _HistTreeBuilder:
                 return
             if idx.size < 2 * self.min_child_samples:
                 return
-            gain, f, b = best_split(idx)
+            gain, f, b = self.best_split(B, g, h, idx)
             if gain > self.min_gain:
                 heapq.heappush(heap, (-gain, counter, node_id, f, b, idx, depth))
                 counter += 1
@@ -173,15 +182,16 @@ class _HistTreeBuilder:
             _, _, node_id, f, b, idx, depth = heapq.heappop(heap)
             go_left = B[idx, f] <= b
             left_idx, right_idx = idx[go_left], idx[~go_left]
-            left_id = len(tree.nodes)
-            tree.nodes.append(leaf_value(left_idx))
-            right_id = len(tree.nodes)
-            tree.nodes.append(leaf_value(right_idx))
-            tree.nodes[node_id] = _SplitNode(f, b, left_id, right_id)
+            left_id = add_leaf(left_idx)
+            right_id = add_leaf(right_idx)
+            feature[node_id], bin_threshold[node_id] = f, b
+            children[2 * node_id : 2 * node_id + 2] = left_id, right_id
+            value[node_id] = 0.0
+            depth_reached = max(depth_reached, depth + 1)
             n_leaves += 1
             push(left_id, left_idx, depth + 1)
             push(right_id, right_idx, depth + 1)
-        return tree
+        return tree()
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -207,6 +217,9 @@ class GradientBoostingClassifier:
     max_bins:
         Histogram resolution.
     """
+
+    #: The tree grower (a class attribute, so a reference grower can stand in).
+    _tree_builder = _HistTreeBuilder
 
     def __init__(
         self,
@@ -248,7 +261,7 @@ class GradientBoostingClassifier:
         n = X.shape[0]
         self.binner_ = _Binner(self.max_bins).fit(X)
         B = self.binner_.transform(X)
-        builder = _HistTreeBuilder(
+        builder = self._tree_builder(
             self.binner_,
             max_leaves=self.max_leaves,
             max_depth=self.max_depth,

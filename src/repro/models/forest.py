@@ -86,9 +86,12 @@ class RandomForestClassifier:
         if not self.trees_ or self.n_classes_ is None:
             raise RuntimeError("RandomForestClassifier is not fitted")
         X = check_predict_input(X, self.n_features_in_)
+        Xf, row_base = X.ravel(), np.arange(X.shape[0]) * X.shape[1]
+        # One walk per tree keeps the transients O(rows); the trees' leaf
+        # rows add up in tree order.
         proba = np.zeros((X.shape[0], self.n_classes_))
         for tree in self.trees_:
-            proba += tree.predict_proba(X)
+            proba += tree._leaf_values(Xf, row_base)
         proba /= len(self.trees_)
         return proba
 

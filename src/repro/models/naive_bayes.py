@@ -11,7 +11,6 @@ import numpy as np
 
 from repro.utils.validation import (
     check_array_1d,
-    check_array_2d,
     check_fit_inputs,
     check_predict_input,
 )
@@ -124,7 +123,7 @@ class GaussianNB:
         """
         if self.theta_ is None or self._count is None or self.n_classes_ is None:
             raise RuntimeError("GaussianNB is not fitted")
-        X_new = check_array_2d(X_new, name="X_new")
+        X_new = check_predict_input(X_new, self.n_features_in_)
         y_new = check_array_1d(y_new, name="y_new", dtype=np.int64)
         if X_new.shape[0] != y_new.shape[0]:
             raise ValueError("X_new and y_new have different numbers of rows")

@@ -13,7 +13,13 @@ import numpy as np
 
 from repro.models.logistic import softmax
 from repro.utils.rng import RandomState, check_random_state
-from repro.utils.validation import check_array_1d, check_array_2d
+from repro.utils.validation import (
+    check_array_1d,
+    check_array_2d,
+    check_fit_inputs,
+    check_labels,
+    check_predict_input,
+)
 
 
 class OnlineLogisticRegression:
@@ -59,11 +65,13 @@ class OnlineLogisticRegression:
         self.W_: np.ndarray | None = None  # (n_features + 1, n_classes), last row bias
         self._grad_sq: np.ndarray | None = None
         self.n_classes_: int | None = None
+        self.n_features_in_: int | None = None
 
     # ------------------------------------------------------------------ #
     def _ensure_initialized(self, n_features: int, n_classes: int) -> None:
         if self.W_ is None:
             self.n_classes_ = n_classes
+            self.n_features_in_ = n_features
             self.W_ = np.zeros((n_features + 1, n_classes))
             self._grad_sq = np.zeros_like(self.W_)
         elif self.W_.shape != (n_features + 1, n_classes):
@@ -91,8 +99,11 @@ class OnlineLogisticRegression:
         """One incremental pass over ``(X, y)`` in mini-batches."""
         X = check_array_2d(X, name="X")
         y = check_array_1d(y, name="y", dtype=np.int64)
+        if X.shape[0] != y.shape[0]:
+            raise ValueError("X and y have different numbers of rows")
         if n_classes is None:
             n_classes = self.n_classes_ or int(y.max()) + 1
+        check_labels(y, n_classes)
         self._ensure_initialized(X.shape[1], n_classes)
         for start in range(0, X.shape[0], self.batch_size):
             sl = slice(start, start + self.batch_size)
@@ -103,10 +114,7 @@ class OnlineLogisticRegression:
         self, X: np.ndarray, y: np.ndarray, *, n_classes: int | None = None
     ) -> "OnlineLogisticRegression":
         """Multi-epoch SGD from scratch (resets any prior state)."""
-        X = check_array_2d(X, name="X")
-        y = check_array_1d(y, name="y", dtype=np.int64)
-        if n_classes is None:
-            n_classes = int(y.max()) + 1
+        X, y, n_classes = check_fit_inputs(X, y, n_classes, model="online logistic regression")
         self.W_ = None
         self._ensure_initialized(X.shape[1], n_classes)
         rng = check_random_state(self.random_state)
@@ -176,13 +184,14 @@ class OnlineLogisticRegression:
             c.W_ = self.W_.copy()
             c._grad_sq = self._grad_sq.copy() if self._grad_sq is not None else None
             c.n_classes_ = self.n_classes_
+            c.n_features_in_ = self.n_features_in_
         return c
 
     # ------------------------------------------------------------------ #
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         if self.W_ is None:
             raise RuntimeError("OnlineLogisticRegression is not fitted")
-        X = check_array_2d(X, name="X")
+        X = check_predict_input(X, self.n_features_in_)
         Xa = np.hstack([X, np.ones((X.shape[0], 1))])
         return softmax(Xa @ self.W_)
 

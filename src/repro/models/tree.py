@@ -27,6 +27,22 @@ is kept as :class:`repro.perf.seed_reference.SeedSplitTree`.  The one
 exception is a split between two adjacent floats whose midpoint rounds
 onto the upper one: there the original sent every row left and never
 stopped, and the lower value is the threshold here.
+
+A fitted tree is a set of flat arrays, which :func:`_grow` writes as it
+visits the nodes, numbered in pre-order: ``feature_`` and ``threshold_``
+(a row whose value of ``feature_[j]`` exceeds ``threshold_[j]`` goes
+right), ``children_`` (node ``j``'s left child at ``2 * j``, its right
+child at ``2 * j + 1``), ``value_`` (a leaf's class distribution, a row
+of zeros at a split) and ``depth_``, the deepest leaf's depth.  A leaf's
+two children are the leaf itself, so prediction needs no leaf test: it
+starts every row at the root and takes ``depth_`` steps of
+``node = children_[2 * node + (x[feature_[node]] > threshold_[node])]``,
+each one a few ``take`` calls over all rows (:func:`_leaf_walk`), and
+then reads ``value_`` at each row's node.  A forest walks its trees one
+after another and adds their leaf rows in tree order.  Walking all trees
+at once would save little, and its temporaries would grow with the
+number of trees times the rows instead of with the rows.  The gradient
+boosting model's trees use the same layout and walk, on bin codes.
 """
 
 from __future__ import annotations
@@ -45,15 +61,6 @@ def _run_starts(a: np.ndarray) -> np.ndarray:
     mask[:1] = True
     np.not_equal(a[1:], a[:-1], out=mask[1:])
     return mask
-
-
-@dataclass
-class _TreeNode:
-    feature: int = -1  # -1 marks a leaf
-    threshold: float = 0.0
-    left: int = -1  # child node ids
-    right: int = -1
-    proba: np.ndarray | None = None  # leaf class distribution
 
 
 @dataclass(frozen=True)
@@ -197,21 +204,47 @@ def _best_splits(
     return _Splits(node, feature, code, np.where(mid < hi, mid, lo), left[best])
 
 
-def _preorder(nodes: list[_TreeNode]) -> list[_TreeNode]:
-    """``nodes`` (root first) renumbered in pre-order."""
+def _leaf_walk(
+    Xf: np.ndarray,
+    row_base: np.ndarray,
+    feature: np.ndarray,
+    threshold: np.ndarray,
+    children: np.ndarray,
+    depth: int,
+) -> np.ndarray:
+    """The leaf that each row of a matrix reaches in a tree of flat arrays.
+
+    Row ``i`` of the matrix is ``Xf[row_base[i] : row_base[i] + d]``.  Node
+    ``j`` sends a row right where its ``feature[j]`` value exceeds
+    ``threshold[j]``, to ``children[2 * j + 1]``, and left otherwise, to
+    ``children[2 * j]``.  A leaf's children are itself, so every row takes
+    ``depth`` steps, one level each, and a row that meets a leaf early
+    stays there.
+    """
+    node = np.zeros(row_base.size, dtype=np.intp)
+    for _ in range(depth):
+        right = Xf.take(row_base + feature.take(node)) > threshold.take(node)
+        node = children.take(2 * node + right)
+    return node
+
+
+def _preorder(tree: DecisionTreeClassifier) -> None:
+    """Renumber the nodes of ``tree`` (root first) in pre-order."""
+    children = tree.children_.tolist()
     order = []
     stack = [0]
     while stack:
-        node_id = stack.pop()
-        order.append(node_id)
-        node = nodes[node_id]
-        if node.feature >= 0:
-            stack += [node.right, node.left]
-    new_id = {old: new for new, old in enumerate(order)}
-    for node in nodes:
-        if node.feature >= 0:
-            node.left, node.right = new_id[node.left], new_id[node.right]
-    return [nodes[i] for i in order]
+        node = stack.pop()
+        order.append(node)
+        left, right = children[2 * node], children[2 * node + 1]
+        if left != node:
+            stack += [right, left]
+    new_id = np.empty(len(order), dtype=np.intp)
+    new_id[order] = np.arange(len(order))
+    tree.feature_ = tree.feature_[order]
+    tree.threshold_ = tree.threshold_[order]
+    tree.children_ = new_id[tree.children_.reshape(-1, 2)[order]].ravel()
+    tree.value_ = tree.value_[order]
 
 
 def _grow(
@@ -246,38 +279,48 @@ def _grow(
         proba = counts / n_rows[:, None]
         return [p if is_leaf else None for p, is_leaf in zip(proba, leaf.tolist())]
 
-    def attach(t: int, node: _TreeNode, parent: _TreeNode | None, is_left: bool) -> None:
-        node_id = len(trees[t].nodes_)
-        trees[t].nodes_.append(node)
-        if parent is not None:
-            if is_left:
-                parent.left = node_id
-            else:
-                parent.right = node_id
+    # Each tree's node arrays (see the module docstring), grown as lists.
+    features = [[] for _ in trees]
+    thresholds = [[] for _ in trees]
+    children = [[] for _ in trees]
+    values = [[] for _ in trees]
+    depths = [0] * len(trees)
+    split_value = np.zeros(n_classes)
 
-    for tree in trees:
-        tree.n_classes_ = n_classes
-        tree.n_features_in_ = d
-        tree.nodes_ = []
+    def attach(
+        t: int, slot: int, depth: int, value: np.ndarray, feature: int = 0, threshold: float = 0.0
+    ) -> int:
+        """Add a node to tree ``t`` at ``children[t][slot]`` (the root has
+        no slot) and return its id.  It loops to itself until its own
+        children attach."""
+        node_id = len(values[t])
+        if slot >= 0:
+            children[t][slot] = node_id
+        features[t].append(feature)
+        thresholds[t].append(threshold)
+        children[t] += (node_id, node_id)
+        values[t].append(value)
+        depths[t] = max(depths[t], depth)
+        return node_id
+
     # A stack entry is a node to visit: (rows, class counts, depth, its
-    # class distribution if it is a leaf, parent node, whether it is the
-    # parent's left child).
+    # class distribution if it is a leaf, its slot in its parent's children).
     counts = np.array([np.bincount(y[rows], minlength=n_classes) for rows in samples])
     roots = zip(samples, counts, leaf_probas(counts, np.zeros(len(trees))))
-    stacks = [[(rows, c, 0, proba, None, True)] for rows, c, proba in roots]
+    stacks = [[(rows, c, 0, proba, -1)] for rows, c, proba in roots]
     while True:
-        waiting = []  # (tree, rows, counts, depth, parent, is_left, features)
+        waiting = []  # (tree, rows, counts, depth, slot, features)
         for t, stack in enumerate(stacks):
             while stack:
-                rows, c, depth, proba, parent, is_left = stack.pop()
+                rows, c, depth, proba, slot = stack.pop()
                 if proba is not None:
-                    attach(t, _TreeNode(proba=proba), parent, is_left)
+                    attach(t, slot, depth, proba)
                     continue
                 if draws:
-                    features = rngs[t].choice(d, size=n_split_features, replace=False)
-                    waiting.append((t, rows, c, depth, parent, is_left, features))
+                    drawn = rngs[t].choice(d, size=n_split_features, replace=False)
+                    waiting.append((t, rows, c, depth, slot, drawn))
                     break  # the tree's next node depends on this split
-                waiting.append((t, rows, c, depth, parent, is_left, all_features))
+                waiting.append((t, rows, c, depth, slot, all_features))
         if not waiting:
             break
         counts = np.array([w[2] for w in waiting])
@@ -286,7 +329,7 @@ def _grow(
             keys_table,
             [w[1] for w in waiting],
             counts,
-            np.array([w[6] for w in waiting]),
+            np.array([w[5] for w in waiting]),
             criterion=params.criterion,
             min_samples_leaf=params.min_samples_leaf,
         )
@@ -305,23 +348,30 @@ def _grow(
         child_depth = np.array([waiting[i][3] + 1 for i in split_nodes])
         child_proba = leaf_probas(np.concatenate((left, right)), np.tile(child_depth, 2))
         no_split_proba = counts / counts.sum(axis=1, keepdims=True)
-        features, thresholds = splits.feature.tolist(), splits.threshold.tolist()
+        split_features, split_thresholds = splits.feature.tolist(), splits.threshold.tolist()
         split_of = {i: k for k, i in enumerate(split_nodes)}
-        for i, (t, _, _, depth, parent, is_left, _) in enumerate(waiting):
+        for i, (t, _, _, depth, slot, _) in enumerate(waiting):
             k = split_of.get(i)
             if k is None:
-                attach(t, _TreeNode(proba=no_split_proba[i]), parent, is_left)
+                attach(t, slot, depth, no_split_proba[i])
                 continue
-            node = _TreeNode(feature=features[k], threshold=thresholds[k])
-            attach(t, node, parent, is_left)
+            node_id = attach(t, slot, depth, split_value, split_features[k], split_thresholds[k])
             # The right child goes on the stack first, so the left is visited first.
             right_k = right_rows[right_bounds[k] : right_bounds[k + 1]]
             left_k = left_rows[left_bounds[k] : left_bounds[k + 1]]
-            stacks[t].append((right_k, right[k], depth + 1, child_proba[len(features) + k], node, False))
-            stacks[t].append((left_k, left[k], depth + 1, child_proba[k], node, True))
-    if not draws:
-        for tree in trees:
-            tree.nodes_ = _preorder(tree.nodes_)
+            right_proba = child_proba[len(split_nodes) + k]
+            stacks[t].append((right_k, right[k], depth + 1, right_proba, 2 * node_id + 1))
+            stacks[t].append((left_k, left[k], depth + 1, child_proba[k], 2 * node_id))
+    for t, tree in enumerate(trees):
+        tree.n_classes_ = n_classes
+        tree.n_features_in_ = d
+        tree.feature_ = np.array(features[t], dtype=np.intp)
+        tree.threshold_ = np.array(thresholds[t], dtype=np.float64)
+        tree.children_ = np.array(children[t], dtype=np.intp)
+        tree.value_ = np.array(values[t])
+        tree.depth_ = depths[t]
+        if not draws:
+            _preorder(tree)
 
 
 class DecisionTreeClassifier:
@@ -363,7 +413,11 @@ class DecisionTreeClassifier:
         self.max_features = max_features
         self.criterion = criterion
         self.random_state = random_state
-        self.nodes_: list[_TreeNode] = []
+        self.feature_: np.ndarray | None = None
+        self.threshold_: np.ndarray | None = None
+        self.children_: np.ndarray | None = None
+        self.value_: np.ndarray | None = None
+        self.depth_: int | None = None
         self.n_classes_: int | None = None
         self.n_features_in_: int | None = None
 
@@ -386,45 +440,29 @@ class DecisionTreeClassifier:
 
     # ------------------------------------------------------------------ #
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        if not self.nodes_ or self.n_classes_ is None:
+        if self.value_ is None or self.n_classes_ is None:
             raise RuntimeError("DecisionTreeClassifier is not fitted")
         X = check_predict_input(X, self.n_features_in_)
-        n = X.shape[0]
-        out = np.zeros((n, self.n_classes_))
-        # Iterative routing: frontier of (node_id, row indices).
-        frontier = [(0, np.arange(n, dtype=np.intp))]
-        while frontier:
-            node_id, rows = frontier.pop()
-            if rows.size == 0:
-                continue
-            node = self.nodes_[node_id]
-            if node.feature < 0:
-                out[rows] = node.proba
-                continue
-            go_left = X[rows, node.feature] <= node.threshold
-            frontier.append((node.left, rows[go_left]))
-            frontier.append((node.right, rows[~go_left]))
-        return out
+        return self._leaf_values(X.ravel(), np.arange(X.shape[0]) * X.shape[1])
+
+    def _leaf_values(self, Xf: np.ndarray, row_base: np.ndarray) -> np.ndarray:
+        """The class distribution of the leaf each row reaches, for the
+        validated rows laid out as :func:`_leaf_walk` takes them."""
+        leaves = _leaf_walk(
+            Xf, row_base, self.feature_, self.threshold_, self.children_, self.depth_
+        )
+        return self.value_.take(leaves, axis=0)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return np.argmax(self.predict_proba(X), axis=1).astype(np.int64)
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes_)
+        return 0 if self.feature_ is None else self.feature_.size
 
     @property
     def depth(self) -> int:
         """Actual depth of the fitted tree."""
-        if not self.nodes_:
+        if self.depth_ is None:
             raise RuntimeError("DecisionTreeClassifier is not fitted")
-        depth = 0
-        stack = [(0, 0)]
-        while stack:
-            node_id, node_depth = stack.pop()
-            node = self.nodes_[node_id]
-            if node.feature < 0:
-                depth = max(depth, node_depth)
-            else:
-                stack += [(node.left, node_depth + 1), (node.right, node_depth + 1)]
-        return depth
+        return self.depth_

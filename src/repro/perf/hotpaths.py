@@ -27,7 +27,10 @@ registry dataset):
   argsort split search, one node at a time (seed), versus the lockstep
   grower with one batched histogram split search per round over every
   tree's waiting node (current).  Both sides must predict the same
-  probability bits before the speedup is recorded;
+  probability bits before the speedup is recorded.  The seed forest
+  predicts with its own walk, a frontier of row sets routed down each
+  tree's node list, and the current one with the level-synchronous walk
+  over flat node arrays, so the check pins the two walks as well;
 * ``lr_fit`` — a logistic regression fit in the paper's configuration
   (``max_iter=500``, standardized columns): the seed objective versus the
   fused one.  Both sides must reach the same coefficient bits, iteration
@@ -307,8 +310,8 @@ def _table_benchmarks(
         current_proba = fit_forest(RandomForestClassifier).predict_proba(X)
         if seed_proba.tobytes() != current_proba.tobytes():
             raise AssertionError(
-                f"cart_fit on {dataset}: the lockstep grower changed "
-                "the forest's predict_proba bits"
+                f"cart_fit on {dataset}: the lockstep grower or the level "
+                "walk changed the forest's predict_proba bits"
             )
         records.append(
             compare(

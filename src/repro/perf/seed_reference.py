@@ -13,7 +13,13 @@ The CART tree is kept the same way: :func:`seed_cart_best_split` is the
 per-feature argsort search that the histogram search in
 :mod:`repro.models.tree` replaced, and :class:`SeedSplitTree` /
 :class:`SeedSplitForest` grow trees with it, one node at a time, by the
-recursive builder that the lockstep grower replaced.
+recursive builder that the lockstep grower replaced.  Their trees are
+lists of :class:`_TreeNode` objects, predicted by routing a frontier of
+row sets down from the root, tree by tree: the walk that the
+level-synchronous walk over flat node arrays replaced.  The gradient
+boosting model's node lists and frontier walk are kept the same way, in
+:class:`SeedHistTree`, grown by :class:`SeedHistTreeBuilder` inside
+:class:`SeedFrontierBoosting`.
 
 The logistic-regression objective is kept the same way:
 :class:`SeedObjectiveLR` fits with the seed objective (a row max along
@@ -26,14 +32,17 @@ Nothing here is used by the production edit loop.
 
 from __future__ import annotations
 
+import heapq
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from repro.data.table import Table
+from repro.models.boosting import GradientBoostingClassifier, _HistTreeBuilder
 from repro.models.forest import RandomForestClassifier
 from repro.models.logistic import LogisticRegression
-from repro.models.tree import DecisionTreeClassifier, _impurity_from_counts, _TreeNode
+from repro.models.tree import DecisionTreeClassifier, _impurity_from_counts
 from repro.neighbors import BruteKNN, TableNeighborSpace
 from repro.neighbors.brute import SELF_DISTANCE_TOL
 from repro.rules.predicate import Predicate
@@ -44,7 +53,7 @@ from repro.sampling.rule_generation import (
     sample_in_window,
 )
 from repro.utils.rng import check_random_state, spawn_rng
-from repro.utils.validation import check_fit_inputs
+from repro.utils.validation import check_fit_inputs, check_predict_input
 
 
 def seed_topk_from_dists(
@@ -226,9 +235,19 @@ def seed_cart_best_split(
     return best_feat, best_thr
 
 
+@dataclass
+class _TreeNode:
+    feature: int = -1  # -1 marks a leaf
+    threshold: float = 0.0
+    left: int = -1  # child node ids
+    right: int = -1
+    proba: np.ndarray | None = None  # leaf class distribution
+
+
 class SeedSplitTree(DecisionTreeClassifier):
     """A CART tree grown node by node, recursively, with the splits of
-    :func:`seed_cart_best_split`."""
+    :func:`seed_cart_best_split`, kept as a list of :class:`_TreeNode` and
+    predicted by routing a frontier of row sets down from the root."""
 
     def fit(self, X: np.ndarray, y: np.ndarray, *, n_classes: int | None = None) -> "SeedSplitTree":
         X, y, n_classes = check_fit_inputs(X, y, n_classes, model="tree")
@@ -280,6 +299,27 @@ class SeedSplitTree(DecisionTreeClassifier):
         self.nodes_[node_id].right = right_id
         return node_id
 
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        if not self.nodes_ or self.n_classes_ is None:
+            raise RuntimeError("DecisionTreeClassifier is not fitted")
+        X = check_predict_input(X, self.n_features_in_)
+        n = X.shape[0]
+        out = np.zeros((n, self.n_classes_))
+        # Iterative routing: frontier of (node_id, row indices).
+        frontier = [(0, np.arange(n, dtype=np.intp))]
+        while frontier:
+            node_id, rows = frontier.pop()
+            if rows.size == 0:
+                continue
+            node = self.nodes_[node_id]
+            if node.feature < 0:
+                out[rows] = node.proba
+                continue
+            go_left = X[rows, node.feature] <= node.threshold
+            frontier.append((node.left, rows[go_left]))
+            frontier.append((node.right, rows[~go_left]))
+        return out
+
 
 class SeedSplitForest(RandomForestClassifier):
     """A random forest of :class:`SeedSplitTree` trees, grown one by one."""
@@ -303,6 +343,101 @@ class SeedSplitForest(RandomForestClassifier):
             )
             self.trees_.append(tree._fit_rows(X, y, n_classes, rows))
         return self
+
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        if not self.trees_ or self.n_classes_ is None:
+            raise RuntimeError("RandomForestClassifier is not fitted")
+        X = check_predict_input(X, self.n_features_in_)
+        proba = np.zeros((X.shape[0], self.n_classes_))
+        for tree in self.trees_:
+            proba += tree.predict_proba(X)
+        proba /= len(self.trees_)
+        return proba
+
+
+@dataclass
+class _SplitNode:
+    feature: int
+    bin_threshold: int
+    left: "int"
+    right: "int"
+
+
+@dataclass
+class SeedHistTree:
+    """Flattened tree: ``nodes[i]`` is a _SplitNode or a float leaf value."""
+
+    nodes: list = field(default_factory=list)
+
+    def predict_binned(self, B: np.ndarray) -> np.ndarray:
+        out = np.zeros(B.shape[0])
+        frontier = [(0, np.arange(B.shape[0], dtype=np.intp))]
+        while frontier:
+            node_id, rows = frontier.pop()
+            if rows.size == 0:
+                continue
+            node = self.nodes[node_id]
+            if isinstance(node, float):
+                out[rows] = node
+                continue
+            go_left = B[rows, node.feature] <= node.bin_threshold
+            frontier.append((node.left, rows[go_left]))
+            frontier.append((node.right, rows[~go_left]))
+        return out
+
+
+class SeedHistTreeBuilder(_HistTreeBuilder):
+    """Leaf-wise growth into a :class:`SeedHistTree`'s list of nodes."""
+
+    def build(self, B: np.ndarray, g: np.ndarray, h: np.ndarray) -> SeedHistTree:
+        lam = self.reg_lambda
+
+        def leaf_value(idx: np.ndarray) -> float:
+            return float(-g[idx].sum() / (h[idx].sum() + lam))
+
+        tree = SeedHistTree()
+        root_idx = np.arange(B.shape[0], dtype=np.intp)
+        tree.nodes.append(leaf_value(root_idx))
+        if root_idx.size < 2 * self.min_child_samples:
+            return tree
+
+        # Leaf-wise growth: a heap of candidate splits keyed by -gain.
+        heap: list[tuple[float, int, int, int, int, np.ndarray]] = []
+        counter = 0  # tiebreaker so ndarray never gets compared
+
+        def push(node_id: int, idx: np.ndarray, depth: int) -> None:
+            nonlocal counter
+            if self.max_depth is not None and depth >= self.max_depth:
+                return
+            if idx.size < 2 * self.min_child_samples:
+                return
+            gain, f, b = self.best_split(B, g, h, idx)
+            if gain > self.min_gain:
+                heapq.heappush(heap, (-gain, counter, node_id, f, b, idx, depth))
+                counter += 1
+
+        push(0, root_idx, 0)
+        n_leaves = 1
+        while heap and n_leaves < self.max_leaves:
+            _, _, node_id, f, b, idx, depth = heapq.heappop(heap)
+            go_left = B[idx, f] <= b
+            left_idx, right_idx = idx[go_left], idx[~go_left]
+            left_id = len(tree.nodes)
+            tree.nodes.append(leaf_value(left_idx))
+            right_id = len(tree.nodes)
+            tree.nodes.append(leaf_value(right_idx))
+            tree.nodes[node_id] = _SplitNode(f, b, left_id, right_id)
+            n_leaves += 1
+            push(left_id, left_idx, depth + 1)
+            push(right_id, right_idx, depth + 1)
+        return tree
+
+
+class SeedFrontierBoosting(GradientBoostingClassifier):
+    """A GBDT whose trees are :class:`SeedHistTree` node lists, in fit as
+    in prediction."""
+
+    _tree_builder = SeedHistTreeBuilder
 
 
 def seed_softmax(Z: np.ndarray) -> np.ndarray:

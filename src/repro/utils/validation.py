@@ -39,11 +39,16 @@ def check_fit_inputs(
         raise ValueError(f"cannot fit a {model} on an empty dataset")
     if n_classes is None:
         n_classes = int(y.max()) + 1
-    if y.min() < 0 or y.max() >= n_classes:
+    check_labels(y, n_classes)
+    return X, y, n_classes
+
+
+def check_labels(y: np.ndarray, n_classes: int) -> None:
+    """Require every label of ``y`` to lie in ``[0, n_classes)``."""
+    if y.size and (y.min() < 0 or y.max() >= n_classes):
         raise ValueError(
             f"labels must lie in [0, {n_classes}), got [{y.min()}, {y.max()}]"
         )
-    return X, y, n_classes
 
 
 def check_predict_input(X, n_features: int) -> np.ndarray:

@@ -45,6 +45,19 @@ class TestPartialFit:
         with pytest.raises(ValueError, match="initialized"):
             m.partial_fit(np.zeros((5, 4)), np.zeros(5, dtype=int), n_classes=2)
 
+    @pytest.mark.parametrize("label", [-1, 2])
+    def test_label_outside_n_classes_raises(self, label):
+        # -1 would index the last class's column, 2 past the last one.
+        X, y = _data()
+        m = OnlineLogisticRegression(random_state=0).fit(X, y)
+        W = m.W_.copy()
+        bad = np.array([0, label])
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 2\)"):
+            m.partial_fit(X[:2], bad)
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 2\)"):
+            m.partial_update(X[:2], bad)
+        np.testing.assert_array_equal(m.W_, W)
+
     def test_adapts_to_new_labels(self):
         """Online updates on flipped labels must move predictions toward them."""
         X, y = _data()

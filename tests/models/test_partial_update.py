@@ -99,6 +99,14 @@ class TestGaussianNBPartialUpdate:
         Xq = rng.normal(size=(80, 4))
         np.testing.assert_array_equal(inc.predict(Xq), full.predict(Xq))
 
+    def test_rejects_other_widths(self):
+        X, y = random_xy(60, 9, d=3)
+        model = GaussianNB().fit(X, y, n_classes=3)
+        theta = model.theta_.copy()
+        with pytest.raises(ValueError, match="X has 1 features, but the model was fitted on 3"):
+            model.partial_update(X[:5, :1], y[:5])
+        np.testing.assert_array_equal(model.theta_, theta)
+
     def test_rollback_restores_exactly(self):
         X, y = random_xy(120, 7)
         inc = GaussianNB().fit(X, y, n_classes=3)

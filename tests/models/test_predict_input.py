@@ -14,6 +14,7 @@ from repro.models import (
     GradientBoostingClassifier,
     KNeighborsClassifier,
     LogisticRegression,
+    OnlineLogisticRegression,
     RandomForestClassifier,
 )
 
@@ -24,6 +25,7 @@ MODELS = {
     "lr": LogisticRegression,
     "knn": lambda: KNeighborsClassifier(3),
     "nb": GaussianNB,
+    "online_lr": lambda: OnlineLogisticRegression(random_state=0),
 }
 
 

@@ -104,7 +104,7 @@ class TestFit:
         X = np.array([[lo], [hi], [2.0]])
         y = np.array([0, 1, 1])
         m = DecisionTreeClassifier().fit(X, y)
-        assert m.nodes_[0].threshold == lo
+        assert m.threshold_[0] == lo
         np.testing.assert_array_equal(m.predict(X), y)
 
 

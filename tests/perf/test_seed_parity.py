@@ -220,16 +220,64 @@ cart_params = st.fixed_dictionaries(
 
 
 def _node_list(tree: DecisionTreeClassifier) -> list[tuple]:
-    return [
-        (
-            node.feature,
-            np.float64(node.threshold).tobytes(),
-            node.left,
-            node.right,
-            None if node.proba is None else node.proba.tobytes(),
-        )
+    """Each node as (feature, threshold bytes, left, right, leaf class
+    distribution bytes); a leaf's feature and children are -1, its
+    threshold 0.0, and a split has no distribution.  A seed tree holds
+    :class:`_TreeNode` objects, a current tree flat arrays whose leaves
+    are the nodes that are their own children and whose splits hold rows
+    of zeros."""
+    if isinstance(tree, seed_ref.SeedSplitTree):
+        return [
+            (
+                node.feature,
+                np.float64(node.threshold).tobytes(),
+                node.left,
+                node.right,
+                None if node.proba is None else node.proba.tobytes(),
+            )
+            for node in tree.nodes_
+        ]
+    nodes = []
+    for i in range(tree.n_nodes):
+        left, right = tree.children_[2 * i : 2 * i + 2].tolist()
+        value = tree.value_[i]
+        if left == right == i:
+            nodes.append((-1, np.float64(0.0).tobytes(), -1, -1, value.tobytes()))
+        else:
+            nodes.append(
+                (
+                    int(tree.feature_[i]),
+                    tree.threshold_[i].tobytes(),
+                    left,
+                    right,
+                    value.tobytes() if value.any() else None,
+                )
+            )
+    return nodes
+
+
+def _query_rows(X: np.ndarray, trees: list[seed_ref.SeedSplitTree]) -> np.ndarray:
+    """Copies of the rows of ``X``, one block per (column, value), with
+    the column set to the value: every fitted threshold of ``trees`` and
+    its ``np.nextafter`` neighbours, and ±0.0 and values outside the
+    training range in every column."""
+    settings = [
+        (node.feature, value)
+        for tree in trees
         for node in tree.nodes_
+        if node.feature >= 0
+        for value in (
+            node.threshold,
+            np.nextafter(node.threshold, -np.inf),
+            np.nextafter(node.threshold, np.inf),
+        )
     ]
+    outside = (X.min() - 1.0, X.max() + 1.0, -1e300, 1e300)
+    settings += [(f, v) for f in range(X.shape[1]) for v in (0.0, -0.0, *outside)]
+    Q = np.tile(X, (len(settings), 1))
+    for block, (f, v) in enumerate(settings):
+        Q[block * X.shape[0] : (block + 1) * X.shape[0], f] = v
+    return Q
 
 
 class TestCartSplitParity:
@@ -244,7 +292,8 @@ class TestCartSplitParity:
         current = DecisionTreeClassifier(**params).fit(X, y, n_classes=n_classes)
         seed = seed_ref.SeedSplitTree(**params).fit(X, y, n_classes=n_classes)
         assert _node_list(current) == _node_list(seed)
-        assert current.predict_proba(X).tobytes() == seed.predict_proba(X).tobytes()
+        for Q in (X, _query_rows(X, [seed])):
+            assert current.predict_proba(Q).tobytes() == seed.predict_proba(Q).tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -271,7 +320,62 @@ class TestCartSplitParity:
         assert [_node_list(t) for t in current.trees_] == [
             _node_list(t) for t in seed.trees_
         ]
-        assert current.predict_proba(X).tobytes() == seed.predict_proba(X).tobytes()
+        for Q in (X, _query_rows(X, seed.trees_)):
+            assert current.predict_proba(Q).tobytes() == seed.predict_proba(Q).tobytes()
+
+
+@st.composite
+def gbdt_problems(draw):
+    """Small boosting problems, binary or multiclass, some with a constant
+    column (never split on), with query rows on and beside the
+    bin edges, at ±0.0 and outside the training range."""
+    n = draw(st.integers(min_value=2, max_value=80))
+    d = draw(st.integers(min_value=1, max_value=4))
+    n_classes = draw(st.integers(min_value=2, max_value=4))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    X = rng.normal(size=(n, d))
+    if draw(st.booleans()):
+        X[:, rng.integers(0, d)] = 1.5  # a constant column
+    if draw(st.booleans()):
+        X = np.round(X, 1)  # ties
+    y = rng.integers(0, n_classes, n)
+    params = draw(
+        st.fixed_dictionaries(
+            {
+                "n_estimators": st.integers(min_value=1, max_value=4),
+                "max_depth": st.sampled_from([None, 1, 3]),
+                "max_leaves": st.sampled_from([2, 4, 31]),
+                "max_bins": st.sampled_from([3, 16, 255]),
+            }
+        )
+    )
+    values = np.concatenate(
+        [X.ravel(), [0.0, -0.0, X.min() - 1.0, X.max() + 1.0, -1e300, 1e300]]
+    )
+    Q = rng.choice(values, size=(4 * n, d))
+    return X, y, n_classes, params, Q
+
+
+class TestBoostingWalkParity:
+    """Boosted trees as flat node arrays, walked one level at a time,
+    score every row as the seed's node lists walked by a frontier of row
+    sets: same bits in fit (each round's scores feed the next round's
+    gradients) and in prediction."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(problem=gbdt_problems())
+    def test_bit_for_bit(self, problem):
+        X, y, n_classes, params, Q = problem
+        current = GradientBoostingClassifier(**params).fit(X, y, n_classes=n_classes)
+        seed = seed_ref.SeedFrontierBoosting(**params).fit(X, y, n_classes=n_classes)
+        edges = np.concatenate(current.binner_.edges_)
+        beside = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+        on_edges = np.repeat(beside[:, None], X.shape[1], axis=1)
+        for rows in (X, Q, on_edges):
+            for method in ("decision_function", "predict_proba"):
+                a = getattr(current, method)(rows)
+                b = getattr(seed, method)(rows)
+                assert a.tobytes() == b.tobytes()
 
 
 @st.composite
