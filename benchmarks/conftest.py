@@ -2,9 +2,8 @@
 
 Most benches regenerate one of the paper's tables or figures at reduced
 scale, print the ASCII rendering, and persist it under
-``benchmarks/results/`` so the output survives pytest's capture; the
-``perf/`` benches additionally write ``BENCH_*.json`` at the repo root
-(see README.md in this directory for the full catalogue).
+``benchmarks/results/`` so the output survives pytest's capture (see
+README.md in this directory for the full catalogue).
 """
 
 from __future__ import annotations

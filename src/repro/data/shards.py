@@ -418,7 +418,7 @@ class ShardedArray:
         return len(self._shards) * self.shard_rows
 
     def storage_stats(self) -> dict[str, int]:
-        """Shard counts and byte totals, for tests and the perf harness."""
+        """Shard counts and byte totals, for tests and the out-of-core guard."""
         heap = sum(s.nbytes for s in self._shards if not s.spilled)
         spilled = sum(s.nbytes for s in self._shards if s.spilled)
         return {

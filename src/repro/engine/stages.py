@@ -428,7 +428,7 @@ class EditEngine:
         Each stage is timed into ``state.stage_seconds`` (stage class
         name → seconds, reset every step) so per-iteration progress
         events carry a structured wall-time breakdown — incremental
-        savings are observable without the perf harness.
+        savings are observable without a benchmark.
         """
         state.stage_seconds = {}
         for stage in self.stages:

@@ -10,7 +10,7 @@ Usage::
     python -m repro.experiments table3 --dataset car --model LR
     python -m repro.experiments table6 --dataset mushroom
     python -m repro.experiments ablation --dataset car --model LR --parameter k
-    python -m repro.experiments bench   --quick
+    python -m repro.experiments bench-mem --quick
     python -m repro.experiments run-spec path/to/spec.json --workers 4 --store runs/
     python -m repro.experiments status  path/to/spec.json --store runs/
 
@@ -20,22 +20,15 @@ ExperimentSpec` JSON file: ``--workers N`` fans runs out over processes
 spec hash so an interrupted grid resumes where it stopped; ``status`` reports a
 grid's completion counts against a store without running anything.
 
-``bench`` runs the performance harness (also installed as the
-``repro-bench`` console script) and writes ``BENCH_hotpaths.json`` and
-``BENCH_end2end.json`` to ``--out-dir`` (default: the current directory).
-``bench-check`` compares the written ``BENCH_end2end.json`` against the
-checked-in baseline (``--baseline``) and exits non-zero past a
-``--threshold`` geomean wall-time regression — the CI perf guard.
-``bench-mem`` asserts the ``out_of_core`` scenario's peak-RSS budget
-(the CI memory guard), and ``bench-ratchet`` proposes a refreshed
-baseline to ``--propose-dir`` when the suite is consistently at least
-``--improvement`` faster than the checked-in one (always exits zero;
-the CI job uploads the proposal as an artifact).  ``bench-journal``
+``bench-mem`` is the CI memory guard: it runs the out-of-core streaming
+workload in a fresh worker process and exits non-zero when the worker's
+peak RSS exceeds its ``budget * 1.5 + 48 MiB`` bound.  ``bench-journal``
 runs the journaled-serving overhead benchmark: serving with journals
 must match serving without bit-for-bit, every journal must replay, and
-journal I/O must stay under ``$BENCH_JOURNAL_OVERHEAD_PCT`` (default
-5%) of serving time — exits non-zero otherwise; journals are kept
-under ``--out-dir`` for CI artifact upload.
+journal I/O must stay under 5% of serving time — exits non-zero
+otherwise; journals are kept under ``--out-dir`` for CI artifact upload.
+``--quick`` selects the CI-sized configuration of either guard.  Speed
+is measured by the edit-run benchmark, ``perfbench/run.py``.
 
 Common options: ``--runs`` (repetitions), ``--tau`` (FROTE iteration
 limit), ``--seed``, ``--save out.json`` (persist raw records).
@@ -49,7 +42,6 @@ included) and the model registry.  Each exits immediately.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -76,8 +68,7 @@ from repro.experiments.tables import (
 
 EXPERIMENTS = (
     "fig2", "fig3", "fig9", "table1", "table2", "table3", "table6", "ablation",
-    "bench", "bench-check", "bench-mem", "bench-ratchet", "bench-journal",
-    "all", "run-spec", "status",
+    "bench-mem", "bench-journal", "all", "run-spec", "status",
 )
 
 
@@ -139,55 +130,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="bench: CI-sized configuration (smaller inputs, fewer repeats)",
+        help="bench-mem/bench-journal: CI-sized configuration",
     )
     parser.add_argument(
         "--out-dir",
         default=".",
-        help="bench: directory for BENCH_hotpaths.json / BENCH_end2end.json "
-        "(default: current directory, i.e. the repo root)",
-    )
-    parser.add_argument(
-        "--only",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help="bench: run only this hot-path benchmark or end2end scenario "
-        "(repeatable; names are partitioned across the two suites, and a "
-        "suite with no selected names is skipped entirely). A written "
-        "BENCH_*.json is then partial — use a dedicated --out-dir, not "
-        "the bench-check baseline workflow",
+        help="bench-journal: the journals are kept under OUT_DIR/journals",
     )
     parser.add_argument(
         "--scale",
         default="bench",
         choices=("smoke", "bench", "paper"),
         help="scale for the 'all' suite",
-    )
-    parser.add_argument(
-        "--baseline",
-        default="benchmarks/baselines/BENCH_end2end.baseline.json",
-        help="bench-check: checked-in baseline BENCH_end2end payload",
-    )
-    parser.add_argument(
-        "--threshold",
-        type=float,
-        default=None,
-        help="bench-check: maximum tolerated geomean wall-time regression "
-        "(default: $BENCH_REGRESSION_THRESHOLD or 0.30)",
-    )
-    parser.add_argument(
-        "--improvement",
-        type=float,
-        default=None,
-        help="bench-ratchet: geomean speedup fraction required before a "
-        "baseline refresh is proposed (default 0.15)",
-    )
-    parser.add_argument(
-        "--propose-dir",
-        default="ratchet",
-        help="bench-ratchet: directory for the proposed refreshed baseline "
-        "(uploaded as a CI artifact when a ratchet qualifies)",
     )
     return parser
 
@@ -249,155 +203,36 @@ def format_models() -> str:
     )
 
 
-def run_bench(args: argparse.Namespace) -> tuple[list[dict], str]:
-    """Run the perf harness and write ``BENCH_*.json`` to ``--out-dir``."""
-    from dataclasses import asdict
-
-    from repro.perf import (
-        END2END_NAMES,
-        HOTPATH_NAMES,
-        format_records,
-        run_end2end_benchmarks,
-        run_hotpath_benchmarks,
-        write_end2end_json,
-        write_hotpaths_json,
-    )
-
-    only = getattr(args, "only", None)
-    if only is None:
-        hot_only: list[str] | None = None
-        e2e_only: list[str] | None = None
-        run_hot = run_e2e = True
-    else:
-        unknown = [
-            name
-            for name in only
-            if name not in HOTPATH_NAMES and name not in END2END_NAMES
-        ]
-        if unknown:
-            raise SystemExit(
-                f"unknown bench name(s) {unknown}; "
-                f"hot paths: {list(HOTPATH_NAMES)}; "
-                f"end2end scenarios: {list(END2END_NAMES)}"
-            )
-        hot_only = [name for name in only if name in HOTPATH_NAMES]
-        e2e_only = [name for name in only if name in END2END_NAMES]
-        run_hot = bool(hot_only)
-        run_e2e = bool(e2e_only)
-    sections = []
-    hot: list = []
-    e2e: list = []
-    mode = "quick" if args.quick else "full"
-    if run_hot:
-        hot = run_hotpath_benchmarks(quick=args.quick, seed=args.seed, only=hot_only)
-        hot_path = write_hotpaths_json(
-            hot, out_dir=args.out_dir, quick=args.quick, seed=args.seed
-        )
-        sections.append(
-            format_records(hot, f"Hot-path benchmarks ({mode}) -> {hot_path}")
-        )
-    if run_e2e:
-        e2e = run_end2end_benchmarks(quick=args.quick, seed=args.seed, only=e2e_only)
-        e2e_path = write_end2end_json(
-            e2e, out_dir=args.out_dir, quick=args.quick, seed=args.seed
-        )
-        sections.append(
-            format_records(e2e, f"End-to-end benchmarks ({mode}) -> {e2e_path}")
-        )
-    text = "\n\n".join(sections)
-    return [asdict(r) for r in hot] + [asdict(r) for r in e2e], text
-
-
-def bench_check_cmd(args: argparse.Namespace) -> tuple[list[dict], str]:
-    """``bench-check``: CI guard comparing BENCH_end2end.json to a baseline.
-
-    Exits non-zero on a >threshold geomean wall-time regression or a
-    baseline scenario missing from the current payload.
-    """
-    from dataclasses import asdict
-
-    from repro.perf.regression import compare_end2end, load_payload
-
-    current = _current_end2end(args)
-    baseline_path = Path(args.baseline)
-    if not baseline_path.exists():
-        raise SystemExit(f"baseline not found: {baseline_path}")
-    report = compare_end2end(
-        current,
-        load_payload(baseline_path),
-        threshold=args.threshold,
-    )
-    text = report.format()
-    if not report.ok:
-        print(text)
-        raise SystemExit(1)
-    return [asdict(e) for e in report.entries], text
-
-
-def _current_end2end(args: argparse.Namespace):
-    from repro.perf.regression import load_payload
-
-    current_path = Path(args.out_dir) / "BENCH_end2end.json"
-    if not current_path.exists():
-        raise SystemExit(
-            f"{current_path} not found; run "
-            "`python -m repro.experiments bench --quick` first"
-        )
-    return load_payload(current_path)
-
-
 def bench_mem_cmd(args: argparse.Namespace) -> tuple[list[dict], str]:
     """``bench-mem``: CI guard asserting the out-of-core peak-RSS budget.
 
-    Reads the ``out_of_core`` scenario from ``BENCH_end2end.json`` and
-    exits non-zero when its workload RSS exceeded ``budget * 1.5 +
-    tolerance`` (the bound the scenario's worker computed), or when the
-    scenario is missing — a spill regression either way.
+    Runs the streaming workload in a fresh worker process and exits
+    non-zero when its workload RSS exceeded ``budget * 1.5 + tolerance``
+    (the bound the worker computed) — a spill regression.
     """
-    from repro.perf.regression import memory_report
+    from repro.perf.oocbench import run_out_of_core
 
-    report = memory_report(_current_end2end(args))
-    text = report.format()
-    if not report.ok:
-        print(text)
-        raise SystemExit(1)
-    return [dict(e) for e in report.entries], text
-
-
-def bench_ratchet_cmd(args: argparse.Namespace) -> tuple[list[dict], str]:
-    """``bench-ratchet``: propose a refreshed baseline when consistently faster.
-
-    Advisory (always exits zero): when the fresh ``BENCH_end2end.json``
-    beats the checked-in baseline by the required geomean margin with no
-    individual scenario slower, the current payload is written to
-    ``--propose-dir`` for the CI job to upload as an artifact, and the
-    summary table is appended to ``$GITHUB_STEP_SUMMARY`` when set.
-    """
-    from dataclasses import asdict
-
-    from repro.perf.ratchet import DEFAULT_IMPROVEMENT, propose_ratchet, write_proposal
-    from repro.perf.regression import load_payload
-
-    current = _current_end2end(args)
-    baseline_path = Path(args.baseline)
-    if not baseline_path.exists():
-        raise SystemExit(f"baseline not found: {baseline_path}")
-    report = propose_ratchet(
-        current,
-        load_payload(baseline_path),
-        improvement=(
-            DEFAULT_IMPROVEMENT if args.improvement is None else args.improvement
-        ),
+    record = run_out_of_core(
+        budget_mb=24.0 if args.quick else 48.0, seed=args.seed
     )
-    lines = [report.format()]
-    if report.should_ratchet:
-        proposal = write_proposal(current, args.propose_dir)
-        lines.append(f"proposed baseline written to {proposal}")
-    summary_path = os.environ.get("GITHUB_STEP_SUMMARY")
-    if summary_path:
-        with open(summary_path, "a") as fh:
-            fh.write(report.markdown() + "\n")
-    return [asdict(e) for e in report.entries], "\n".join(lines)
+    lines = [
+        f"out-of-core: {record['rows']} rows ({record['dense_mb']:.1f} MiB "
+        f"dense) under a {record['budget_mb']:.0f} MiB budget, "
+        f"{record['n_spilled_shards']} shards spilled "
+        f"({record['spilled_mb']:.1f} MiB)",
+        f"  workload RSS {record['workload_rss_mb']:.1f} MiB, bound "
+        f"{record['rss_limit_mb']:.1f} MiB (budget * 1.5 + "
+        f"{record['tolerance_mb']:.0f} MiB tolerance)",
+    ]
+    if not record["within_budget"]:
+        lines.append(
+            f"FAIL: workload RSS {record['workload_rss_mb']:.1f} MiB exceeds "
+            f"the {record['rss_limit_mb']:.1f} MiB bound"
+        )
+        print("\n".join(lines))
+        raise SystemExit(1)
+    lines.append("OK: peak RSS within the memory budget")
+    return [record], "\n".join(lines)
 
 
 def bench_journal_cmd(args: argparse.Namespace) -> tuple[list[dict], str]:
@@ -409,33 +244,30 @@ def bench_journal_cmd(args: argparse.Namespace) -> tuple[list[dict], str]:
     exceeds the overhead threshold.  Journals land under
     ``--out-dir/journals`` so the CI job can upload them as an artifact.
     """
-    from dataclasses import asdict
-
     from repro.perf.journalbench import run_journal_bench
 
     journal_dir = Path(args.out_dir) / "journals"
     record = run_journal_bench(
         quick=args.quick, seed=args.seed, journal_dir=str(journal_dir)
     )
-    extra = record.extra
     lines = [
-        f"journaled serving: {extra['n_sessions']} sessions, "
-        f"{record.iterations} iterations, {extra['n_journals']} journals "
-        f"({extra['journal_records']} records) -> {journal_dir}",
-        f"  plain     {extra['plain_seconds']:.3f}s",
-        f"  journaled {extra['journaled_seconds']:.3f}s "
-        f"(wall delta {extra['wall_delta_pct']:+.1f}%, informational)",
-        f"  journal I/O {extra['journal_io_seconds'] * 1e3:.1f}ms = "
-        f"{extra['overhead_pct']:.2f}% of serving time "
-        f"(threshold {extra['threshold_pct']:.1f}%)",
-        f"  parity: {'ok' if extra['parity'] else 'FAILED'}, "
-        f"journal errors: {extra['journal_errors']}",
+        f"journaled serving: {record['n_sessions']} sessions, "
+        f"{record['iterations']} iterations, {record['n_journals']} journals "
+        f"({record['journal_records']} records) -> {journal_dir}",
+        f"  plain     {record['plain_seconds']:.3f}s",
+        f"  journaled {record['journaled_seconds']:.3f}s "
+        f"(wall delta {record['wall_delta_pct']:+.1f}%, informational)",
+        f"  journal I/O {record['journal_io_seconds'] * 1e3:.1f}ms = "
+        f"{record['overhead_pct']:.2f}% of serving time "
+        f"(threshold {record['threshold_pct']:.1f}%)",
+        f"  parity: {'ok' if record['parity'] else 'FAILED'}, "
+        f"journal errors: {record['journal_errors']}",
     ]
     text = "\n".join(lines)
-    if not extra["within_overhead"] or extra["journal_errors"]:
+    if not record["within_overhead"] or record["journal_errors"]:
         print(text)
         raise SystemExit(1)
-    return [asdict(record)], text
+    return [record], text
 
 
 def _load_spec(args: argparse.Namespace):
@@ -501,14 +333,8 @@ def status_cmd(args: argparse.Namespace) -> tuple[list[dict], str]:
 def run(args: argparse.Namespace) -> tuple[list[dict], str]:
     """Dispatch one experiment; returns (records, rendered text)."""
     common = dict(n_runs=args.runs, tau=args.tau, n=args.n, random_state=args.seed)
-    if args.experiment == "bench":
-        return run_bench(args)
-    if args.experiment == "bench-check":
-        return bench_check_cmd(args)
     if args.experiment == "bench-mem":
         return bench_mem_cmd(args)
-    if args.experiment == "bench-ratchet":
-        return bench_ratchet_cmd(args)
     if args.experiment == "bench-journal":
         return bench_journal_cmd(args)
     if args.experiment == "run-spec":
@@ -619,15 +445,6 @@ def main(argv: list[str] | None = None) -> int:
         )
         print(f"\nrecords written to {path}", file=sys.stderr)
     return 0
-
-
-def bench_main(argv: list[str] | None = None) -> int:
-    """Console entry point for ``repro-bench``: the perf harness alone.
-
-    ``repro-bench --quick`` is shorthand for
-    ``python -m repro.experiments.cli bench --quick``.
-    """
-    return main(["bench", *(argv if argv is not None else sys.argv[1:])])
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -23,7 +23,8 @@ child's class counts are its parent's chosen left or right counts.
 
 The result is bit-identical to a recursive builder that sorts each
 feature's values and scores every row position, the original tree, which
-is kept as :class:`repro.perf.seed_reference.SeedSplitTree`.  The one
+the test suite keeps as ``SeedSplitTree`` in its seed oracle under
+``tests/perf/`` (pinned by ``tests/perf/test_seed_parity.py``).  The one
 exception is a split between two adjacent floats whose midpoint rounds
 onto the upper one: there the original sent every row left and never
 stopped, and the lower value is the threshold here.

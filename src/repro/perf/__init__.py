@@ -1,101 +1,13 @@
-"""Performance measurement subsystem: hot-path and end-to-end benchmarks.
+"""Property guards that the edit-run benchmark cannot measure.
 
-Systems claims need first-class measurement infrastructure; this package
-is the library's.  It has three parts:
+Speed is measured end to end by the edit-run benchmark in ``perfbench/``
+at the repository root.  This package keeps the two CI guards that check
+properties perfbench does not see:
 
-* :mod:`repro.perf.seed_reference` — the original row-at-a-time hot-path
-  implementations, preserved verbatim for parity tests and speedup
-  measurement;
-* :mod:`repro.perf.hotpaths` / :mod:`repro.perf.end2end` — the benchmark
-  definitions;
-* :mod:`repro.perf.harness` — timing plus the versioned ``BENCH_*.json``
-  schema and writers;
-* :mod:`repro.perf.regression` / :mod:`repro.perf.ratchet` — the CI
-  guards: geomean wall-time comparison against the checked-in baseline,
-  the out-of-core peak-RSS budget check, and the baseline-refresh
-  ratchet proposal;
-* :mod:`repro.perf.oocbench` — the beyond-RAM streaming workload behind
-  the ``out_of_core`` scenario (run as a subprocess for clean peak-RSS
-  accounting).
-
-Run everything with ``repro-bench`` (or
-``python -m repro.experiments.cli bench``); add ``--quick`` for the
-CI-sized configuration.  ``benchmarks/perf/`` wraps the same entry points
-as pytest benchmarks.
+* :mod:`repro.perf.oocbench` — the out-of-core peak-RSS budget
+  (``python -m repro.experiments bench-mem``), measured in a fresh
+  worker process;
+* :mod:`repro.perf.journalbench` — journaled serving's I/O overhead
+  (at most 5% of serving time), bit-parity with plain serving, and
+  journal replay (``python -m repro.experiments bench-journal``).
 """
-
-from repro.perf.harness import (
-    END2END_FILENAME,
-    HOTPATHS_FILENAME,
-    SCHEMA_VERSION,
-    CompareRecord,
-    End2EndRecord,
-    format_records,
-    validate_bench_payload,
-    write_end2end_json,
-    write_hotpaths_json,
-)
-from repro.perf.ratchet import RatchetReport, propose_ratchet, write_proposal
-from repro.perf.regression import (
-    MemoryReport,
-    RegressionEntry,
-    RegressionReport,
-    compare_end2end,
-    load_payload,
-    memory_report,
-    regression_threshold,
-)
-
-__all__ = [
-    "SCHEMA_VERSION",
-    "HOTPATHS_FILENAME",
-    "END2END_FILENAME",
-    "CompareRecord",
-    "End2EndRecord",
-    "MemoryReport",
-    "RatchetReport",
-    "RegressionEntry",
-    "RegressionReport",
-    "compare_end2end",
-    "load_payload",
-    "memory_report",
-    "propose_ratchet",
-    "regression_threshold",
-    "write_proposal",
-    "format_records",
-    "validate_bench_payload",
-    "write_hotpaths_json",
-    "write_end2end_json",
-    "run_hotpath_benchmarks",
-    "run_end2end_benchmarks",
-    "HOTPATH_NAMES",
-    "END2END_NAMES",
-]
-
-
-def __getattr__(name):
-    # Benchmark-name vocabularies, without importing the (heavier)
-    # benchmark modules at package-import time.
-    if name == "HOTPATH_NAMES":
-        from repro.perf.hotpaths import HOTPATH_NAMES
-
-        return HOTPATH_NAMES
-    if name == "END2END_NAMES":
-        from repro.perf.end2end import END2END_NAMES
-
-        return END2END_NAMES
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def run_hotpath_benchmarks(**kwargs):
-    """Lazy forward to :func:`repro.perf.hotpaths.run_hotpath_benchmarks`."""
-    from repro.perf.hotpaths import run_hotpath_benchmarks as _run
-
-    return _run(**kwargs)
-
-
-def run_end2end_benchmarks(**kwargs):
-    """Lazy forward to :func:`repro.perf.end2end.run_end2end_benchmarks`."""
-    from repro.perf.end2end import run_end2end_benchmarks as _run
-
-    return _run(**kwargs)

@@ -11,7 +11,7 @@ journaling costs.  Three guards ride along:
   its session's live history;
 * journal I/O (write + flush + fsync wall time, accumulated inside
   :class:`~repro.journal.writer.JournalWriter`) stays under
-  ``BENCH_JOURNAL_OVERHEAD_PCT`` percent (default 5%) of serving time.
+  :data:`OVERHEAD_PCT` percent (5%) of serving time.
 
 The gate is the *measured I/O time*, not the wall-clock delta between
 the two modes: at bench scale the model-fit variance between two fleet
@@ -20,51 +20,61 @@ iteration, so a delta-based gate would be hopelessly flaky.  The
 wall-clock delta is still reported (``wall_delta_pct``) as context.
 Both modes run ``repeats`` times and the fastest wall time of each is
 kept; the I/O ratio is taken from the journaled run with the *highest*
-ratio, so the gate sees the worst observed fsync behaviour.
+ratio, so the gate sees the worst observed fsync behaviour, and the I/O
+seconds reported next to it are that run's.
 """
 
 from __future__ import annotations
 
 import asyncio
-import os
 import tempfile
 import time
 from pathlib import Path
 
-from repro.perf.harness import End2EndRecord
-
-#: Environment override for the overhead gate (percent of serving time
-#: spent in journal write/flush/fsync calls).
-OVERHEAD_ENV = "BENCH_JOURNAL_OVERHEAD_PCT"
-DEFAULT_OVERHEAD_PCT = 5.0
+#: The gate: percent of serving time spent in journal write/flush/fsync calls.
+OVERHEAD_PCT = 5.0
 
 
-def overhead_threshold_pct() -> float:
-    return float(os.environ.get(OVERHEAD_ENV, DEFAULT_OVERHEAD_PCT))
+async def _serve_fleet(
+    *, sizes: tuple[int, ...], tau: int, seed: int, journal_dir: str | None
+) -> dict:
+    """Submit one session per dataset size, drive all to completion.
+
+    Mixed priorities (1, 2, 3 cycled) under a 16 MiB-per-session pool;
+    session *i* uses ``seed + i``.
+    """
+    from repro.serve import EditService
+    from repro.serve.cli import _session_spec
+
+    service = EditService(
+        policy="weighted-priority",
+        memory_budget_mb=16.0 * len(sizes),
+        default_session_mb=16.0,
+        journal_dir=journal_dir,
+    )
+    handles = [
+        service.submit(
+            _session_spec(size, tau, seed + i),
+            name=f"tenant-{i}",
+            priority=1.0 + (i % 3),
+        )
+        for i, size in enumerate(sizes)
+    ]
+    results = await asyncio.gather(*(h.run_to_completion() for h in handles))
+    await service.close()  # settles nothing (all done); closes the journal
+    return {
+        "results": results,
+        "journal_errors": service.journal_errors,
+        "journal_io_seconds": service.journal_io_seconds,
+    }
 
 
 def _fleet_seconds(
-    *,
-    n_sessions: int,
-    n: int | tuple[int, ...],
-    tau: int,
-    seed: int,
-    journal_dir: str | None,
+    *, sizes: tuple[int, ...], tau: int, seed: int, journal_dir: str | None
 ) -> tuple[float, dict]:
-    from repro.perf.servebench import _serve_fleet
-
     t0 = time.perf_counter()
     stats = asyncio.run(
-        _serve_fleet(
-            n_sessions=n_sessions,
-            n=n,
-            tau=tau,
-            seed=seed,
-            pool_mb=16.0 * n_sessions,
-            session_mb=16.0,
-            policy="weighted-priority",
-            journal_dir=journal_dir,
-        )
+        _serve_fleet(sizes=sizes, tau=tau, seed=seed, journal_dir=journal_dir)
     )
     return time.perf_counter() - t0, stats
 
@@ -107,7 +117,7 @@ def run_journal_bench(
     seed: int = 42,
     journal_dir: str | None = None,
     repeats: int = 2,
-) -> End2EndRecord:
+) -> dict:
     """Benchmark journaled vs plain serving; returns the record.
 
     Parameters
@@ -125,12 +135,13 @@ def run_journal_bench(
 
     Returns
     -------
-    End2EndRecord
-        ``extra`` carries ``plain_seconds`` / ``journaled_seconds`` /
-        ``wall_delta_pct`` (context), ``journal_io_seconds`` and
-        ``overhead_pct`` (the gated I/O share), the ``threshold_pct``
-        gate and its ``within_overhead`` verdict, and journal validity
-        counts.
+    dict
+        Fleet totals (``n_sessions``, ``iterations``, ...),
+        ``plain_seconds`` / ``journaled_seconds`` / ``wall_delta_pct``
+        (context), ``journal_io_seconds`` and ``overhead_pct`` (the gated
+        repetition's I/O time and its share of serving time), the
+        ``threshold_pct`` gate and its ``within_overhead`` verdict, and
+        journal validity counts.
     """
     # Iterations must be expensive enough to amortize the ~ms-scale fsync
     # at each durability boundary — tiny fleets would measure the disk,
@@ -138,9 +149,10 @@ def run_journal_bench(
     # One small tenant rides along so the fleet also journals accepted
     # batches (acceptance is rare on the large synthetic datasets).
     if quick:
-        n_sessions, n, tau = 4, (1000, 12000, 12000, 12000), 3
+        sizes, tau = (1000, 12000, 12000, 12000), 3
     else:
-        n_sessions, n, tau = 6, (1000, 16000, 16000, 16000, 16000, 16000), 4
+        sizes, tau = (1000, 16000, 16000, 16000, 16000, 16000), 4
+    repeats = max(1, repeats)
 
     owned = journal_dir is None
     tmp = tempfile.TemporaryDirectory(prefix="journalbench-") if owned else None
@@ -149,24 +161,22 @@ def run_journal_bench(
     t0 = time.perf_counter()
     plain_s = []
     journaled_s = []
-    io_ratios = []
-    io_seconds = 0.0
+    io = []  # (I/O share of serving time, I/O seconds) per repetition
     stats_plain = stats_journaled = None
     journal_info: dict = {}
     try:
-        for rep in range(max(1, repeats)):
+        for rep in range(repeats):
             seconds, stats_plain = _fleet_seconds(
-                n_sessions=n_sessions, n=n, tau=tau, seed=seed, journal_dir=None
+                sizes=sizes, tau=tau, seed=seed, journal_dir=None
             )
             plain_s.append(seconds)
             rep_dir = root / f"rep-{rep}"
             seconds, stats_journaled = _fleet_seconds(
-                n_sessions=n_sessions, n=n, tau=tau, seed=seed,
-                journal_dir=str(rep_dir),
+                sizes=sizes, tau=tau, seed=seed, journal_dir=str(rep_dir)
             )
             journaled_s.append(seconds)
             io_seconds = stats_journaled["journal_io_seconds"]
-            io_ratios.append(io_seconds / seconds)
+            io.append((io_seconds / seconds, io_seconds))
             journal_info = _check_journals(rep_dir, stats_journaled["results"])
 
         # Parity: journaling must not perturb a single iteration.
@@ -183,34 +193,26 @@ def run_journal_bench(
 
     best_plain = min(plain_s)
     best_journaled = min(journaled_s)
-    overhead_pct = 100.0 * max(io_ratios)
-    threshold = overhead_threshold_pct()
+    worst_ratio, worst_io_seconds = max(io)
+    overhead_pct = 100.0 * worst_ratio
     results = stats_journaled["results"]
-    iterations = sum(r.iterations for r in results)
-    sizes = (n,) * n_sessions if isinstance(n, int) else n
-    return End2EndRecord(
-        name="journaled_serving",
-        dataset="synthetic",
-        n_rows=sum(sizes[i % len(sizes)] for i in range(n_sessions)),
-        tau=tau,
-        seconds=best_journaled,
-        iterations=iterations,
-        accepted_iterations=sum(r.accepted_iterations for r in results),
-        n_added=sum(r.n_added for r in results),
-        seconds_per_iteration=best_journaled / max(iterations, 1),
-        extra={
-            "n_sessions": n_sessions,
-            "repeats": max(1, repeats),
-            "plain_seconds": best_plain,
-            "journaled_seconds": best_journaled,
-            "wall_delta_pct": 100.0 * (best_journaled - best_plain) / best_plain,
-            "journal_io_seconds": io_seconds,
-            "overhead_pct": overhead_pct,
-            "threshold_pct": threshold,
-            "within_overhead": overhead_pct <= threshold,
-            "parity": True,  # _check_journals/history asserts raised otherwise
-            "journal_errors": stats_journaled["journal_errors"],
-            "wall_seconds": time.perf_counter() - t0,
-            **journal_info,
-        },
-    )
+    return {
+        "n_sessions": len(sizes),
+        "n_rows": sum(sizes),
+        "tau": tau,
+        "repeats": repeats,
+        "iterations": sum(r.iterations for r in results),
+        "accepted_iterations": sum(r.accepted_iterations for r in results),
+        "n_added": sum(r.n_added for r in results),
+        "plain_seconds": best_plain,
+        "journaled_seconds": best_journaled,
+        "wall_delta_pct": 100.0 * (best_journaled - best_plain) / best_plain,
+        "journal_io_seconds": worst_io_seconds,
+        "overhead_pct": overhead_pct,
+        "threshold_pct": OVERHEAD_PCT,
+        "within_overhead": overhead_pct <= OVERHEAD_PCT,
+        "parity": True,  # _check_journals/history asserts raised otherwise
+        "journal_errors": stats_journaled["journal_errors"],
+        "wall_seconds": time.perf_counter() - t0,
+        **journal_info,
+    }

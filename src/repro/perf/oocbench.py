@@ -1,24 +1,23 @@
 """Out-of-core streaming workload with peak-RSS accounting.
 
-The beyond-RAM benchmark behind the ``out_of_core`` scenario of
-``BENCH_end2end.json`` and the CI memory-budget guard.  It streams
-batches of a wide synthetic dataset through the edit loop's per-batch
-maintenance work — sharded :class:`~repro.data.builder.DatasetBuilder`
-appends (including rejected stages), the delta journal, incremental FRS
-assignment merges, GaussianNB partial refits, and slice/gather snapshot
-reads — until the active dataset's dense size reaches a configured
-multiple (default 4×) of the ``max_resident_mb`` budget, then reports
-the process peak RSS against the ``budget * 1.5 + tolerance`` bound
-derived below.
+The beyond-RAM guard behind ``python -m repro.experiments bench-mem``.
+It streams batches of a wide synthetic dataset through the edit loop's
+per-batch maintenance work — sharded
+:class:`~repro.data.builder.DatasetBuilder` appends (including rejected
+stages), the delta journal, incremental FRS assignment merges,
+GaussianNB partial refits, and slice/gather snapshot reads — until the
+active dataset's dense size reaches a configured multiple (default 4×)
+of the ``max_resident_mb`` budget, then reports the process peak RSS
+against the ``budget * 1.5 + tolerance`` bound derived below.
 
 Because ``ru_maxrss`` is a process-lifetime high-water mark, the
 measurement is only meaningful in a process that has not already held
-large arrays; :func:`repro.perf.end2end` therefore runs this module as a
+large arrays; :func:`run_out_of_core` therefore runs this module as a
 **subprocess** (``python -m repro.perf.oocbench``) and parses the JSON
 it prints.  The guard bound is::
 
     workload_rss_mb = peak_rss_mb - baseline_rss_mb
-    rss_limit_mb    = budget_mb * 1.5 + tolerance_mb   # LRU + resident floor
+    rss_limit_mb    = budget_mb * 1.5 + TOLERANCE_MB   # LRU + resident floor
     within_budget   = workload_rss_mb <= rss_limit_mb
 
 The 1.5 factor covers the documented residents outside the sealed-shard
@@ -35,6 +34,7 @@ import argparse
 import json
 import os
 import resource
+import subprocess
 import sys
 import time
 
@@ -42,9 +42,13 @@ import numpy as np
 
 from repro.data.table import Table, make_schema
 
-__all__ = ["run_streaming_workload", "main"]
+__all__ = ["TOLERANCE_MB", "run_out_of_core", "run_streaming_workload", "main"]
 
 _MB = 1024 * 1024
+
+#: Fixed slack (MiB) added to ``budget * 1.5`` to form the RSS bound:
+#: interpreter noise, allocator fragmentation, transiently mapped pages.
+TOLERANCE_MB = 48.0
 
 #: Wide mixed schema: 16 numeric + 8 categorical columns = 192 bytes/row,
 #: so the per-row resident floor (labels + assignment cache, 16 bytes) is
@@ -139,7 +143,6 @@ def run_streaming_workload(
     dense_factor: float = 4.0,
     batch_rows: int = 16384,
     shard_rows: int | None = 16384,
-    tolerance_mb: float = 48.0,
     seed: int = 42,
 ) -> dict:
     """Stream the workload and return the measurement record (a JSON dict).
@@ -155,9 +158,6 @@ def run_streaming_workload(
         Rows per streamed batch.
     shard_rows:
         Shard width handed to the config (``None`` = library default).
-    tolerance_mb:
-        Fixed slack added to the RSS bound (interpreter noise, allocator
-        fragmentation, transiently mapped pages).
     seed:
         RNG seed for batch generation.
     """
@@ -271,7 +271,7 @@ def run_streaming_workload(
     builder.advise_cold()
     peak_rss_mb = tracker.peak_mb()
     workload_rss_mb = max(0.0, peak_rss_mb - baseline_rss_mb)
-    rss_limit_mb = budget_mb * 1.5 + tolerance_mb
+    rss_limit_mb = budget_mb * 1.5 + TOLERANCE_MB
     stats = builder.storage_stats()
     rows = state.active.n
     return {
@@ -282,7 +282,7 @@ def run_streaming_workload(
         "shard_rows": int(shard_rows or 0),
         "dense_mb": round(rows * BYTES_PER_ROW / _MB, 2),
         "budget_mb": float(budget_mb),
-        "tolerance_mb": float(tolerance_mb),
+        "tolerance_mb": TOLERANCE_MB,
         "baseline_rss_mb": round(baseline_rss_mb, 2),
         "peak_rss_mb": round(peak_rss_mb, 2),
         "workload_rss_mb": round(workload_rss_mb, 2),
@@ -297,6 +297,34 @@ def run_streaming_workload(
     }
 
 
+def run_out_of_core(*, budget_mb: float, seed: int = 42) -> dict:
+    """Run the workload in a **fresh subprocess** and return its record.
+
+    Peak RSS is a process-lifetime high-water mark, so measuring it in a
+    process that has already held large arrays would be meaningless.
+    The worker streams batches through the sharded builder until the
+    active dataset's dense size is ~4× the ``max_resident_mb`` budget,
+    exercising appends (accept and reject paths), partial model refits,
+    incremental FRS-assignment merges, and snapshot slice/gather reads
+    on spilled data.  ``record["within_budget"]`` is the guard's verdict.
+    """
+    cmd = [
+        sys.executable, "-m", "repro.perf.oocbench",
+        "--budget-mb", str(budget_mb),
+        "--seed", str(seed),
+    ]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+    proc = subprocess.run(
+        cmd, capture_output=True, text=True, env=env, timeout=1800
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(
+            f"oocbench worker failed (exit {proc.returncode}):\n{proc.stderr}"
+        )
+    return json.loads(proc.stdout)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.perf.oocbench",
@@ -307,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--dense-factor", type=float, default=4.0)
     parser.add_argument("--batch-rows", type=int, default=16384)
     parser.add_argument("--shard-rows", type=int, default=16384)
-    parser.add_argument("--tolerance-mb", type=float, default=48.0)
     parser.add_argument("--seed", type=int, default=42)
     return parser
 
@@ -319,7 +346,6 @@ def main(argv: list[str] | None = None) -> int:
         dense_factor=args.dense_factor,
         batch_rows=args.batch_rows,
         shard_rows=args.shard_rows,
-        tolerance_mb=args.tolerance_mb,
         seed=args.seed,
     )
     print(json.dumps(record))

@@ -121,8 +121,8 @@ def category_weights(
     """
     # One fused C-level pass.  The previous per-category boolean-mask
     # version scanned the object array three times plus an `assigned`
-    # bookkeeping pass and lost to the seed loop at every size
-    # (BENCH_hotpaths `borderline_weights` 0.84×); KeyError on unknown
+    # bookkeeping pass and lost to the seed loop at every size (0.84× in
+    # a seed-vs-current micro-benchmark); KeyError on unknown
     # categories is preserved by the dict lookup itself.
     w = weights or DEFAULT_WEIGHTS
     return np.fromiter(

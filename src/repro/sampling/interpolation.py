@@ -12,8 +12,9 @@ The batch helpers are **RNG-stream compatible** with their scalar
 counterparts: calling :func:`majority_categorical_batch` consumes random
 numbers in exactly the order the original per-sample loop over
 :func:`majority_categorical` did, so fixed-seed outputs are bit-for-bit
-identical (``repro.perf.seed_reference`` keeps the loop versions and
-``tests/perf/test_seed_parity.py`` pins the equivalence).
+identical (the test suite's seed oracle under ``tests/perf/`` keeps the
+loop versions and ``tests/perf/test_seed_parity.py`` pins the
+equivalence).
 """
 
 from __future__ import annotations

@@ -12,8 +12,8 @@ All candidate generation is batched: one ``kneighbors`` call over the base
 matrix and one :func:`~repro.sampling.interpolation
 .majority_categorical_batch` call per categorical column replace the
 original per-sample Python loops while consuming the RNG stream
-identically (see :mod:`repro.perf.seed_reference` for the loop versions
-the parity tests compare against).
+identically (the test suite's seed oracle under ``tests/perf/`` keeps the
+loop versions that ``tests/perf/test_seed_parity.py`` compares against).
 """
 
 from __future__ import annotations

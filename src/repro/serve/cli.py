@@ -6,6 +6,9 @@ cancels another mid-run, and prints the service's throughput and
 latency counters — a one-command tour of :mod:`repro.serve`::
 
     repro-serve --sessions 6 --policy weighted-priority --cancel tenant-2
+
+The demo's synthetic tenants (:func:`_session_spec`) also drive the
+journal-overhead guard, :mod:`repro.perf.journalbench`.
 """
 
 from __future__ import annotations
@@ -13,6 +16,58 @@ from __future__ import annotations
 import argparse
 import asyncio
 import sys
+
+import numpy as np
+
+import repro
+from repro.data.dataset import Dataset
+from repro.data.table import Table, make_schema
+
+
+def synthetic_mixed_table(n: int, seed: int) -> Table:
+    """A mixed-type table: two numeric and two categorical columns."""
+    schema = make_schema(
+        numeric=["age", "income"],
+        categorical={
+            "marital": ("single", "married", "divorced"),
+            "color": ("red", "green", "blue"),
+        },
+    )
+    rng = np.random.default_rng(seed)
+    return Table(
+        schema,
+        {
+            "age": rng.uniform(18, 80, n),
+            "income": rng.uniform(10, 200, n),
+            "marital": rng.integers(0, 3, n),
+            "color": rng.integers(0, 3, n),
+        },
+    )
+
+
+def _synthetic_dataset(n: int, seed: int) -> Dataset:
+    """Binary dataset over the synthetic mixed table with planted structure."""
+    table = synthetic_mixed_table(n, seed)
+    age = table.column("age")
+    income = table.column("income")
+    rng = np.random.default_rng(seed + 1)
+    y = ((age < 40) & (income > 100)).astype(np.int64)
+    noise = rng.uniform(size=table.n_rows) < 0.05
+    y[noise] = 1 - y[noise]
+    return Dataset(table, y, ("deny", "approve"))
+
+
+def _session_spec(n: int, tau: int, seed: int):
+    """One tenant's edit session over its own synthetic dataset."""
+    return (
+        repro.edit(_synthetic_dataset(n, seed))
+        .with_rules(
+            "age < 35 => approve",
+            "income < 40 AND marital = 'single' => deny",
+        )
+        .with_algorithm("LR")
+        .configure(tau=tau, q=0.5, random_state=seed)
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,7 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 async def _demo(args: argparse.Namespace) -> int:
-    from repro.perf.servebench import _session_spec
     from repro.serve import EditService, SessionCancelled
 
     async with EditService(

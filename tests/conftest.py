@@ -7,6 +7,7 @@ import pytest
 
 from repro.data import Dataset, Table, make_schema
 from repro.rules import Clause, FeedbackRule, FeedbackRuleSet, Predicate, clause
+from repro.serve.cli import synthetic_mixed_table
 
 
 @pytest.fixture
@@ -22,19 +23,9 @@ def mixed_schema():
 
 
 @pytest.fixture
-def mixed_table(mixed_schema):
-    """Deterministic 200-row mixed-type table."""
-    rng = np.random.default_rng(7)
-    n = 200
-    return Table(
-        mixed_schema,
-        {
-            "age": rng.uniform(18, 80, n),
-            "income": rng.uniform(10, 200, n),
-            "marital": rng.integers(0, 3, n),
-            "color": rng.integers(0, 3, n),
-        },
-    )
+def mixed_table():
+    """Deterministic 200-row mixed-type table over ``mixed_schema``."""
+    return synthetic_mixed_table(200, 7)
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ import repro
 from repro.core.config import FroteConfig
 from repro.data import Dataset, ShardedTable
 from repro.engine.state import EditState
-from repro.perf.hotpaths import synthetic_mixed_table
+from repro.serve.cli import synthetic_mixed_table
 
 
 def make_dataset(n=1200, seed=42):

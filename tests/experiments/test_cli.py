@@ -46,8 +46,8 @@ class TestParser:
     def test_all_experiments_declared(self):
         assert set(EXPERIMENTS) == {
             "fig2", "fig3", "fig9", "table1", "table2", "table3", "table6",
-            "ablation", "bench", "bench-check", "bench-mem", "bench-ratchet",
-            "bench-journal", "all", "run-spec", "status",
+            "ablation", "bench-mem", "bench-journal", "all", "run-spec",
+            "status",
         }
 
     def test_list_datasets_prints_eta(self, capsys):

@@ -29,8 +29,8 @@ from repro.neighbors.kernels import (
     kneighbors_blocked,
     resolve_distance_backend,
 )
-from repro.perf.hotpaths import synthetic_mixed_table
 from repro.sampling import SMOTE
+from repro.serve.cli import synthetic_mixed_table
 
 #: Absolute slack on distances between the float32 kernel path and the
 #: exact float64 path, and the margin below which two base rows are

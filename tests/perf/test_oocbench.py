@@ -4,9 +4,8 @@ import json
 
 import pytest
 
-from repro.perf.harness import SCHEMA_VERSION
+from repro.perf import oocbench
 from repro.perf.oocbench import run_streaming_workload
-from repro.perf.regression import memory_report
 
 
 class TestStreamingWorkload:
@@ -42,92 +41,52 @@ class TestStreamingWorkload:
         )
 
 
-def end2end_payload(*extras):
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "end2end",
-        "quick": True,
-        "seed": 42,
-        "python": "3.11",
-        "machine": "x86_64",
-        "results": [
-            {
-                "name": "out_of_core",
-                "dataset": "synthetic",
-                "n_rows": 1000,
-                "tau": 5,
-                "seconds": 1.0,
-                "iterations": 5,
-                "accepted_iterations": 5,
-                "n_added": 900,
-                "seconds_per_iteration": 0.2,
-                "extra": extra,
-            }
-            for extra in extras
-        ],
-        "summary": {},
-    }
-
-
-def ok_extra(**overrides):
-    extra = {
-        "dense_mb": 96.0,
+def worker_record(**overrides):
+    record = {
+        "rows": 131072,
+        "dense_mb": 24.0,
         "budget_mb": 24.0,
-        "tolerance_mb": 32.0,
-        "baseline_rss_mb": 80.0,
-        "peak_rss_mb": 140.0,
+        "tolerance_mb": 48.0,
         "workload_rss_mb": 60.0,
-        "rss_limit_mb": 68.0,
+        "rss_limit_mb": 84.0,
         "within_budget": True,
-        "spilled_mb": 72.0,
-        "resident_mb": 24.0,
+        "n_spilled_shards": 6,
+        "spilled_mb": 18.0,
     }
-    extra.update(overrides)
-    return extra
-
-
-class TestMemoryReport:
-    def test_within_budget_ok(self):
-        report = memory_report(end2end_payload(ok_extra()))
-        assert report.ok
-        assert "OK: peak RSS within the memory budget" in report.format()
-
-    def test_over_budget_fails_with_numbers(self):
-        report = memory_report(
-            end2end_payload(
-                ok_extra(within_budget=False, workload_rss_mb=160.0)
-            )
-        )
-        assert not report.ok
-        assert any("160.0 MiB exceeds the 68.0 MiB bound" in f for f in report.failures)
-
-    def test_missing_scenario_fails(self):
-        report = memory_report(end2end_payload())
-        assert not report.ok
-        assert any("no out_of_core scenario" in f for f in report.failures)
+    record.update(overrides)
+    return record
 
 
 class TestBenchMemCli:
-    def _write(self, tmp_path, payload):
-        (tmp_path / "BENCH_end2end.json").write_text(json.dumps(payload))
+    def _patch_worker(self, monkeypatch, record):
+        calls = []
 
-    def test_pass_exits_zero(self, tmp_path, capsys):
+        def fake_worker(**kwargs):
+            calls.append(kwargs)
+            return record
+
+        monkeypatch.setattr(oocbench, "run_out_of_core", fake_worker)
+        return calls
+
+    def test_pass_exits_zero(self, monkeypatch, capsys):
         from repro.experiments.cli import main
 
-        self._write(tmp_path, end2end_payload(ok_extra()))
-        assert main(["bench-mem", "--out-dir", str(tmp_path)]) == 0
-        assert "OK" in capsys.readouterr().out
+        calls = self._patch_worker(monkeypatch, worker_record())
+        assert main(["bench-mem", "--quick"]) == 0
+        assert calls == [{"budget_mb": 24.0, "seed": 42}]
+        assert "OK: peak RSS within the memory budget" in capsys.readouterr().out
 
-    def test_over_budget_exits_nonzero(self, tmp_path):
+    def test_over_budget_exits_nonzero(self, monkeypatch, capsys):
         from repro.experiments.cli import main
 
-        self._write(tmp_path, end2end_payload(ok_extra(within_budget=False)))
+        self._patch_worker(
+            monkeypatch,
+            worker_record(within_budget=False, workload_rss_mb=160.0),
+        )
         with pytest.raises(SystemExit) as exc:
-            main(["bench-mem", "--out-dir", str(tmp_path)])
+            main(["bench-mem"])
         assert exc.value.code == 1
-
-    def test_missing_payload_errors(self, tmp_path):
-        from repro.experiments.cli import main
-
-        with pytest.raises(SystemExit, match="not found"):
-            main(["bench-mem", "--out-dir", str(tmp_path / "nowhere")])
+        assert (
+            "workload RSS 160.0 MiB exceeds the 84.0 MiB bound"
+            in capsys.readouterr().out
+        )

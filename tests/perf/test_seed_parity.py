@@ -3,11 +3,12 @@
 Every vectorized implementation was designed to consume the RNG stream in
 exactly the order its seed row-loop predecessor did, so under a fixed seed
 the outputs must match **bit-for-bit** — not approximately.  The seed
-implementations live in :mod:`repro.perf.seed_reference`.
+implementations live in ``seed_reference.py`` next to this file.
 """
 
 import numpy as np
 import pytest
+import seed_reference as seed_ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +21,6 @@ from repro.models import (
     softmax,
 )
 from repro.neighbors.brute import _topk_from_dists
-from repro.perf import seed_reference as seed_ref
 from repro.rules import Predicate
 from repro.sampling import (
     SMOTE,

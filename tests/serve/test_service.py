@@ -271,6 +271,28 @@ class TestServiceLifecycle:
         assert stats["p99_step_ms"] >= stats["p50_step_ms"] > 0
         assert stats["peak_reserved_mb"] <= stats["pool_mb"]
 
+    def test_mixed_priority_fleet_stays_within_shared_budget(self):
+        n_sessions = 8
+
+        async def main():
+            service = EditService(
+                policy="weighted-priority",
+                memory_budget_mb=16.0 * n_sessions,
+                default_session_mb=16.0,
+            )
+            handles = [
+                service.submit(make_spec(seed=30 + i), priority=1.0 + (i % 3))
+                for i in range(n_sessions)
+            ]
+            await asyncio.gather(*(h.run_to_completion() for h in handles))
+            return service.stats(), service.pool.reserved_mb
+
+        stats, reserved_after = run(main())
+        assert stats["n_completed"] == n_sessions
+        assert stats["pool_mb"] == 16.0 * n_sessions
+        assert 0 < stats["peak_reserved_mb"] <= stats["pool_mb"]
+        assert reserved_after == 0
+
     def test_close_cancels_live_sessions(self):
         async def main():
             async with EditService() as service:
