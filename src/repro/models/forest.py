@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.models.tree import DecisionTreeClassifier, _BinnedX, _grow
+from repro.models.tree import DecisionTreeClassifier, _BinnedX, _check_tree_params, _grow
 from repro.utils.rng import RandomState, check_random_state, spawn_rng
 from repro.utils.validation import check_fit_inputs, check_predict_input
 
@@ -43,6 +43,7 @@ class RandomForestClassifier:
     ) -> None:
         if n_estimators < 1:
             raise ValueError(f"n_estimators must be >= 1, got {n_estimators}")
+        _check_tree_params(max_depth, min_samples_split, min_samples_leaf, max_features, criterion)
         self.n_estimators = n_estimators
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split

@@ -11,15 +11,22 @@ A tree that draws no features has independent stack entries, so a round
 takes its whole stack; its node ids are put in pre-order afterwards.
 
 The split search is a histogram search.  Each column of ``X`` is coded
-once per fit as an index into its sorted distinct values.  One sort of
-flat (node, feature, code, class) keys counts the rows of every scanned
-feature of every waiting node into a histogram of the values present at
-the node; its cost follows the nodes' rows, not the columns' distinct
-values.  Cumulative class counts give the left/right class counts at
-every boundary between two adjacent present values, and the impurity
-decrease of all candidates is evaluated in one pass.  Only boundaries
-between distinct values are scored, never the rows between them.  A
-child's class counts are its parent's chosen left or right counts.
+once per fit as an index into its sorted distinct values.  Flat (node,
+feature, code, class) keys count the rows of every scanned feature of
+every waiting node into a histogram of the values present at the node.
+A round whose histogram has no more cells (distinct values times classes,
+summed over the scanned features) than keys counts them with one
+``bincount`` into a dense cell array (:func:`_dense_counts`), the common
+case near the root and on low-cardinality columns.  A round with more
+cells than keys, such as deep nodes on many-valued columns, sorts the
+keys and counts their runs (:func:`_sorted_counts`), at a cost that
+follows the nodes' rows, not the columns' distinct values.  Either way
+the counts take no more memory than the keys.  Cumulative class counts
+give the left/right class counts at every boundary between two adjacent
+present values, and the impurity decrease of all candidates is
+evaluated in one pass.  Only boundaries between distinct values are
+scored, never the rows between them.  A child's class counts are its
+parent's chosen left or right counts.
 
 The result is bit-identical to a recursive builder that sorts each
 feature's values and scores every row position, the original tree, which
@@ -82,7 +89,8 @@ class _BinnedX:
             values.append(uniq)
         n_bins = np.array([v.size for v in values], dtype=np.intp)
         first = np.cumsum(n_bins) - n_bins
-        return cls(codes, np.concatenate(values), first, n_bins)
+        # The empty head gives concatenate an array when X has no columns.
+        return cls(codes, np.concatenate([np.empty(0, X.dtype), *values]), first, n_bins)
 
 
 def _impurity_from_counts(
@@ -102,6 +110,30 @@ def _impurity_from_counts(
     logp = np.zeros_like(p)
     np.log2(p, out=logp, where=p > 0)
     return -(p * logp).sum(axis=-1)
+
+
+def _dense_counts(keys: np.ndarray, n_cells: int, c: int) -> tuple[np.ndarray, ...]:
+    """``(bins, hist, through)`` of the keys ``bin * c + label``, all below
+    ``n_cells``, counted into one cell per (bin, label): ``bins`` are the
+    bins with keys, ``hist`` their class counts and ``through`` the number
+    of keys up to and including each of them."""
+    counts = np.bincount(keys, minlength=n_cells).reshape(-1, c)
+    bin_rows = counts.sum(axis=1)
+    bins = np.flatnonzero(bin_rows)
+    return bins, counts[bins], np.cumsum(bin_rows)[bins]
+
+
+def _sorted_counts(keys: np.ndarray, c: int) -> tuple[np.ndarray, ...]:
+    """:func:`_dense_counts` by sorting ``keys`` (in place) and counting
+    its runs, at a cost that follows the keys, not the cells."""
+    keys.sort()
+    first = np.flatnonzero(_run_starts(keys))
+    cells = keys[first]  # one per present (bin, label)
+    cell_bins = cells // c
+    new_bin = _run_starts(cell_bins)
+    hist = np.zeros((np.count_nonzero(new_bin), c), dtype=np.intp)
+    hist[np.cumsum(new_bin) - 1, cells % c] = np.append(first[1:], keys.size) - first
+    return cell_bins[new_bin], hist, np.append(first[new_bin][1:], keys.size)
 
 
 @dataclass(frozen=True)
@@ -145,19 +177,17 @@ def _best_splits(
     keys = keys_table.take(np.repeat(features * n, sizes, axis=0) + all_rows[:, None])
     keys += np.repeat(starts.reshape(n_nodes, m) * c, sizes, axis=0)
     keys = keys.ravel()
-    # hist[i] counts the classes of present bin bins[i] (a value present
-    # at the node).  Counting sorted keys costs the nodes' rows, not the
-    # columns' distinct values, so deep nodes on many-valued columns stay
-    # cheap.
-    keys.sort()
-    first = np.flatnonzero(_run_starts(keys))
-    cells = keys[first]  # one per present (bin, class)
-    cell_bins = cells // c
-    new_bin = _run_starts(cell_bins)
-    bins = cell_bins[new_bin]
-    hist = np.zeros((bins.size, c), dtype=np.intp)
-    run_lengths = np.append(first[1:], keys.size) - first
-    hist[np.cumsum(new_bin) - 1, cells % c] = run_lengths
+    # bins holds the bins present at their node (values with rows there),
+    # hist[i] the class counts of bins[i], through[i] the keys up to and
+    # including bins[i].  A round with no more (bin, label) cells than keys
+    # counts into one array of cells; one with more, such as deep nodes on
+    # many-valued columns, sorts its keys.  Either way the counts are never
+    # longer than the keys.
+    n_cells = int(n_bins.sum()) * c
+    if n_cells <= keys.size:
+        bins, hist, through = _dense_counts(keys, n_cells, c)
+    else:
+        bins, hist, through = _sorted_counts(keys, c)
     seg = np.searchsorted(ends, bins, side="right")  # slot of each bin
     # A boundary follows every present value but each slot's largest.
     cand = np.flatnonzero(seg[:-1] == seg[1:])
@@ -172,8 +202,7 @@ def _best_splits(
     n_node = sizes[cand_node]
     # Rows left of a boundary: the keys up to it, less the earlier slots'.
     slot_rows = np.repeat(sizes, m)
-    keys_before = np.cumsum(np.diff(np.append(first[new_bin], keys.size)))
-    n_left = keys_before[cand] - (np.cumsum(slot_rows) - slot_rows)[cand_slot]
+    n_left = through[cand] - (np.cumsum(slot_rows) - slot_rows)[cand_slot]
     n_right = n_node - n_left
     # One impurity pass over every left side, right side and parent.
     imp = _impurity_from_counts(
@@ -375,6 +404,26 @@ def _grow(
             _preorder(tree)
 
 
+def _check_tree_params(
+    max_depth: int | None,
+    min_samples_split: int,
+    min_samples_leaf: int,
+    max_features: int | str | None,
+    criterion: str,
+) -> None:
+    """Raise ``ValueError`` for tree parameters no tree can be grown with."""
+    if criterion not in ("gini", "entropy"):
+        raise ValueError(f"criterion must be 'gini' or 'entropy', got {criterion!r}")
+    if max_depth is not None and max_depth < 0:
+        raise ValueError(f"max_depth must be >= 0 or None, got {max_depth}")
+    if min_samples_split < 2:
+        raise ValueError("min_samples_split must be >= 2")
+    if min_samples_leaf < 1:
+        raise ValueError("min_samples_leaf must be >= 1")
+    if isinstance(max_features, (int, np.integer)) and max_features < 1:
+        raise ValueError(f"max_features must be >= 1, got {max_features}")
+
+
 class DecisionTreeClassifier:
     """Binary-split CART tree on dense float matrices.
 
@@ -402,12 +451,7 @@ class DecisionTreeClassifier:
         criterion: str = "gini",
         random_state: RandomState = None,
     ) -> None:
-        if criterion not in ("gini", "entropy"):
-            raise ValueError(f"criterion must be 'gini' or 'entropy', got {criterion!r}")
-        if min_samples_split < 2:
-            raise ValueError("min_samples_split must be >= 2")
-        if min_samples_leaf < 1:
-            raise ValueError("min_samples_leaf must be >= 1")
+        _check_tree_params(max_depth, min_samples_split, min_samples_leaf, max_features, criterion)
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         self.min_samples_leaf = min_samples_leaf
@@ -436,7 +480,7 @@ class DecisionTreeClassifier:
         if self.max_features == "sqrt":
             return max(1, int(np.sqrt(d)))
         if isinstance(self.max_features, (int, np.integer)):
-            return int(np.clip(self.max_features, 1, d))
+            return min(int(self.max_features), d)
         raise ValueError(f"invalid max_features: {self.max_features!r}")
 
     # ------------------------------------------------------------------ #

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.data import Dataset, Table, make_schema
 from repro.rules import Clause, FeedbackRule, FeedbackRuleSet, Predicate, clause
 from repro.serve.cli import synthetic_mixed_table
+
+# Every test directory can ``import seed_reference``, the seed oracle in perf/.
+sys.path.insert(0, str(Path(__file__).parent / "perf"))
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import seed_reference as seed_ref
 
 from repro.models import RandomForestClassifier
 
@@ -59,6 +60,24 @@ class TestRandomForest:
     def test_invalid_n_estimators(self):
         with pytest.raises(ValueError, match="n_estimators"):
             RandomForestClassifier(n_estimators=0)
+
+    @pytest.mark.parametrize(
+        "params", [{"max_depth": -1}, {"max_features": 0}, {"max_features": -2}]
+    )
+    def test_invalid_tree_params_raise_at_construction(self, params):
+        with pytest.raises(ValueError, match=next(iter(params))):
+            RandomForestClassifier(**params)
+
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    def test_no_columns_averages_the_class_distributions(self, bootstrap):
+        """Every tree is one leaf holding its sample's class distribution."""
+        X = np.zeros((9, 0))
+        y = np.array([0, 1, 1, 2, 0, 1, 1, 2, 2])
+        params = {"n_estimators": 5, "bootstrap": bootstrap, "random_state": 0}
+        m = RandomForestClassifier(**params).fit(X, y)
+        seed = seed_ref.SeedSplitForest(**params).fit(X, y)
+        assert [t.n_nodes for t in m.trees_] == [1] * 5
+        assert m.predict_proba(X).tobytes() == seed.predict_proba(X).tobytes()
 
     def test_label_outside_n_classes_raises(self):
         X, y = _data(20)

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import seed_reference as seed_ref
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.models import DecisionTreeClassifier
+from repro.models.tree import _dense_counts, _sorted_counts
 
 
 def _xor(n=200, seed=0):
@@ -60,6 +62,22 @@ class TestFit:
     def test_invalid_criterion_raises(self):
         with pytest.raises(ValueError, match="criterion"):
             DecisionTreeClassifier(criterion="mse")
+
+    @pytest.mark.parametrize(
+        "params", [{"max_depth": -1}, {"max_features": 0}, {"max_features": -2}]
+    )
+    def test_invalid_params_raise_at_construction(self, params):
+        with pytest.raises(ValueError, match=next(iter(params))):
+            DecisionTreeClassifier(**params)
+
+    @pytest.mark.parametrize("max_features", [None, "sqrt", 2])
+    def test_no_columns_is_one_leaf(self, max_features):
+        X = np.zeros((7, 0))
+        y = np.array([0, 1, 1, 2, 0, 1, 1])
+        m = DecisionTreeClassifier(max_features=max_features, random_state=0).fit(X, y)
+        seed = seed_ref.SeedSplitTree(max_features=max_features, random_state=0).fit(X, y)
+        assert m.n_nodes == 1
+        assert m.predict_proba(X).tobytes() == seed.predict_proba(X).tobytes()
 
     def test_empty_data_raises(self):
         with pytest.raises(ValueError, match="empty"):
@@ -147,3 +165,40 @@ def test_training_accuracy_beats_majority_property(n, seed):
     acc = (m.predict(X) == y).mean()
     majority = max(y.mean(), 1 - y.mean())
     assert acc >= majority - 1e-12
+
+
+@st.composite
+def round_keys(draw):
+    """One round's histogram keys ``bin * c + label``, in row order: each
+    slot's rows take a random subset of its bins (so bins go missing and a
+    slot may hold one value), some draws are single-class, and c runs up
+    to 12."""
+    c = draw(st.integers(min_value=2, max_value=12))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    n_bins = rng.integers(1, 6, size=draw(st.integers(min_value=1, max_value=6)))
+    single_class = draw(st.booleans())
+    keys = []
+    for start, size in zip(np.cumsum(n_bins) - n_bins, n_bins):
+        present = start + rng.choice(size, size=rng.integers(1, size + 1), replace=False)
+        n_rows = int(rng.integers(1, 40))
+        labels = np.full(n_rows, rng.integers(c)) if single_class else rng.integers(0, c, n_rows)
+        keys.append(rng.choice(present, n_rows) * c + labels)
+    return rng.permutation(np.concatenate(keys)).astype(np.intp), int(n_bins.sum()) * c, c
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=round_keys())
+@example(case=(np.array([1, 9, 8, 1], dtype=np.intp), 12, 4))  # bin 1 absent
+@example(case=(np.array([5, 5, 2, 2, 5], dtype=np.intp), 9, 3))  # one class at the node
+@example(case=(np.array([3, 12, 17, 30], dtype=np.intp), 32, 8))  # c = 8, one key per bin
+def test_dense_and_sorted_counts_agree(case):
+    """Both ways of counting a round's histogram give the same present
+    bins, class counts and rows through each bin, bit for bit."""
+    keys, n_cells, c = case
+    dense = _dense_counts(keys.copy(), n_cells, c)
+    by_sort = _sorted_counts(keys.copy(), c)
+    for a, b in zip(dense, by_sort):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    bins, hist, through = dense
+    np.testing.assert_array_equal(bins, np.unique(keys // c))
+    assert hist.sum() == through[-1] == keys.size

@@ -182,8 +182,11 @@ def cart_training_sets(draw):
     """Small training sets whose columns tie heavily, are continuous, mix
     -0.0 with 0.0, or copy the previous column (so that two features tie
     on every gain and only the scan order decides).  From eight classes
-    up, NumPy sums each row of class counts pairwise."""
-    n = draw(st.integers(min_value=2, max_value=60))
+    up, NumPy sums each row of class counts pairwise.  Up to 60 rows, most
+    rounds have more histogram cells than keys and count by sorting; the
+    larger sets give binary columns more rows than 2 * n_classes cells,
+    which rounds count densely."""
+    n = draw(st.integers(min_value=2, max_value=60) | st.integers(min_value=61, max_value=240))
     kinds = draw(
         st.lists(
             st.sampled_from(["binary", "ties", "continuous", "signed_zero", "copy"]),
