@@ -23,6 +23,21 @@ def _sharded_spans(table: Table):
     return row_block_spans(table, advise_cold=True)
 
 
+def _fill_rows(out: np.ndarray, table: Table, fill) -> None:
+    """Run ``fill(out, table)``, one shard's rows at a time when sharded.
+
+    Every fill is elementwise per row, so the bits match one dense pass,
+    but the transient heap is one shard's sub-table instead of whole
+    materialized columns.
+    """
+    spans = _sharded_spans(table)
+    if spans is None:
+        fill(out, table)
+        return
+    for start, stop in spans:
+        fill(out[start:stop], table.row_slice(start, stop))
+
+
 class StandardScaler:
     """Per-feature standardization to zero mean / unit variance."""
 
@@ -38,10 +53,13 @@ class StandardScaler:
         self.scale_ = np.where(std > 0, std, 1.0)
         return self
 
-    def transform(self, X: np.ndarray) -> np.ndarray:
+    def transform(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``(X - mean_) / scale_``, written into ``out`` when given."""
         if self.mean_ is None or self.scale_ is None:
             raise RuntimeError("StandardScaler is not fitted")
-        return (np.asarray(X, dtype=np.float64) - self.mean_) / self.scale_
+        out = np.subtract(np.asarray(X, dtype=np.float64), self.mean_, out=out)
+        out /= self.scale_
+        return out
 
     def fit_transform(self, X: np.ndarray) -> np.ndarray:
         return self.fit(X).transform(X)
@@ -76,7 +94,10 @@ class TabularEncoder:
             names.extend(f"{col}={cat}" for cat in spec.categories)
         self._feature_names = names
         if self.standardize and table.schema.numeric_names:
-            num = self._numeric_matrix(table)
+            num = np.empty(
+                (table.n_rows, len(table.schema.numeric_names)), dtype=np.float64
+            )
+            _fill_rows(num, table, self._fill_numeric)
             self._scaler = StandardScaler().fit(num)
         else:
             self._scaler = None
@@ -87,31 +108,29 @@ class TabularEncoder:
             raise RuntimeError("TabularEncoder is not fitted")
         if table.schema != self.schema_:
             raise ValueError("table schema does not match the fitted schema")
-        spans = _sharded_spans(table)
-        if spans is not None:
-            # Shard-aligned block fill: same bits as the dense pass (every
-            # step below is elementwise per row), but the transient heap is
-            # one shard's sub-table instead of whole materialized columns.
-            out = np.empty((table.n_rows, self.n_features), dtype=np.float64)
-            for start, stop in spans:
-                out[start:stop] = self.transform(table.row_slice(start, stop))
-            return out
-        blocks: list[np.ndarray] = []
-        if self.schema_.numeric_names:
-            num = self._numeric_matrix(table)
-            if self._scaler is not None:
-                num = self._scaler.transform(num)
-            blocks.append(num)
-        for col in self.schema_.categorical_names:
-            spec = self.schema_[col]
-            codes = table.column(col)
-            onehot = np.zeros((table.n_rows, len(spec.categories)), dtype=np.float64)
-            if table.n_rows:
-                onehot[np.arange(table.n_rows), codes] = 1.0
-            blocks.append(onehot)
-        if not blocks:
-            return np.zeros((table.n_rows, 0), dtype=np.float64)
-        return np.hstack(blocks)
+        out = np.zeros((table.n_rows, self.n_features), dtype=np.float64)
+        _fill_rows(out, table, self._fill)
+        return out
+
+    def _fill_numeric(self, out: np.ndarray, table: Table) -> None:
+        """Copy ``table``'s numeric columns into the leading columns of ``out``."""
+        for j, name in enumerate(table.schema.numeric_names):
+            out[:, j] = table.column(name)
+
+    def _fill(self, out: np.ndarray, table: Table) -> None:
+        """Encode ``table`` into ``out``, a zeroed matrix of its rows."""
+        self._fill_numeric(out, table)
+        col = len(self.schema_.numeric_names)
+        if self._scaler is not None:
+            num = out[:, :col]
+            self._scaler.transform(num, out=num)
+        rows = np.arange(table.n_rows)
+        for name in self.schema_.categorical_names:
+            k = len(self.schema_[name].categories)
+            # Through the block's own view, an out-of-vocabulary code is an
+            # IndexError, not a one in the next block.
+            out[:, col : col + k][rows, table.column(name)] = 1.0
+            col += k
 
     def iter_transform_blocks(self, table: Table):
         """Yield ``(start, stop, X_block)`` encoded row blocks.
@@ -171,27 +190,6 @@ class TabularEncoder:
     @property
     def n_features(self) -> int:
         return len(self.feature_names)
-
-    def _numeric_matrix(self, table: Table) -> np.ndarray:
-        assert self.schema_ is not None or table.schema is not None
-        schema = self.schema_ or table.schema
-        if not schema.numeric_names:
-            return np.zeros((table.n_rows, 0), dtype=np.float64)
-        spans = _sharded_spans(table)
-        if spans is not None:
-            # Block-fill the exact matrix column_stack would build (same
-            # bits, so downstream scaler statistics are unchanged) without
-            # materializing whole sharded columns first.
-            out = np.empty(
-                (table.n_rows, len(schema.numeric_names)), dtype=np.float64
-            )
-            for start, stop in spans:
-                sub = table.row_slice(start, stop)
-                for j, name in enumerate(schema.numeric_names):
-                    out[start:stop, j] = sub.column(name)
-            return out
-        cols = [table.column(n) for n in schema.numeric_names]
-        return np.column_stack(cols).astype(np.float64, copy=False)
 
 
 class OrdinalEncoder:

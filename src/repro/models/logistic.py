@@ -4,25 +4,38 @@ Re-implements the paper's scikit-learn ``LogisticRegression(max_iter=500)``
 configuration: softmax cross-entropy with L2 regularization (C = 1.0,
 intercept unpenalized), optimized via :func:`scipy.optimize.minimize`.
 
-The objective takes one shifted exponential per evaluation and reuses it,
-normalized in place, as the gradient.  It makes no NumPy reduction along
-the short class axis and no 2-D fancy index, because each of those pays a
-fixed cost per row; yet it reproduces NumPy's summation order, so every
-fitted bit is the bit the plain reductions give:
+The objective runs class-major.  The logits are written once into a
+``(classes, rows)`` buffer, so every step between the two BLAS products
+is a full-length row operation instead of a loop whose inner dimension
+is the two-to-a-few-element class axis.  One shifted exponential is
+taken per evaluation and reused, normalized in place, as the gradient.
+Every step adds in the order NumPy's plain row-major reductions do, so
+every fitted bit is the bit they give:
 
-* The row max is a running ``np.maximum`` over the columns.  Max is exact,
-  so any class count keeps the bits.
-* The row sums are a sequential column loop below eight classes.  NumPy
-  adds a row of fewer than eight terms one after another; from eight it
-  sums pairwise, so there ``E.sum(axis=1)`` stays.  The cutoff is NumPy's,
+* The row max is ``Zt.max(axis=0)``.  Max is exact, so any class count
+  keeps the bits.
+* The row sums are ``Et.sum(axis=0)`` below eight classes.  A reduction
+  over axis 0 of a C-ordered array adds the class rows one after another,
+  as NumPy does for a row of fewer than eight terms.  From eight NumPy
+  sums a row pairwise, so there the sums come from a C-ordered
+  ``(rows, classes)`` copy and ``.sum(axis=1)``.  The cutoff is NumPy's,
   not a tuning knob.
-* The intercept gradient is ``np.cumsum`` down each column.  A reduction
-  over axis 0 of a C-ordered array adds row by row, as ``cumsum`` does;
-  ``E[:, c].sum()`` would sum pairwise and change the bits.
-* The label logits are a flat ``take`` and the one-hot subtraction is
-  ``E -= Y``: subtracting ``+0.0`` leaves every double unchanged.
+* The intercept gradient is ``np.cumsum`` along each class row: element
+  by element, the order of the axis-0 reduction of the row-major
+  gradient.  ``Et.sum(axis=1)`` would sum pairwise and change the bits.
+* The label logits are a flat ``take`` and the one-hot subtraction is a
+  full-array ``Et -= Yt``: subtracting ``+0.0`` leaves every double
+  unchanged.
 
-The two BLAS products stay as they are: their bits depend on memory order.
+The two BLAS products keep their operands' memory order, because their
+bits depend on it.  The logits come from ``X @ W`` and are transposed
+after it, while the bias is added.  The gradient's ``X.T @ E`` gets a
+C-ordered ``(rows, classes)`` copy of ``Et.T``.  Handing it the
+F-ordered view ``Et.T`` itself is the C-order trap: that is a different
+BLAS call, and it changes gradient bits (seen with a single feature and
+a handful of rows).  The copy is one strided column write per class;
+NumPy's own transposed copy walks the rows, a few elements at a time,
+and costs several times more at a small class count.
 """
 
 from __future__ import annotations
@@ -35,11 +48,12 @@ from scipy.optimize import minimize
 from repro.utils.validation import check_fit_inputs, check_predict_input
 
 
-def _shifted_exp(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``exp(Z - row max)`` as a new array, with the row max and row sums.
+def softmax(Z: np.ndarray) -> np.ndarray:
+    """Row-wise softmax with max-subtraction for numerical stability.
 
-    Below eight columns the row sums are a column loop, which adds in the
-    order ``E.sum(axis=1)`` does; from eight NumPy sums pairwise, so the
+    The row max is a running ``np.maximum`` over the columns.  Below eight
+    columns the row sums are a column loop, which adds in the order
+    ``E.sum(axis=1)`` does; from eight NumPy sums pairwise, so the
     reduction stays.
     """
     Zmax = Z[:, 0].copy()
@@ -48,16 +62,11 @@ def _shifted_exp(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     E = Z - Zmax[:, None]
     np.exp(E, out=E)
     if Z.shape[1] >= 8:
-        return E, Zmax, E.sum(axis=1)
-    S = E[:, 0].copy()
-    for c in range(1, Z.shape[1]):
-        S += E[:, c]
-    return E, Zmax, S
-
-
-def softmax(Z: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max-subtraction for numerical stability."""
-    E, _, S = _shifted_exp(Z)
+        S = E.sum(axis=1)
+    else:
+        S = E[:, 0].copy()
+        for c in range(1, Z.shape[1]):
+            S += E[:, c]
     E /= S[:, None]
     return E
 
@@ -162,24 +171,39 @@ class LogisticRegression:
     ) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
         """Loss and gradient of the flat parameters ``[W.ravel(), b]``."""
         n, d = X.shape
-        # Flat positions of the label logits, and the one-hot labels.
-        lab = np.arange(n) * n_classes + y
-        Y = np.zeros((n, n_classes))
-        Y.ravel()[lab] = 1.0
+        # Flat positions of the label logits in the class-major buffers,
+        # and the one-hot labels.
+        lab = y * n + np.arange(n)
+        Yt = np.zeros((n_classes, n))
+        Yt.ravel()[lab] = 1.0
+        # The logits, then their shifted exponential, then the gradient.
+        Zt = np.empty((n_classes, n))
+        E = np.empty((n, n_classes))
 
         def objective(w_flat: np.ndarray) -> tuple[float, np.ndarray]:
             W = w_flat[: d * n_classes].reshape(d, n_classes)
             b = w_flat[d * n_classes :]
-            Z = X @ W
-            Z += b
-            E, Zmax, S = _shifted_exp(Z)
-            ll = (Z.ravel().take(lab) - (Zmax + np.log(S))).sum()
-            # E becomes the softmax minus the one-hot labels.
-            E /= S[:, None]
-            E -= Y
+            np.add((X @ W).T, b[:, None], out=Zt)
+            z_lab = Zt.ravel().take(lab)
+            Zmax = Zt.max(axis=0)
+            Et = np.subtract(Zt, Zmax, out=Zt)
+            np.exp(Et, out=Et)
+            if n_classes >= 8:
+                # Pairwise row sums need the rows contiguous.
+                for k in range(n_classes):
+                    E[:, k] = Et[k]
+                S = E.sum(axis=1)
+            else:
+                S = Et.sum(axis=0)
+            ll = (z_lab - (Zmax + np.log(S))).sum()
+            # Et becomes the softmax minus the one-hot labels.
+            Et /= S
+            Et -= Yt
+            # BLAS gets a C-ordered copy of Et.T (see the module notes).
+            for k in range(n_classes):
+                E[:, k] = Et[k]
             grad_W = X.T @ E / n + 2.0 * lam * W
-            # Row by row down each column: the order of an axis-0 reduction.
-            grad_b = np.array([np.cumsum(E[:, c])[-1] for c in range(n_classes)]) / n
+            grad_b = np.cumsum(Et, axis=1)[:, -1] / n
             loss = -ll / n + lam * float((W * W).sum())
             return loss, np.concatenate([grad_W.ravel(), grad_b])
 

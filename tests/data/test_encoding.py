@@ -35,6 +35,18 @@ class TestStandardScaler:
         with pytest.raises(RuntimeError):
             StandardScaler().transform(np.zeros((1, 1)))
 
+    def test_transform_into_out_matches_new_array(self):
+        X = np.random.default_rng(1).normal(5, 3, (20, 3))
+        scaler = StandardScaler().fit(X)
+        expected = (X - scaler.mean_) / scaler.scale_
+        buf = np.zeros((20, 5))
+        view = buf[:, 1:4]
+        view[...] = X
+        assert scaler.transform(view, out=view) is view
+        assert buf[:, 1:4].tobytes() == expected.tobytes()
+        assert not buf[:, [0, 4]].any()
+        assert scaler.transform(X).tobytes() == expected.tobytes()
+
 
 class TestTabularEncoder:
     def test_shape(self, table):
@@ -81,6 +93,18 @@ class TestTabularEncoder:
         enc = TabularEncoder().fit(table)
         empty = table.loc_mask(np.zeros(4, dtype=bool))
         assert enc.transform(empty).shape == (0, 5)
+
+    def test_out_of_vocabulary_code_raises(self):
+        """A code past its block's vocabulary must not set a one in the
+        next block's columns."""
+        schema = make_schema(categorical={"c": ("a", "b"), "d": ("u", "v", "w")})
+        enc = TabularEncoder().fit(
+            Table(schema, {"c": np.array([0, 1]), "d": np.array([0, 2])})
+        )
+        # Table() refuses such codes; _wrap takes them unchecked.
+        bad = Table._wrap(schema, {"c": np.array([2]), "d": np.array([0])}, 1)
+        with pytest.raises(IndexError):
+            enc.transform(bad)
 
 
 class TestOrdinalEncoder:

@@ -1,15 +1,14 @@
-"""The seed repository's row-at-a-time hot-path implementations, preserved.
+"""The seed repository's implementations of the optimized hot paths, preserved.
 
-When the edit-loop hot paths were vectorized, the original per-row Python
-loops were moved here verbatim (modulo being standalone functions) so that
+When an edit-loop hot path is rewritten for speed, the code it replaces is
+moved here (modulo being standalone functions or subclasses) so that
+``tests/perf/test_seed_parity.py`` can pin, under a fixed RNG, that the
+new implementation reproduces the seed outputs **bit-for-bit** (the batch
+code consumes the random stream in exactly the seed order).  Speed itself
+is measured end to end by ``perfbench/``, not here.
 
-* ``tests/perf/test_seed_parity.py`` can pin, under a fixed RNG, that the
-  vectorized implementations reproduce the seed outputs **bit-for-bit**
-  (the batch code consumes the random stream in exactly the seed order);
-* ``repro.perf.hotpaths`` can measure the speedup the vectorization buys,
-  emitted to ``BENCH_hotpaths.json``.
-
-The CART tree is kept the same way: :func:`seed_cart_best_split` is the
+The per-row Python loops of the sampling and neighbour paths are kept as
+functions.  The CART tree is kept the same way: :func:`seed_cart_best_split` is the
 per-feature argsort search that the histogram search in
 :mod:`repro.models.tree` replaced, and :class:`SeedSplitTree` /
 :class:`SeedSplitForest` grow trees with it, one node at a time, by the
@@ -22,10 +21,15 @@ boosting model's node lists and frontier walk are kept the same way, in
 :class:`SeedFrontierBoosting`.
 
 The logistic-regression objective is kept the same way:
-:class:`SeedObjectiveLR` fits with the seed objective (a row max along
-axis 1, two ``exp`` passes, a copied softmax and a one-hot label matrix)
-that :class:`repro.models.LogisticRegression` replaced with a fused one,
+:class:`SeedObjectiveLR` fits with the seed objective (row-major logits,
+a row max and row sums along axis 1, two ``exp`` passes, a copied softmax,
+a one-hot label matrix and an axis-0 intercept sum) that
+:class:`repro.models.LogisticRegression` replaced with a class-major one,
 and predicts through :func:`seed_softmax`.
+
+:func:`seed_encode` is the :class:`repro.data.TabularEncoder` transform
+that built one matrix per column block and joined them with ``np.hstack``,
+before the encoder filled one preallocated matrix.
 
 Nothing here is used by the production edit loop.
 """
@@ -38,6 +42,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.data.encoding import TabularEncoder
 from repro.data.table import Table
 from repro.models.boosting import GradientBoostingClassifier, _HistTreeBuilder
 from repro.models.forest import RandomForestClassifier
@@ -478,3 +483,25 @@ class SeedObjectiveLR(LogisticRegression):
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return seed_softmax(self.decision_function(X))
+
+
+def seed_encode(encoder: TabularEncoder, table: Table) -> np.ndarray:
+    """Seed ``TabularEncoder.transform``: one matrix per column block,
+    joined by ``np.hstack`` (dense pass; a sharded table materializes)."""
+    schema = encoder.schema_
+    blocks: list[np.ndarray] = []
+    if schema.numeric_names:
+        num = np.column_stack([table.column(n) for n in schema.numeric_names])
+        num = num.astype(np.float64, copy=False)
+        if encoder._scaler is not None:
+            num = (num - encoder._scaler.mean_) / encoder._scaler.scale_
+        blocks.append(num)
+    for col in schema.categorical_names:
+        codes = table.column(col)
+        onehot = np.zeros((table.n_rows, len(schema[col].categories)), dtype=np.float64)
+        if table.n_rows:
+            onehot[np.arange(table.n_rows), codes] = 1.0
+        blocks.append(onehot)
+    if not blocks:
+        return np.zeros((table.n_rows, 0), dtype=np.float64)
+    return np.hstack(blocks)

@@ -12,7 +12,9 @@ import seed_reference as seed_ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data import Table, make_schema
+from repro.data import Table, TabularEncoder, make_schema
+from repro.data.builder import TableBuilder
+from repro.data.shards import SpillPolicy
 from repro.models import (
     DecisionTreeClassifier,
     GradientBoostingClassifier,
@@ -382,14 +384,14 @@ class TestBoostingWalkParity:
 
 
 @st.composite
-def lr_training_sets(draw):
-    """Small LR problems: k in 2..10 (eight or more classes sum each row
-    pairwise), n up to 300 (so a pairwise column sum would cross NumPy's
-    8- and 128-term blocks), absent classes, large logits, duplicated rows
-    and signed zeros."""
+def lr_training_sets(draw, max_classes=10):
+    """Small LR problems: k in 2..max_classes (eight or more classes sum
+    each row pairwise), n up to 300 (so a pairwise column sum would cross
+    NumPy's 8- and 128-term blocks), absent classes, large logits,
+    duplicated rows and signed zeros."""
     n = draw(st.integers(min_value=1, max_value=300))
     d = draw(st.integers(min_value=1, max_value=5))
-    n_classes = draw(st.integers(min_value=2, max_value=10))
+    n_classes = draw(st.integers(min_value=2, max_value=max_classes))
     present = draw(st.integers(min_value=1, max_value=n_classes))
     scale = draw(st.sampled_from([1.0, 30.0, 1e3]))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
@@ -403,7 +405,7 @@ def lr_training_sets(draw):
 
 
 class TestLogisticObjectiveParity:
-    """The fused objective walks the seed objective's L-BFGS path: same
+    """The class-major objective walks the seed objective's L-BFGS path: same
     coefficient bits, same iteration count, same probabilities."""
 
     @settings(max_examples=80, deadline=None)
@@ -429,6 +431,29 @@ class TestLogisticObjectiveParity:
         assert current.n_iter_ == seed.n_iter_
         assert current.predict_proba(X).tobytes() == seed.predict_proba(X).tobytes()
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=lr_training_sets(max_classes=12),
+        C=st.sampled_from([0.01, 1.0, 100.0]),
+        w_seed=st.integers(min_value=0, max_value=2**32 - 1),
+        w_scale=st.sampled_from([0.1, 1.0, 30.0]),
+    )
+    def test_objective_bit_for_bit(self, data, C, w_seed, w_scale):
+        """Loss and gradient bytes at random parameters; two evaluations
+        per closure, so a buffer reused across evaluations is covered."""
+        X, y, n_classes = data
+        n, d = X.shape
+        lam = 1.0 / (C * n)
+        current = LogisticRegression._objective(X, y, n_classes, lam)
+        seed = seed_ref.SeedObjectiveLR._objective(X, y, n_classes, lam)
+        rng = np.random.default_rng(w_seed)
+        for _ in range(2):
+            w = rng.normal(size=(d + 1) * n_classes) * w_scale
+            loss, grad = current(w)
+            seed_loss, seed_grad = seed(w)
+            assert np.float64(loss).tobytes() == np.float64(seed_loss).tobytes()
+            assert grad.tobytes() == seed_grad.tobytes()
+
     @settings(max_examples=60, deadline=None)
     @given(
         k=st.integers(min_value=1, max_value=12),
@@ -448,3 +473,51 @@ class TestLogisticObjectiveParity:
         gb = GradientBoostingClassifier(n_estimators=5).fit(X, y)
         P = seed_ref.seed_softmax(gb.decision_function(X))
         assert gb.predict_proba(X).tobytes() == P.tobytes()
+
+
+@st.composite
+def encoder_tables(draw, layout):
+    """Tables of 0 to 200 rows with up to three numeric columns
+    (``layout`` "numeric" or "mixed") and up to three categorical ones
+    ("categorical" or "mixed"), with constant columns and signed zeros."""
+    n = draw(st.integers(min_value=0, max_value=200))
+    n_num = draw(st.integers(min_value=1, max_value=3)) if layout != "categorical" else 0
+    cards = (
+        draw(st.lists(st.integers(min_value=2, max_value=5), min_size=1, max_size=3))
+        if layout != "numeric"
+        else []
+    )
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    numeric = [f"x{j}" for j in range(n_num)]
+    categorical = {f"c{j}": tuple(f"v{i}" for i in range(k)) for j, k in enumerate(cards)}
+    columns = {}
+    for name in numeric:
+        col = rng.normal(size=n) * draw(st.sampled_from([1.0, 1e3]))
+        if draw(st.booleans()):
+            col[:] = col[:1].sum()  # constant
+        col[rng.random(n) < 0.2] = rng.choice([-0.0, 0.0])
+        columns[name] = col
+    for name, cats in categorical.items():
+        columns[name] = rng.integers(0, len(cats), n)
+    return Table(make_schema(numeric=numeric, categorical=categorical), columns)
+
+
+class TestEncoderParity:
+    """The encoder's one preallocated matrix holds the bytes the seed's
+    per-block ``np.hstack`` gave, dense or sharded."""
+
+    @pytest.mark.parametrize("layout", ["mixed", "numeric", "categorical"])
+    @pytest.mark.parametrize("standardize", [True, False])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), shard_rows=st.one_of(st.none(), st.integers(1, 64)))
+    def test_transform_bit_for_bit(self, layout, standardize, data, shard_rows):
+        table = data.draw(encoder_tables(layout))
+        encoder = TabularEncoder(standardize=standardize).fit(table)
+        expected = seed_ref.seed_encode(encoder, table)
+        if shard_rows is not None:
+            policy = SpillPolicy(1 << 30, shard_rows=shard_rows)
+            table = TableBuilder.from_table(table, policy=policy).snapshot()
+            assert table.shard_rows == shard_rows
+        out = encoder.transform(table)
+        assert out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
