@@ -6,14 +6,11 @@ runs an edit, prints the governance audit (JSON-ready), and then sweeps
 augmentation past the useful range to locate the *inflection point* where
 more synthetic data starts hurting overall performance.
 
-This example deliberately uses the legacy ``FROTE(...).run(...)`` API
-rather than ``repro.edit(...)`` — it exercises the compatibility layer,
-which drives the same engine and produces seed-identical results.
-
 Run:  python examples/governance_audit.py
 """
 
-from repro import FROTE, FeedbackRuleSet, FroteConfig, parse_rule
+import repro
+from repro import FeedbackRuleSet, parse_rule
 from repro.core import SYNTHETIC, format_inflection, trace_inflection
 from repro.data import train_test_split
 from repro.datasets import load_dataset
@@ -39,9 +36,13 @@ def main() -> None:
     )
 
     # --- Part 1: run the edit and print its audit trail ------------------
-    result = FROTE(
-        algorithm, frs, FroteConfig(tau=12, q=0.5, eta=40, random_state=42)
-    ).run(data)
+    result = (
+        repro.edit(data)
+        .with_rules(frs)
+        .with_algorithm(algorithm)
+        .configure(tau=12, q=0.5, eta=40, random_state=42)
+        .run()
+    )
     audit = result.audit(frs, mod_strategy="relabel", ticket="GOV-4711")
 
     print(audit.summary())

@@ -4,12 +4,10 @@ Full reproduction of Alkan et al. (MLSYS 2022), grown into a pluggable
 model-editing library.  The public API surface:
 
 * :func:`repro.edit` — the fluent :class:`~repro.engine.EditSession`
-  façade: the recommended way to edit a model;
+  façade: the one way to run the edit loop (paper Algorithm 1);
 * :mod:`repro.engine` — the pluggable edit engine: strategy registries
   (``register_selector`` & co.), composable pipeline stages, and the
   :class:`~repro.engine.EditEngine` driver;
-* :class:`repro.FROTE` / :func:`repro.run_frote` — the original
-  paper-faithful API, kept as a thin compatibility layer over the engine;
 * :mod:`repro.rules` — feedback rules (parse, learn, perturb, resolve);
 * :mod:`repro.feedback` — streaming rule feedback: sources, multi-expert
   vote aggregation, and live ruleset deltas applied to running sessions
@@ -53,25 +51,14 @@ Plugging in a custom strategy — register it, then name it in the config::
 
     result = repro.edit(data).with_rules(rule).with_algorithm("LR") \\
         .configure(selection="first-k").run()
-
-The legacy path (identical results for identical seeds)::
-
-    from repro import FROTE, FroteConfig, FeedbackRuleSet
-    result = FROTE(algorithm, FeedbackRuleSet((rule,)),
-                   FroteConfig(tau=30, q=0.5)).run(data)
 """
 
 from repro.core import (
-    FROTE,
     Evaluation,
     FroteConfig,
     FroteResult,
-    JournalOptions,
-    KernelOptions,
-    ServeOptions,
-    StorageOptions,
+    IterationRecord,
     evaluate_model,
-    run_frote,
 )
 from repro.data import (
     Dataset,
@@ -132,10 +119,9 @@ __all__ = [
     "register_modifier",
     "register_sampler",
     "register_objective",
-    "FROTE",
     "FroteConfig",
     "FroteResult",
-    "run_frote",
+    "IterationRecord",
     "Evaluation",
     "evaluate_model",
     "Dataset",
@@ -146,10 +132,6 @@ __all__ = [
     "Migration",
     "SchemaVersion",
     "SchemaMigrationError",
-    "StorageOptions",
-    "JournalOptions",
-    "KernelOptions",
-    "ServeOptions",
     "Predicate",
     "Clause",
     "clause",

@@ -1,4 +1,6 @@
-"""FROTE core: objective, base populations, selection, and the main loop."""
+"""FROTE core: configuration, objective, base populations, selection,
+and the result types of the edit loop (the loop itself runs through
+:func:`repro.edit`)."""
 
 from repro.core.audit import (
     ORIGINAL,
@@ -8,18 +10,11 @@ from repro.core.audit import (
     RowProvenance,
 )
 from repro.core.config import FroteConfig
-from repro.core.options import (
-    JournalOptions,
-    KernelOptions,
-    ServeOptions,
-    StorageOptions,
-)
 from repro.core.inflection import (
     InflectionTrace,
     format_inflection,
     trace_inflection,
 )
-from repro.core.frote import FROTE, FroteResult, IterationRecord, run_frote
 from repro.core.ip import (
     SelectionProblem,
     build_selection_problem,
@@ -27,11 +22,7 @@ from repro.core.ip import (
     solve_lp_relaxation,
     solve_selection,
 )
-from repro.core.modification import (
-    MOD_STRATEGIES,
-    ModificationResult,
-    apply_modification,
-)
+from repro.core.modification import ModificationResult, apply_modification
 from repro.core.objective import Evaluation, evaluate_model, evaluate_predictions
 from repro.core.online_proxy import OnlineObjectiveProxy, OnlineProxySelector
 from repro.core.preselect import (
@@ -45,17 +36,12 @@ from repro.core.selection import (
     SelectionContext,
     make_selector,
 )
+from repro.engine.state import FroteResult, IterationRecord
 
 __all__ = [
-    "FROTE",
     "FroteConfig",
-    "StorageOptions",
-    "JournalOptions",
-    "KernelOptions",
-    "ServeOptions",
     "FroteResult",
     "IterationRecord",
-    "run_frote",
     "Evaluation",
     "evaluate_model",
     "evaluate_predictions",
@@ -73,7 +59,6 @@ __all__ = [
     "greedy_selection",
     "apply_modification",
     "ModificationResult",
-    "MOD_STRATEGIES",
     "OnlineObjectiveProxy",
     "OnlineProxySelector",
     "EditAudit",

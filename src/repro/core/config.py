@@ -2,17 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import MISSING, InitVar, dataclass, fields
+from dataclasses import dataclass
 from math import isinf
 
-from repro.core.options import (
-    JOURNAL_FIELD_MAP,
-    KERNEL_FIELD_MAP,
-    STORAGE_FIELD_MAP,
-    JournalOptions,
-    KernelOptions,
-    StorageOptions,
-)
 from repro.engine.registry import (
     DISTANCE_BACKENDS,
     MODIFIERS,
@@ -25,6 +17,10 @@ from repro.utils.rng import RandomState
 @dataclass(frozen=True)
 class FroteConfig:
     """User constraints and hyper-parameters of Algorithm 1.
+
+    Every field is flat, and this one shape is what
+    :meth:`EditSession.configure <repro.engine.EditSession.configure>`
+    takes, spec hashes cover, and journals snapshot.
 
     Parameters
     ----------
@@ -65,10 +61,10 @@ class FroteConfig:
         Opt into the blocked float32 distance-kernel layer for every
         neighbour search the run performs (generation samplers, the IP
         selector's borderline analysis, preselect pools) — any name in
-        :data:`repro.engine.DISTANCE_BACKENDS` (built-ins: ``"numpy"``,
-        ``"numba"``; the numba backend soft-falls back to the numpy
-        kernel when numba is absent).  ``None`` (default) keeps the
-        exact float64 path, bit-identical to the seed.  The kernel
+        :data:`repro.engine.DISTANCE_BACKENDS` (built-in: ``"numpy"``;
+        plugins register via :func:`repro.engine.register_distance_backend`).
+        ``None`` (default) keeps the exact float64 path, bit-identical
+        to the seed.  The kernel
         layer's precision/tie contract is documented in
         :mod:`repro.neighbors.kernels` and ``docs/architecture.md``.
     incremental:
@@ -125,16 +121,6 @@ class FroteConfig:
         Seed for all stochastic steps (paper runs use 42).  Journal
         resume requires an integer seed (the RNG stream must be
         reconstructible).
-    storage / journal / kernel:
-        Typed option groups (:class:`~repro.core.options.StorageOptions`,
-        :class:`~repro.core.options.JournalOptions`,
-        :class:`~repro.core.options.KernelOptions`) expanding into the
-        flat fields above — the structured face of the same
-        configuration.  A flat kwarg explicitly set to a value that
-        disagrees with its group is a :class:`ValueError` (ambiguous
-        intent), and the flat fields remain the storage/equality
-        representation, so snapshots, spec hashes, and journal resume
-        validation see grouped and flat configs identically.
     """
 
     tau: int = 200
@@ -155,23 +141,12 @@ class FroteConfig:
     journal_name: str | None = None
     journal_resume: bool = True
     random_state: RandomState = 42
-    storage: InitVar[StorageOptions | None] = None
-    journal: InitVar[JournalOptions | None] = None
-    kernel: InitVar[KernelOptions | None] = None
 
     #: Upper bound on ``q``; the paper sweeps (0, 1], anything past this is
     #: almost certainly a units mistake (e.g. a percentage passed as-is).
     MAX_Q = 10.0
 
-    def __post_init__(
-        self,
-        storage: StorageOptions | None,
-        journal: JournalOptions | None,
-        kernel: KernelOptions | None,
-    ) -> None:
-        self._expand_group(storage, STORAGE_FIELD_MAP)
-        self._expand_group(journal, JOURNAL_FIELD_MAP)
-        self._expand_group(kernel, KERNEL_FIELD_MAP)
+    def __post_init__(self) -> None:
         if self.tau < 1:
             raise ValueError(f"tau must be >= 1, got {self.tau}")
         if self.q <= 0:
@@ -218,52 +193,6 @@ class FroteConfig:
         if self.distance_backend is not None:
             DISTANCE_BACKENDS.validate(self.distance_backend)
 
-    def _expand_group(self, group, field_map: dict) -> None:
-        """Expand one typed option group into the flat fields it covers.
-
-        A flat kwarg left at its default yields to the group; a flat
-        kwarg explicitly set to the same value is redundant-but-fine; a
-        disagreement raises (the caller's intent is ambiguous).
-        """
-        if group is None:
-            return
-        defaults = _flat_defaults()
-        for group_field, flat in field_map.items():
-            value = getattr(group, group_field)
-            current = getattr(self, flat)
-            if current != defaults[flat] and current != value:
-                raise ValueError(
-                    f"conflicting values for {flat!r}: flat kwarg "
-                    f"{current!r} vs {type(group).__name__}.{group_field}="
-                    f"{value!r} — pass one or the other"
-                )
-            object.__setattr__(self, flat, value)
-
-    # ------------------------------------------------------------------ #
-    # Group views: the structured read face of the flat fields.
-    @property
-    def storage_options(self) -> StorageOptions:
-        return StorageOptions(
-            max_resident_mb=self.max_resident_mb,
-            shard_rows=self.shard_rows,
-            spill_dir=self.spill_dir,
-        )
-
-    @property
-    def journal_options(self) -> JournalOptions:
-        return JournalOptions(
-            dir=self.journal_dir,
-            name=self.journal_name,
-            resume=self.journal_resume,
-        )
-
-    @property
-    def kernel_options(self) -> KernelOptions:
-        return KernelOptions(
-            distance_backend=self.distance_backend,
-            incremental=self.incremental,
-        )
-
     def effective_eta(self, n: int) -> int:
         """Per-iteration generation count: explicit η or the uniform quota."""
         if self.eta is not None:
@@ -280,11 +209,3 @@ class FroteConfig:
             return int(1e18)
         return int(round(self.q * n))
 
-
-def _flat_defaults() -> dict:
-    """Default value of every real (non-InitVar) ``FroteConfig`` field."""
-    return {
-        f.name: f.default
-        for f in fields(FroteConfig)
-        if f.default is not MISSING
-    }

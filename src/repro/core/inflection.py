@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.config import FroteConfig
-from repro.core.frote import FROTE
 from repro.core.objective import evaluate_model
 from repro.data.dataset import Dataset
+from repro.engine.session import edit
 from repro.models.base import TrainingAlgorithm
 from repro.rules.ruleset import FeedbackRuleSet
 
@@ -79,17 +78,6 @@ def trace_inflection(
     f1s = [initial.f1_outside]
     js = [initial.j_weighted()]
 
-    config = FroteConfig(
-        tau=max_iterations,
-        q=float("inf"),  # quota never binds; iterations bound the sweep
-        eta=eta,
-        mod_strategy=mod_strategy,
-        accept_equal=True,
-        mra_weight=1.0,  # chase MRA only, exposing the F1 cost
-        random_state=random_state,
-    )
-    frote = FROTE(algorithm, frs, config)
-
     def record(model) -> float:
         ev = evaluate_model(model, test, frs)
         mras.append(ev.mra)
@@ -97,7 +85,22 @@ def trace_inflection(
         js.append(ev.j_weighted())
         return ev.j_weighted()
 
-    result = frote.run(train, eval_callback=record)
+    result = (
+        edit(train)
+        .with_rules(frs)
+        .with_algorithm(algorithm)
+        .configure(
+            tau=max_iterations,
+            q=float("inf"),  # quota never binds; iterations bound the sweep
+            eta=eta,
+            mod_strategy=mod_strategy,
+            accept_equal=True,
+            mra_weight=1.0,  # chase MRA only, exposing the F1 cost
+            random_state=random_state,
+        )
+        .track_metric(record)
+        .run()
+    )
     for rec in result.history:
         if rec.accepted:
             points_n.append(rec.n_added_total)

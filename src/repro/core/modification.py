@@ -28,10 +28,6 @@ from repro.engine.registry import MODIFIERS, register_modifier
 from repro.rules.ruleset import FeedbackRuleSet
 from repro.utils.rng import RandomState, check_random_state
 
-# The paper's strategies (kept for compatibility; the authoritative list is
-# the registry, which also contains user plugins).
-MOD_STRATEGIES = ("none", "relabel", "drop")
-
 
 @dataclass(frozen=True)
 class ModificationResult:

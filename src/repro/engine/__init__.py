@@ -10,10 +10,7 @@ Three layers, lowest first:
   :class:`Stage` objects over a shared :class:`EditState`, driven by
   :class:`EditEngine`;
 * :mod:`repro.engine.session` — the fluent :class:`EditSession` façade
-  behind :func:`repro.edit`.
-
-The legacy :class:`repro.FROTE` API is a thin compatibility layer over
-this package.
+  behind :func:`repro.edit`, the one entry point to the edit loop.
 """
 
 from repro.engine.registry import (

@@ -230,7 +230,6 @@ SAMPLERS.register_lazy("adasyn", "repro.sampling.adasyn:ADASYN")
 OBJECTIVES.register_lazy("equal", "repro.core.objective:equal_weight_objective")
 OBJECTIVES.register_lazy("weighted", "repro.core.objective:coverage_weighted_objective")
 
-# Distance backends are registered as *instances* (singletons), not
-# classes: warn-once / compiled-kernel state must persist across lookups.
+# Distance backends are registered as *instances*, not classes: a
+# backend is a stateless tile kernel shared by every run.
 DISTANCE_BACKENDS.register_lazy("numpy", "repro.neighbors.kernels:NUMPY_BACKEND")
-DISTANCE_BACKENDS.register_lazy("numba", "repro.neighbors.kernels:NUMBA_BACKEND")

@@ -23,7 +23,6 @@ calling it again replays the same edit (same seed), while
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Callable, Iterable
 
 from repro.data.dataset import Dataset
@@ -231,70 +230,14 @@ class EditSession:
     def configure(self, **kwargs: Any) -> "EditSession":
         """Set :class:`~repro.core.config.FroteConfig` fields; successive
         calls merge (later wins), validated when :meth:`run` builds the
-        config.
-
-        Accepts the typed option groups (``storage=StorageOptions(...)``,
-        ``journal=JournalOptions(...)``, ``kernel=KernelOptions(...)``)
-        alongside scalar fields.  A group expands into its flat fields
-        at this call — the whole concern at once, so a later group wins
-        over earlier flat settings of the same fields and vice versa.
-        Passing a *grouped* field flat (``max_resident_mb=...``,
-        ``journal_dir=...``, ``incremental=...``, ...) still works but
-        is deprecated in favor of the groups; the dedicated sugars
-        (:meth:`out_of_core`, :meth:`journaled`, :meth:`incremental`)
-        are unaffected.
-        """
-        from repro.core.options import (
-            JOURNAL_FIELD_MAP,
-            KERNEL_FIELD_MAP,
-            STORAGE_FIELD_MAP,
-        )
-
-        field_maps = {
-            "storage": STORAGE_FIELD_MAP,
-            "journal": JOURNAL_FIELD_MAP,
-            "kernel": KERNEL_FIELD_MAP,
-        }
-        groups = {
-            key: kwargs.pop(key)
-            for key in tuple(field_maps)
-            if kwargs.get(key) is not None
-        }
-        grouped_flat = {
-            flat: key
-            for key, field_map in field_maps.items()
-            for flat in field_map.values()
-        }
-        deprecated = sorted(k for k in kwargs if k in grouped_flat)
-        if deprecated:
-            hints = ", ".join(
-                f"{k} -> {grouped_flat[k]}=...Options(...)" for k in deprecated
-            )
-            warnings.warn(
-                f"passing {deprecated} flat to configure() is deprecated; "
-                f"use the typed option groups instead ({hints}) — see "
-                "docs/migration.md",
-                DeprecationWarning,
-                stacklevel=2,
-            )
+        config."""
         self._config_kwargs.update(kwargs)
-        for key, group in groups.items():
-            for group_field, flat in field_maps[key].items():
-                value = getattr(group, group_field)
-                if flat in kwargs and kwargs[flat] != value:
-                    raise ValueError(
-                        f"conflicting values for {flat!r} in one "
-                        f"configure() call: {kwargs[flat]!r} flat vs "
-                        f"{type(group).__name__}.{group_field}={value!r}"
-                    )
-                self._config_kwargs[flat] = value
         return self
 
     def incremental(self, enabled: bool = True) -> "EditSession":
         """Opt into the delta-proportional compute path (sugar for
-        ``configure(kernel=KernelOptions(incremental=True))``): O(batch)
-        partial model refits where supported and delta-extended
-        prediction caches.  See :class:`~repro.core.config.FroteConfig`
+        ``configure(incremental=True)``): O(batch) partial model refits
+        where supported and delta-extended prediction caches.  See :class:`~repro.core.config.FroteConfig`
         for the exactness contract."""
         self._config_kwargs["incremental"] = enabled
         return self
@@ -409,8 +352,7 @@ class EditSession:
 
     def track_metric(self, scorer: Callable[[Any], float]) -> "EditSession":
         """Score every accepted model (e.g. on held-out data); the value is
-        recorded as ``external_score`` in the iteration history — the
-        session-level equivalent of the legacy ``eval_callback``."""
+        recorded as ``external_score`` in the iteration history."""
         self._eval_callback = scorer
         return self
 
@@ -421,8 +363,6 @@ class EditSession:
         carry its history/provenance, and keep its quota accounting."""
         self._prior = prior
         return self
-
-    warm_start = resume_from  # alias
 
     # ------------------------------------------------------------------ #
     def build_state(self) -> EditState:

@@ -16,7 +16,8 @@ acceptance, different generation back-ends — are stage swaps, not forks::
     result = engine.run(state)
 
 The default stage chain reproduces the paper's loop bit-for-bit (same RNG
-consumption order), which :mod:`tests.test_legacy_api` asserts.
+consumption order), which the session digests in
+``perfbench/expected.json`` pin.
 """
 
 from __future__ import annotations

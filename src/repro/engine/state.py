@@ -3,9 +3,9 @@
 :class:`EditState` is the single mutable object every :class:`~repro.engine
 .stages.Stage` reads and writes; :class:`IterationRecord` /
 :class:`FroteResult` are the per-iteration and run-level outputs (defined
-here, re-exported from :mod:`repro.core.frote` for compatibility); and
+here, re-exported from :mod:`repro.core` and :mod:`repro`); and
 :class:`ProgressEvent` is the structured notification the engine emits to
-session listeners — the generalization of the old single ``eval_callback``.
+session listeners.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ class IterationRecord:
     accepted: bool
     n_generated: int
     n_added_total: int
-    external_score: float | None = None  # eval_callback output, if any
+    external_score: float | None = None  # track_metric output, if any
 
 
 @dataclass
@@ -134,10 +134,6 @@ class ListenerError:
     iteration: int
     error: Exception
 
-    def __iter__(self):
-        # Back-compat with the old ``(kind, exc)`` tuple entries:
-        # ``for kind, exc in state.listener_errors`` keeps working.
-        return iter((self.event_kind, self.error))
 
 # Process-global source of dataset-version cache tokens (see
 # EditState.bump_dataset_version).

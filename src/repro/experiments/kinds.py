@@ -24,12 +24,11 @@ from __future__ import annotations
 from functools import lru_cache
 
 from repro.core.config import FroteConfig
-from repro.core.frote import FROTE
 from repro.core.objective import evaluate_model, evaluate_predictions
 from repro.data.split import coverage_aware_split
 from repro.datasets import DATASETS
 from repro.engine.registry import InfoRegistry
-from repro.experiments.runner import execute_run
+from repro.experiments.runner import edit_session, execute_run
 from repro.experiments.setup import (
     ExperimentContext,
     build_context,
@@ -177,8 +176,6 @@ def run_trace_kind(spec: RunSpec) -> dict | None:
     and therefore *not* covered by the executor-interchangeability
     invariant (everything else in the record is).
     """
-    import repro
-
     ctx = shared_context(spec)
     prepared = prepared_for(spec)
     if prepared is None:
@@ -200,34 +197,9 @@ def run_trace_kind(spec: RunSpec) -> dict | None:
         for stage, seconds in event.stage_seconds.items():
             stage_totals[stage] = stage_totals.get(stage, 0.0) + seconds
 
-    from dataclasses import asdict
-
-    from repro.core.options import (
-        JOURNAL_FIELD_MAP,
-        KERNEL_FIELD_MAP,
-        STORAGE_FIELD_MAP,
-    )
-
-    # Grouped fields travel as their typed groups: passing them flat to
-    # configure() is deprecated.
-    config = frote_config_for(spec)
-    grouped = {
-        *STORAGE_FIELD_MAP.values(),
-        *JOURNAL_FIELD_MAP.values(),
-        *KERNEL_FIELD_MAP.values(),
-    }
-    session = (
-        repro.edit(prepared.train)
-        .with_rules(frs)
-        .with_algorithm(ctx.algorithm)
-        .configure(
-            **{k: v for k, v in asdict(config).items() if k not in grouped},
-            storage=config.storage_options,
-            journal=config.journal_options,
-            kernel=config.kernel_options,
-        )
-        .track_metric(score)
-    )
+    session = edit_session(
+        prepared.train, ctx.algorithm, frs, frote_config_for(spec)
+    ).track_metric(score)
     if want_timings:
         session.on_iteration(collect_timing)
     result = session.run()
@@ -280,8 +252,9 @@ def run_overlay_kind(spec: RunSpec) -> dict | None:
         overlay = Overlay(model, frs, split.train.X, mode=mode)
         overlay_evals[mode] = evaluate_predictions(overlay.predict(test.X), test, frs)
 
-    frote = FROTE(ctx.algorithm, frs, frote_config_for(spec))
-    frote_result = frote.run(split.train)
+    frote_result = edit_session(
+        split.train, ctx.algorithm, frs, frote_config_for(spec)
+    ).run()
     frote_eval = evaluate_predictions(frote_result.model.predict(test.X), test, frs)
 
     def deltas(ev) -> dict:
@@ -373,8 +346,10 @@ def run_probabilistic_kind(spec: RunSpec) -> dict | None:
     rule_p = probabilistic_variant(base_rule, p, marginal)
     frs_p = FeedbackRuleSet((rule_p,))
     # tcf=0: relabel/drop are inapplicable — no covered training rows.
-    frote = FROTE(ctx.algorithm, frs_p, frote_config_for(spec, mod_strategy="none"))
-    result = frote.run(prepared.train)
+    result = edit_session(
+        prepared.train, ctx.algorithm, frs_p,
+        frote_config_for(spec, mod_strategy="none"),
+    ).run()
     pred = result.model.predict(test.X)
     # "Rule not in effect": agreement w.r.t. original labels in coverage.
     mra_orig = accuracy_score(test.y[cov_mask], pred[cov_mask])

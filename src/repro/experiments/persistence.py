@@ -62,10 +62,6 @@ def dump_json(payload, *, indent: int | None = 2, sort_keys: bool = False) -> st
     return json.dumps(payload, indent=indent, sort_keys=sort_keys, allow_nan=False)
 
 
-# Backwards-compatible alias (pre-RunStore name).
-_jsonable = to_jsonable
-
-
 @dataclass(frozen=True)
 class ExperimentArchive:
     """A named batch of experiment records plus run metadata."""

@@ -9,15 +9,17 @@ tables.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from repro.core.config import FroteConfig
-from repro.core.frote import FROTE, FroteResult
 from repro.core.modification import apply_modification
 from repro.core.objective import Evaluation, evaluate_model
+from repro.data.dataset import Dataset
 from repro.datasets import DATASETS
+from repro.engine.session import EditSession, edit
+from repro.engine.state import FroteResult
 from repro.experiments.setup import ExperimentContext, PreparedRun, prepare_run
 from repro.utils.rng import RandomState, check_random_state
 
@@ -100,6 +102,23 @@ class RunResult:
         return self.final.f1_outside - self.initial.f1_outside
 
 
+def edit_session(
+    train: Dataset, algorithm, frs, config: FroteConfig
+) -> EditSession:
+    """The :func:`repro.edit` session running ``config`` on ``train``.
+
+    Fields are read with ``getattr``, not ``dataclasses.asdict``:
+    ``asdict`` deep-copies a ``Generator`` ``random_state``, so the
+    caller's stream would stop advancing.
+    """
+    return (
+        edit(train)
+        .with_rules(frs)
+        .with_algorithm(algorithm)
+        .configure(**{f.name: getattr(config, f.name) for f in fields(config)})
+    )
+
+
 def execute_run(
     ctx: ExperimentContext,
     prepared: PreparedRun,
@@ -122,8 +141,7 @@ def execute_run(
         mod_model = ctx.algorithm(mod.dataset)
         modified = RunMetrics.from_evaluation(evaluate_model(mod_model, test, frs))
 
-    frote = FROTE(ctx.algorithm, frs, config)
-    result = frote.run(prepared.train)
+    result = edit_session(prepared.train, ctx.algorithm, frs, config).run()
     final = RunMetrics.from_evaluation(evaluate_model(result.model, test, frs))
 
     return (

@@ -11,7 +11,6 @@ from repro.neighbors.distance import (
 from repro.neighbors.kernels import (
     CODED_SELF_DISTANCE_TOL,
     CodedLayout,
-    NumbaDistanceBackend,
     NumpyDistanceBackend,
     kneighbors_blocked,
     resolve_distance_backend,
@@ -22,7 +21,6 @@ __all__ = [
     "CODED_SELF_DISTANCE_TOL",
     "CodedLayout",
     "MixedMetric",
-    "NumbaDistanceBackend",
     "NumpyDistanceBackend",
     "TableNeighborSpace",
     "kneighbors_blocked",

@@ -18,7 +18,7 @@ class BruteKNN:
         ``"euclidean"`` or a :class:`~repro.neighbors.distance.MixedMetric`.
     backend:
         ``None`` (default) keeps the exact float64 path, bit-identical to
-        the seed.  A ``DISTANCE_BACKENDS`` name (``"numpy"``, ``"numba"``)
+        the seed.  A ``DISTANCE_BACKENDS`` name (``"numpy"``)
         or backend instance opts into the blocked float32 kernel layer
         (:mod:`repro.neighbors.kernels`) — see that module's precision and
         tie contract.

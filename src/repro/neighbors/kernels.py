@@ -9,9 +9,9 @@ through a swappable squared-distance kernel, keeping a running k-best per
 query so the full n×m distance matrix is never materialized.
 
 Backends live in the ``DISTANCE_BACKENDS`` registry
-(:mod:`repro.engine.registry`): ``"numpy"`` (float32 BLAS norm-expansion)
-and ``"numba"`` (njit direct accumulation, soft-falling back to the numpy
-kernel when numba is absent or fails to compile).  Selection is
+(:mod:`repro.engine.registry`): the built-in ``"numpy"`` backend is a
+float32 BLAS norm expansion, and plugins register through
+:func:`repro.engine.register_distance_backend`.  Selection is
 ``FroteConfig(distance_backend=...)`` or the ``backend=`` argument on
 :class:`~repro.neighbors.brute.BruteKNN` and the samplers.
 
@@ -32,7 +32,6 @@ Precision and tie contract (documented in ``docs/architecture.md``):
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,9 +39,7 @@ import numpy as np
 __all__ = [
     "CODED_SELF_DISTANCE_TOL",
     "CodedLayout",
-    "NumbaDistanceBackend",
     "NumpyDistanceBackend",
-    "NUMBA_BACKEND",
     "NUMPY_BACKEND",
     "kneighbors_blocked",
     "resolve_distance_backend",
@@ -141,10 +138,6 @@ class NumpyDistanceBackend:
 
     name = "numpy"
 
-    @property
-    def available(self) -> bool:
-        return True
-
     def sqdist_tile(
         self,
         qnum: np.ndarray,
@@ -164,89 +157,8 @@ class NumpyDistanceBackend:
         return sq
 
 
-class NumbaDistanceBackend:
-    """Optional njit tile kernel with a warn-once soft fallback.
-
-    The compiled kernel accumulates squared differences directly (no norm
-    expansion), which is numerically *different* from the numpy kernel but
-    inside the same float32 parity envelope.  When numba is missing — or
-    import/compilation fails for any reason — the backend falls back to
-    :class:`NumpyDistanceBackend`, whose output it then matches bitwise,
-    and warns exactly once.
-    """
-
-    name = "numba"
-
-    def __init__(self) -> None:
-        self._kernel = None
-        self._failed = False
-        self._warned = False
-        self._fallback = NumpyDistanceBackend()
-
-    @property
-    def available(self) -> bool:
-        """Whether the compiled kernel is (or can plausibly become) usable."""
-        if self._failed:
-            return False
-        if self._kernel is not None:
-            return True
-        try:
-            import numba  # noqa: F401
-        except Exception:
-            return False
-        return True
-
-    def _ensure_kernel(self):
-        if self._kernel is not None or self._failed:
-            return self._kernel
-        try:
-            from numba import njit
-
-            @njit(cache=False, fastmath=False, parallel=False)
-            def _sqdist(qnum, qcat, bnum, bcat, out):  # pragma: no cover
-                for i in range(out.shape[0]):
-                    for j in range(out.shape[1]):
-                        acc = np.float32(0.0)
-                        for f in range(qnum.shape[1]):
-                            d = qnum[i, f] - bnum[j, f]
-                            acc += d * d
-                        for f in range(qcat.shape[1]):
-                            if qcat[i, f] != bcat[j, f]:
-                                acc += np.float32(1.0)
-                        out[i, j] = acc
-
-            # Compile eagerly on a 1×1 probe so any failure surfaces here
-            # (and is downgraded to the fallback) rather than mid-query.
-            probe_num = np.zeros((1, 1), dtype=np.float32)
-            probe_cat = np.zeros((1, 1), dtype=np.int32)
-            probe_out = np.empty((1, 1), dtype=np.float32)
-            _sqdist(probe_num, probe_cat, probe_num, probe_cat, probe_out)
-            self._kernel = _sqdist
-        except Exception as exc:  # any import/compile failure → numpy
-            self._failed = True
-            if not self._warned:
-                self._warned = True
-                warnings.warn(
-                    f"numba distance backend unavailable ({exc!r}); "
-                    "falling back to the numpy kernel",
-                    RuntimeWarning,
-                    stacklevel=4,
-                )
-        return self._kernel
-
-    def sqdist_tile(self, qnum, qsq, qcat, bnum, bsq, bcat) -> np.ndarray:
-        kernel = self._ensure_kernel()
-        if kernel is None:
-            return self._fallback.sqdist_tile(qnum, qsq, qcat, bnum, bsq, bcat)
-        out = np.empty((qnum.shape[0], bnum.shape[0]), dtype=np.float32)
-        kernel(qnum, qcat, bnum, bcat, out)
-        return out
-
-
-# Singletons: registry entries are *instances* so per-process state (the
-# numba warn-once flag, the compiled kernel) persists across lookups.
+# The registry entry is this instance, so every lookup returns one object.
 NUMPY_BACKEND = NumpyDistanceBackend()
-NUMBA_BACKEND = NumbaDistanceBackend()
 
 
 def resolve_distance_backend(backend):

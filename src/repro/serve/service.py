@@ -37,7 +37,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, AsyncIterator
 
-from repro.core.options import ServeOptions
 from repro.engine.session import EditSession
 from repro.engine.state import FroteResult, ProgressEvent
 from repro.feedback.sources import QueueFeedbackSource, coerce_event
@@ -644,11 +643,6 @@ class EditService:
 
     Parameters
     ----------
-    options:
-        A :class:`~repro.core.options.ServeOptions` bundle supplying
-        every parameter below at once — the typed face of this
-        constructor.  Explicitly passed flat keywords override the
-        bundle for targeted tweaks.
     max_concurrent_steps:
         Engine quanta in flight at once (worker threads); defaults to
         :func:`~repro.serve.scheduler.default_max_concurrent`.
@@ -692,7 +686,6 @@ class EditService:
     def __init__(
         self,
         *,
-        options: "ServeOptions | None" = None,
         max_concurrent_steps: int | None = None,
         policy: str | SchedulingPolicy = "round-robin",
         memory_budget_mb: float | None = None,
@@ -702,43 +695,6 @@ class EditService:
         event_queue_size: int = 256,
         journal_dir: str | None = None,
     ) -> None:
-        if options is not None:
-            # The typed bundle supplies every parameter the caller left
-            # at its default; an explicitly passed flat keyword (i.e.
-            # one that differs from the signature default) wins.
-            defaults = {
-                "max_concurrent_steps": None,
-                "policy": "round-robin",
-                "memory_budget_mb": None,
-                "default_session_mb": None,
-                "max_active_sessions": 64,
-                "max_pending": 64,
-                "event_queue_size": 256,
-                "journal_dir": None,
-            }
-            passed = {
-                "max_concurrent_steps": max_concurrent_steps,
-                "policy": policy,
-                "memory_budget_mb": memory_budget_mb,
-                "default_session_mb": default_session_mb,
-                "max_active_sessions": max_active_sessions,
-                "max_pending": max_pending,
-                "event_queue_size": event_queue_size,
-                "journal_dir": journal_dir,
-            }
-            resolved = {
-                key: passed[key] if passed[key] != defaults[key]
-                else getattr(options, key)
-                for key in defaults
-            }
-            max_concurrent_steps = resolved["max_concurrent_steps"]
-            policy = resolved["policy"]
-            memory_budget_mb = resolved["memory_budget_mb"]
-            default_session_mb = resolved["default_session_mb"]
-            max_active_sessions = resolved["max_active_sessions"]
-            max_pending = resolved["max_pending"]
-            event_queue_size = resolved["event_queue_size"]
-            journal_dir = resolved["journal_dir"]
         if event_queue_size < 1:
             raise ValueError(
                 f"event_queue_size must be >= 1, got {event_queue_size}"

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+import repro
 from repro.analysis import ModelDiff, diff_models, explain_changes, format_diff
-from repro.core import FROTE, FroteConfig
 from repro.models import LogisticRegression, make_algorithm
 from repro.rules import FeedbackRule, FeedbackRuleSet, Predicate, clause
 
@@ -121,9 +121,13 @@ class TestEndToEnd:
         )
         alg = make_algorithm(lambda: LogisticRegression())
         before = alg(mixed_dataset)
-        result = FROTE(
-            alg, frs, FroteConfig(tau=8, q=0.5, eta=15, random_state=0)
-        ).run(mixed_dataset)
+        result = (
+            repro.edit(mixed_dataset)
+            .with_rules(frs)
+            .with_algorithm(alg)
+            .configure(tau=8, q=0.5, eta=15, random_state=0)
+            .run()
+        )
         diff = diff_models(before, result.model, mixed_dataset, frs)
         covered, changed, agreeing = diff.rule_attribution[0]
         # The edit must have moved predictions inside the rule's region

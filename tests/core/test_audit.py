@@ -5,13 +5,12 @@ import json
 import numpy as np
 import pytest
 
+import repro
 from repro.core import (
-    FROTE,
     ORIGINAL,
     RELABELLED,
     SYNTHETIC,
     EditAudit,
-    FroteConfig,
     RowProvenance,
 )
 from repro.models import LogisticRegression, make_algorithm
@@ -76,8 +75,14 @@ class TestFroteProvenance:
             )
         )
         alg = make_algorithm(lambda: LogisticRegression())
-        cfg = FroteConfig(tau=6, q=0.5, eta=10, random_state=0)
-        return frs, FROTE(alg, frs, cfg).run(mixed_dataset), mixed_dataset
+        result = (
+            repro.edit(mixed_dataset)
+            .with_rules(frs)
+            .with_algorithm(alg)
+            .configure(tau=6, q=0.5, eta=10, random_state=0)
+            .run()
+        )
+        return frs, result, mixed_dataset
 
     def test_provenance_rows_match_dataset(self, run):
         _, result, _ = run
@@ -103,8 +108,13 @@ class TestFroteProvenance:
             )
         )
         alg = make_algorithm(lambda: LogisticRegression())
-        cfg = FroteConfig(tau=2, q=0.1, eta=5, mod_strategy="drop", random_state=0)
-        result = FROTE(alg, frs, cfg).run(mixed_dataset)
+        result = (
+            repro.edit(mixed_dataset)
+            .with_rules(frs)
+            .with_algorithm(alg)
+            .configure(tau=2, q=0.1, eta=5, mod_strategy="drop", random_state=0)
+            .run()
+        )
         assert result.provenance.n == result.dataset.n
         assert result.provenance.counts()[RELABELLED] == 0
 

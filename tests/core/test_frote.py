@@ -1,9 +1,11 @@
-"""Tests for the FROTE main loop (Algorithm 1)."""
+"""Tests for the FROTE main loop (Algorithm 1), run through
+:func:`repro.edit`."""
 
 import numpy as np
 import pytest
 
-from repro.core import FROTE, FroteConfig, evaluate_model, run_frote
+import repro
+from repro.core import FroteConfig
 from repro.models import LogisticRegression, make_algorithm
 from repro.rules import FeedbackRule, FeedbackRuleSet, Predicate, clause
 
@@ -11,6 +13,16 @@ from repro.rules import FeedbackRule, FeedbackRuleSet, Predicate, clause
 @pytest.fixture
 def algorithm():
     return make_algorithm(lambda: LogisticRegression(max_iter=200))
+
+
+def edit_run(dataset, algorithm, frs, cfg):
+    return (
+        repro.edit(dataset)
+        .with_rules(frs)
+        .with_algorithm(algorithm)
+        .configure(**cfg)
+        .run()
+    )
 
 
 @pytest.fixture
@@ -110,34 +122,34 @@ class TestConfig:
 
 class TestRun:
     def test_improves_training_objective(self, mixed_dataset, algorithm, flip_rule):
-        cfg = FroteConfig(tau=10, q=1.0, eta=15, mod_strategy="none", random_state=0)
-        result = FROTE(algorithm, flip_rule, cfg).run(mixed_dataset)
+        cfg = dict(tau=10, q=1.0, eta=15, mod_strategy="none", random_state=0)
+        result = edit_run(mixed_dataset, algorithm, flip_rule, cfg)
         init = result.initial_evaluation.loss_equal()
         final = result.final_evaluation.loss_equal()
         assert final <= init
 
     def test_quota_respected(self, mixed_dataset, algorithm, flip_rule):
-        cfg = FroteConfig(tau=50, q=0.2, eta=10, random_state=0)
-        result = FROTE(algorithm, flip_rule, cfg).run(mixed_dataset)
+        cfg = dict(tau=50, q=0.2, eta=10, random_state=0)
+        result = edit_run(mixed_dataset, algorithm, flip_rule, cfg)
         # n may exceed quota by at most one batch (the loop condition is
         # checked before generation).
         assert result.n_added <= int(0.2 * mixed_dataset.n) + 10
 
     def test_iteration_limit(self, mixed_dataset, algorithm, flip_rule):
-        cfg = FroteConfig(tau=3, q=5.0, eta=5, random_state=0)
-        result = FROTE(algorithm, flip_rule, cfg).run(mixed_dataset)
+        cfg = dict(tau=3, q=5.0, eta=5, random_state=0)
+        result = edit_run(mixed_dataset, algorithm, flip_rule, cfg)
         assert result.iterations <= 3
         assert len(result.history) <= 3
 
     def test_rejected_batches_not_added(self, mixed_dataset, algorithm, flip_rule):
-        cfg = FroteConfig(tau=10, q=1.0, eta=10, random_state=0)
-        result = FROTE(algorithm, flip_rule, cfg).run(mixed_dataset)
+        cfg = dict(tau=10, q=1.0, eta=10, random_state=0)
+        result = edit_run(mixed_dataset, algorithm, flip_rule, cfg)
         accepted_total = sum(r.n_generated for r in result.history if r.accepted)
         assert result.n_added == accepted_total
 
     def test_augmented_dataset_contains_original(self, mixed_dataset, algorithm, flip_rule):
-        cfg = FroteConfig(tau=5, q=0.5, eta=10, mod_strategy="none", random_state=0)
-        result = FROTE(algorithm, flip_rule, cfg).run(mixed_dataset)
+        cfg = dict(tau=5, q=0.5, eta=10, mod_strategy="none", random_state=0)
+        result = edit_run(mixed_dataset, algorithm, flip_rule, cfg)
         assert result.dataset.n == mixed_dataset.n + result.n_added
         np.testing.assert_allclose(
             result.dataset.X.column("age")[: mixed_dataset.n],
@@ -145,8 +157,8 @@ class TestRun:
         )
 
     def test_synthetic_rows_satisfy_rule(self, mixed_dataset, algorithm, flip_rule):
-        cfg = FroteConfig(tau=10, q=0.5, eta=10, mod_strategy="none", random_state=0)
-        result = FROTE(algorithm, flip_rule, cfg).run(mixed_dataset)
+        cfg = dict(tau=10, q=0.5, eta=10, mod_strategy="none", random_state=0)
+        result = edit_run(mixed_dataset, algorithm, flip_rule, cfg)
         if result.n_added:
             synth = result.dataset.X.take(
                 np.arange(mixed_dataset.n, result.dataset.n)
@@ -154,8 +166,8 @@ class TestRun:
             assert flip_rule[0].coverage_mask(synth).all()
 
     def test_relabel_strategy_applied(self, mixed_dataset, algorithm, flip_rule):
-        cfg = FroteConfig(tau=2, q=0.1, eta=5, mod_strategy="relabel", random_state=0)
-        result = FROTE(algorithm, flip_rule, cfg).run(mixed_dataset)
+        cfg = dict(tau=2, q=0.1, eta=5, mod_strategy="relabel", random_state=0)
+        result = edit_run(mixed_dataset, algorithm, flip_rule, cfg)
         assert result.n_relabelled > 0
         rule = flip_rule[0]
         original_rows = result.dataset.take(np.arange(mixed_dataset.n))
@@ -163,55 +175,56 @@ class TestRun:
         assert (original_rows.y[cov] == rule.target_class).all()
 
     def test_drop_strategy_shrinks_dataset(self, mixed_dataset, algorithm, flip_rule):
-        cfg = FroteConfig(tau=2, q=0.1, eta=5, mod_strategy="drop", random_state=0)
-        result = FROTE(algorithm, flip_rule, cfg).run(mixed_dataset)
+        cfg = dict(tau=2, q=0.1, eta=5, mod_strategy="drop", random_state=0)
+        result = edit_run(mixed_dataset, algorithm, flip_rule, cfg)
         assert result.n_dropped > 0
 
     def test_eval_callback_recorded(self, mixed_dataset, algorithm, flip_rule):
-        cfg = FroteConfig(tau=8, q=1.0, eta=10, random_state=0)
+        cfg = dict(tau=8, q=1.0, eta=10, random_state=0)
         calls = []
 
         def cb(model):
             calls.append(1)
             return 0.5
 
-        result = FROTE(algorithm, flip_rule, cfg).run(mixed_dataset, eval_callback=cb)
+        result = (
+            repro.edit(mixed_dataset)
+            .with_rules(flip_rule)
+            .with_algorithm(algorithm)
+            .configure(**cfg)
+            .track_metric(cb)
+            .run()
+        )
         accepted = [r for r in result.history if r.accepted]
         assert len(calls) == len(accepted)
         assert all(r.external_score == 0.5 for r in accepted)
 
-    def test_empty_frs_raises(self, algorithm):
-        with pytest.raises(ValueError, match="empty"):
-            FROTE(algorithm, FeedbackRuleSet(()), FroteConfig())
+    def test_empty_frs_raises(self, mixed_dataset, algorithm):
+        with pytest.raises(ValueError, match="no feedback rules"):
+            edit_run(mixed_dataset, algorithm, FeedbackRuleSet(()), {})
 
     def test_reproducible(self, mixed_dataset, algorithm, flip_rule):
-        cfg = FroteConfig(tau=5, q=0.5, eta=10, random_state=11)
-        a = FROTE(algorithm, flip_rule, cfg).run(mixed_dataset)
-        b = FROTE(algorithm, flip_rule, cfg).run(mixed_dataset)
+        cfg = dict(tau=5, q=0.5, eta=10, random_state=11)
+        a = edit_run(mixed_dataset, algorithm, flip_rule, cfg)
+        b = edit_run(mixed_dataset, algorithm, flip_rule, cfg)
         assert a.n_added == b.n_added
         np.testing.assert_allclose(
             a.dataset.X.column("age"), b.dataset.X.column("age")
         )
 
-    def test_run_frote_wrapper(self, mixed_dataset, algorithm, flip_rule):
-        result = run_frote(
-            mixed_dataset, algorithm, flip_rule, tau=3, q=0.3, eta=5, random_state=0
-        )
-        assert result.iterations <= 3
-
     def test_ip_selection_runs(self, mixed_dataset, algorithm, flip_rule):
-        cfg = FroteConfig(tau=3, q=0.5, eta=10, selection="ip", random_state=0)
-        result = FROTE(algorithm, flip_rule, cfg).run(mixed_dataset)
+        cfg = dict(tau=3, q=0.5, eta=10, selection="ip", random_state=0)
+        result = edit_run(mixed_dataset, algorithm, flip_rule, cfg)
         assert result.iterations == 3
 
     def test_online_selection_runs(self, mixed_dataset, algorithm, flip_rule):
-        cfg = FroteConfig(tau=2, q=0.5, eta=6, selection="online", random_state=0)
-        result = FROTE(algorithm, flip_rule, cfg).run(mixed_dataset)
+        cfg = dict(tau=2, q=0.5, eta=6, selection="online", random_state=0)
+        result = edit_run(mixed_dataset, algorithm, flip_rule, cfg)
         assert result.iterations == 2
 
     def test_added_fraction(self, mixed_dataset, algorithm, flip_rule):
-        cfg = FroteConfig(tau=5, q=0.5, eta=10, mod_strategy="none", random_state=0)
-        result = FROTE(algorithm, flip_rule, cfg).run(mixed_dataset)
+        cfg = dict(tau=5, q=0.5, eta=10, mod_strategy="none", random_state=0)
+        result = edit_run(mixed_dataset, algorithm, flip_rule, cfg)
         assert result.added_fraction == pytest.approx(
             result.n_added / mixed_dataset.n
         )
@@ -230,8 +243,8 @@ class TestRun:
                 ),
             )
         )
-        cfg = FroteConfig(tau=5, q=0.5, eta=10, mod_strategy="none", random_state=0)
-        result = FROTE(algorithm, frs, cfg).run(mixed_dataset)
+        cfg = dict(tau=5, q=0.5, eta=10, mod_strategy="none", random_state=0)
+        result = edit_run(mixed_dataset, algorithm, frs, cfg)
         if result.n_added:
             synth = result.dataset.X.take(np.arange(mixed_dataset.n, result.dataset.n))
             assert frs[0].coverage_mask(synth).all()

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import FROTE, SYNTHETIC, FroteConfig
+import repro
+from repro.core import SYNTHETIC, FroteConfig
 from repro.data import Dataset, Table, make_schema
 from repro.models import GaussianNB, make_algorithm
 from repro.rules import FeedbackRule, FeedbackRuleSet, Predicate, clause
@@ -56,6 +57,16 @@ def _make_frs(seed: int) -> FeedbackRuleSet:
 _ALGORITHM = make_algorithm(lambda: GaussianNB())
 
 
+def _edit(dataset, frs, cfg):
+    return (
+        repro.edit(dataset)
+        .with_rules(frs)
+        .with_algorithm(_ALGORITHM)
+        .configure(**cfg)
+        .run()
+    )
+
+
 @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     seed=st.integers(min_value=0, max_value=10**6),
@@ -67,10 +78,10 @@ _ALGORITHM = make_algorithm(lambda: GaussianNB())
 def test_run_invariants(seed, tau, eta, q, mod):
     dataset = _make_dataset(seed, 120)
     frs = _make_frs(seed)
-    cfg = FroteConfig(
+    cfg = dict(
         tau=tau, q=q, eta=eta, mod_strategy=mod, random_state=seed
     )
-    result = FROTE(_ALGORITHM, frs, cfg).run(dataset)
+    result = _edit(dataset, frs, cfg)
 
     # 1. Iteration and history bounds.
     assert result.iterations <= tau
@@ -84,7 +95,7 @@ def test_run_invariants(seed, tau, eta, q, mod):
     # the bound must use the same rounding — int(q * n) truncates and is
     # one short whenever q·n lands on .5 (e.g. q=0.0625, n=120).
     n_input = dataset.n - result.n_dropped
-    assert result.n_added <= cfg.oversampling_quota(n_input) + eta
+    assert result.n_added <= FroteConfig(**cfg).oversampling_quota(n_input) + eta
 
     # 4. Provenance matches the dataset row for row.
     assert result.provenance is not None
@@ -125,9 +136,9 @@ def test_determinism_property(seed):
     """Identical configuration and data produce identical results."""
     dataset = _make_dataset(seed, 100)
     frs = _make_frs(seed)
-    cfg = FroteConfig(tau=3, q=0.5, eta=8, random_state=seed)
-    a = FROTE(_ALGORITHM, frs, cfg).run(dataset)
-    b = FROTE(_ALGORITHM, frs, cfg).run(dataset)
+    cfg = dict(tau=3, q=0.5, eta=8, random_state=seed)
+    a = _edit(dataset, frs, cfg)
+    b = _edit(dataset, frs, cfg)
     assert a.n_added == b.n_added
     assert a.iterations == b.iterations
     np.testing.assert_array_equal(a.dataset.y, b.dataset.y)
@@ -145,8 +156,8 @@ def test_original_rows_never_mutated_without_mod(seed, n):
     """With mod_strategy='none' the input rows pass through bit-identical."""
     dataset = _make_dataset(seed, n)
     frs = _make_frs(seed)
-    cfg = FroteConfig(tau=2, q=0.5, eta=8, mod_strategy="none", random_state=seed)
-    result = FROTE(_ALGORITHM, frs, cfg).run(dataset)
+    cfg = dict(tau=2, q=0.5, eta=8, mod_strategy="none", random_state=seed)
+    result = _edit(dataset, frs, cfg)
     np.testing.assert_array_equal(result.dataset.y[: dataset.n], dataset.y)
     for col in dataset.X.schema.names:
         np.testing.assert_array_equal(

@@ -57,10 +57,10 @@ class TestRaisingListener:
         assert dirty.history == clean.history
         # Every event the engine emitted hit the bomb and was recorded.
         assert state.listener_errors
-        kinds = {kind for kind, _ in state.listener_errors}
+        kinds = {e.event_kind for e in state.listener_errors}
         assert "started" in kinds and "finished" in kinds
         assert all(
-            isinstance(exc, RuntimeError) for _, exc in state.listener_errors
+            isinstance(e.error, RuntimeError) for e in state.listener_errors
         )
 
     def test_later_listeners_still_fire(self, mixed_dataset, single_rule_frs):
@@ -143,10 +143,6 @@ class TestRaisingListener:
         assert [e.iteration for e in per_iteration] == list(
             range(len(per_iteration))
         )
-        # Old tuple-unpacking consumers keep working.
-        kind, exc = state.listener_errors[0]
-        assert kind == state.listener_errors[0].event_kind
-        assert exc is state.listener_errors[0].error
 
     def test_keyboard_interrupt_propagates(
         self, mixed_dataset, single_rule_frs

@@ -148,7 +148,7 @@ class TestExtendedRegistry:
 
     def test_frote_works_with_extension_models(self, mixed_dataset):
         """The model-agnostic claim: FROTE edits NB and KNN too."""
-        from repro.core import FROTE, FroteConfig
+        import repro
         from repro.rules import FeedbackRule, FeedbackRuleSet, Predicate, clause
 
         frs = FeedbackRuleSet(
@@ -160,7 +160,11 @@ class TestExtendedRegistry:
         )
         for name in ("NB", "KNN"):
             alg = extended_algorithm(name)
-            result = FROTE(
-                alg, frs, FroteConfig(tau=3, q=0.3, eta=10, random_state=0)
-            ).run(mixed_dataset)
+            result = (
+                repro.edit(mixed_dataset)
+                .with_rules(frs)
+                .with_algorithm(alg)
+                .configure(tau=3, q=0.3, eta=10, random_state=0)
+                .run()
+            )
             assert result.iterations <= 3

@@ -4,11 +4,8 @@ The float32 coded path is *equivalent* to the exact float64 path under the
 documented contract (module docstring of :mod:`repro.neighbors.kernels`),
 not bitwise: every assertion here is therefore either distance-based with a
 float32-sized margin, or checks the parts that are exact by construction
-(categorical-only arithmetic, the ``(distance, index)`` ordering, the numpy
-fallback of the numba backend).
+(categorical-only arithmetic, the ``(distance, index)`` ordering).
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +21,6 @@ from repro.neighbors.distance import MixedMetric
 from repro.neighbors.kernels import (
     NUMPY_BACKEND,
     CodedLayout,
-    NumbaDistanceBackend,
     NumpyDistanceBackend,
     kneighbors_blocked,
     resolve_distance_backend,
@@ -238,8 +234,7 @@ class TestBackendsAndRegistry:
             resolve_distance_backend("nump")
 
     def test_registry_names_and_validation(self):
-        assert "numpy" in DISTANCE_BACKENDS
-        assert "numba" in DISTANCE_BACKENDS
+        assert DISTANCE_BACKENDS.names() == ("numpy",)
         with pytest.raises(UnknownEntryError):
             DISTANCE_BACKENDS.validate("not-a-backend")
 
@@ -260,46 +255,6 @@ class TestBackendsAndRegistry:
         assert FroteConfig().distance_backend is None
         with pytest.raises(UnknownEntryError, match="distance backend"):
             FroteConfig(distance_backend="nonsense")
-
-    def test_numba_fallback_is_bitwise_numpy_and_warns_once(self):
-        backend = NumbaDistanceBackend()  # fresh: warn-once state untouched
-        rng = np.random.default_rng(13)
-        E, cat_mask = random_encoded(rng, 64, 3, 2)
-        layout = coded(E, cat_mask)
-        q = layout.slice(0, 16)
-        args = (q.num, q.num_sq, q.cat, layout.num, layout.num_sq, layout.cat)
-        if backend.available:
-            # Compiled leg (CI with numba installed): same parity envelope
-            # as the numpy kernel, no fallback warning.
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", RuntimeWarning)
-                tile = backend.sqdist_tile(*args)
-            np.testing.assert_allclose(
-                tile, NUMPY_BACKEND.sqdist_tile(*args), atol=MARGIN**2, rtol=1e-4
-            )
-        else:
-            with pytest.warns(RuntimeWarning, match="falling back"):
-                tile = backend.sqdist_tile(*args)
-            np.testing.assert_array_equal(tile, NUMPY_BACKEND.sqdist_tile(*args))
-            assert not backend.available
-            with warnings.catch_warnings():  # warn-once: silent second call
-                warnings.simplefilter("error", RuntimeWarning)
-                backend.sqdist_tile(*args)
-
-    def test_numba_route_through_driver_matches_numpy(self):
-        rng = np.random.default_rng(14)
-        E, cat_mask = random_encoded(rng, 90, 2, 2)
-        layout = coded(E, cat_mask)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            d_nb, i_nb = kneighbors_blocked(layout, layout, 5, backend="numba")
-        d_np, i_np = kneighbors_blocked(layout, layout, 5, backend="numpy")
-        assert_equivalent(d_nb, i_nb, E, E, cat_mask, 5)
-        from repro.neighbors.kernels import NUMBA_BACKEND
-
-        if not NUMBA_BACKEND.available:  # fallback leg: bitwise numpy
-            np.testing.assert_array_equal(d_nb, d_np)
-            np.testing.assert_array_equal(i_nb, i_np)
 
 
 class TestIntegration:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro import FROTE, FroteConfig, FeedbackRuleSet, evaluate_model, parse_rule
+import repro
+from repro import FeedbackRuleSet, evaluate_model, parse_rule
 from repro.data import coverage_aware_split
 from repro.datasets import load_dataset
 from repro.models import paper_algorithm
@@ -36,9 +37,13 @@ class TestFullPipeline:
             car, frs.coverage_mask(car.X), tcf=0.1, random_state=42
         )
         initial = evaluate_model(alg(split.train), split.test, frs)
-        result = FROTE(
-            alg, frs, FroteConfig(tau=15, q=0.5, eta=20, random_state=42)
-        ).run(split.train)
+        result = (
+            repro.edit(split.train)
+            .with_rules(frs)
+            .with_algorithm(alg)
+            .configure(tau=15, q=0.5, eta=20, random_state=42)
+            .run()
+        )
         final = evaluate_model(result.model, split.test, frs)
         assert final.j_weighted() > initial.j_weighted()
         assert final.mra > initial.mra
@@ -54,10 +59,13 @@ class TestFullPipeline:
         )
         assert frs.coverage_mask(split.train.X).sum() == 0
         initial = evaluate_model(alg(split.train), split.test, frs)
-        result = FROTE(
-            alg, frs,
-            FroteConfig(tau=15, q=0.5, eta=20, mod_strategy="none", random_state=7),
-        ).run(split.train)
+        result = (
+            repro.edit(split.train)
+            .with_rules(frs)
+            .with_algorithm(alg)
+            .configure(tau=15, q=0.5, eta=20, mod_strategy="none", random_state=7)
+            .run()
+        )
         final = evaluate_model(result.model, split.test, frs)
         assert final.mra >= initial.mra
 
@@ -70,9 +78,13 @@ class TestFullPipeline:
         )
         frs = FeedbackRuleSet((rule,))
         alg = paper_algorithm("LR")
-        result = FROTE(
-            alg, frs, FroteConfig(tau=8, q=0.3, eta=15, random_state=0)
-        ).run(car)
+        result = (
+            repro.edit(car)
+            .with_rules(frs)
+            .with_algorithm(alg)
+            .configure(tau=8, q=0.3, eta=15, random_state=0)
+            .run()
+        )
         ev = evaluate_model(result.model, result.dataset, frs)
         assert ev.mra > 0.5
 
@@ -84,9 +96,13 @@ class TestFullPipeline:
         split = coverage_aware_split(
             car, frs.coverage_mask(car.X), tcf=0.2, random_state=3
         )
-        result = FROTE(
-            alg, frs, FroteConfig(tau=6, q=0.5, eta=20, random_state=3)
-        ).run(split.train)
+        result = (
+            repro.edit(split.train)
+            .with_rules(frs)
+            .with_algorithm(alg)
+            .configure(tau=6, q=0.5, eta=20, random_state=3)
+            .run()
+        )
         assert result.iterations <= 6
         assert evaluate_model(result.model, split.test, frs).j_weighted() > 0.0
 
@@ -101,9 +117,13 @@ class TestFullPipeline:
         rng = np.random.default_rng(5)
         frs = draw_conflict_free(pool, 2, ds.X.schema, rng)
         assert frs is not None
-        result = FROTE(
-            alg, frs, FroteConfig(tau=5, q=0.3, eta=25, random_state=5)
-        ).run(ds)
+        result = (
+            repro.edit(ds)
+            .with_rules(frs)
+            .with_algorithm(alg)
+            .configure(tau=5, q=0.3, eta=25, random_state=5)
+            .run()
+        )
         if result.n_added:
             synth = result.dataset.X.take(np.arange(ds.n, result.dataset.n))
             covered = frs.coverage_mask(synth)
