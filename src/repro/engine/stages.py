@@ -85,6 +85,7 @@ class ModificationStage:
         state.active_builder = state.make_builder(state.active)
         state.active = state.active_builder.snapshot()
         state.model = state.algorithm(state.active)
+        state.initial_model = state.model
         # Routing the initial evaluation through the prediction cache
         # seeds it for the first SelectionStage — one full predict pass
         # at setup instead of two (values identical either way); going

@@ -59,6 +59,10 @@ class FroteResult:
     #: applied during the run, in order — the feature-space timeline
     #: (empty for frozen-schema runs).
     schema_log: list = field(default_factory=list)
+    #: The model the run's setup trained on the modified input dataset,
+    #: before any synthetic rows (on a warm start, on the resumed
+    #: dataset).
+    initial_model: Any = None
 
     @property
     def accepted_iterations(self) -> int:
@@ -165,6 +169,7 @@ class EditState:
     active_builder: DatasetBuilder | None = None
     model: Any = None
     evaluation: Any = None
+    initial_model: Any = None
     initial_evaluation: Any = None
     best_loss: float = float("inf")
 
@@ -539,4 +544,5 @@ class EditState:
             frs=self.frs,
             ruleset_log=list(self.ruleset_log),
             schema_log=list(self.schema_log),
+            initial_model=self.initial_model,
         )

@@ -28,7 +28,7 @@ from repro.core.objective import evaluate_model, evaluate_predictions
 from repro.data.split import coverage_aware_split
 from repro.datasets import DATASETS
 from repro.engine.registry import InfoRegistry
-from repro.experiments.runner import edit_session, execute_run
+from repro.experiments.runner import edit_session, execute_run, unmodified_model
 from repro.experiments.setup import (
     ExperimentContext,
     build_context,
@@ -74,7 +74,6 @@ def clear_context_cache() -> None:
     """Drop all per-process caches (tests and long-lived sessions)."""
     _cached_context.cache_clear()
     _cached_prepared.cache_clear()
-    _probabilistic_baseline.cache_clear()
 
 
 def frote_config_for(spec: RunSpec, **overrides) -> FroteConfig:
@@ -203,7 +202,7 @@ def run_trace_kind(spec: RunSpec) -> dict | None:
     if want_timings:
         session.on_iteration(collect_timing)
     result = session.run()
-    initial_model = ctx.algorithm(prepared.train)
+    initial_model = unmodified_model(result, ctx.algorithm, prepared.train)
     record = {
         **_coords(spec),
         "n_added": [0]
@@ -243,7 +242,12 @@ def run_overlay_kind(spec: RunSpec) -> dict | None:
         outside_test_fraction=spec.params_mapping.get("outside_test_fraction", 0.5),
         random_state=rng,
     )
-    model = ctx.algorithm(split.train)
+    # The session runs first, so that its setup model can serve as the
+    # base model when its modification changed nothing.
+    frote_result = edit_session(
+        split.train, ctx.algorithm, frs, frote_config_for(spec)
+    ).run()
+    model = unmodified_model(frote_result, ctx.algorithm, split.train)
     test = split.test
     base_eval = evaluate_predictions(model.predict(test.X), test, frs)
 
@@ -252,9 +256,6 @@ def run_overlay_kind(spec: RunSpec) -> dict | None:
         overlay = Overlay(model, frs, split.train.X, mode=mode)
         overlay_evals[mode] = evaluate_predictions(overlay.predict(test.X), test, frs)
 
-    frote_result = edit_session(
-        split.train, ctx.algorithm, frs, frote_config_for(spec)
-    ).run()
     frote_eval = evaluate_predictions(frote_result.model.predict(test.X), test, frs)
 
     def deltas(ev) -> dict:
@@ -300,32 +301,6 @@ def run_selection_kind(spec: RunSpec) -> dict | None:
 # --------------------------------------------------------------------- #
 # "probabilistic": wrong-rule robustness (Table 6)
 # --------------------------------------------------------------------- #
-@lru_cache(maxsize=4)
-def _probabilistic_baseline(
-    dataset: str, model: str, n: int | None, context_seed: int,
-    frs_size: int, tcf: float, seed: int,
-):
-    """Initial-model baseline shared by every swept ``p`` of one run.
-
-    The ``p`` values are a seed-blind sweep axis, so all of them see the
-    same prepared run and the same initial model — compute it once per
-    process instead of once per swept value.
-    """
-    ctx = _cached_context(dataset, model, n, context_seed)
-    prepared = _cached_prepared(
-        dataset, model, n, context_seed, frs_size, tcf, seed
-    )
-    if prepared is None:
-        return None
-    test = prepared.test
-    cov_mask = prepared.frs[0].coverage_mask(test.X)
-    initial_model = ctx.algorithm(prepared.train)
-    init_pred = initial_model.predict(test.X)
-    init_mra = accuracy_score(test.y[cov_mask], init_pred[cov_mask])
-    init_eval = evaluate_predictions(init_pred, test, prepared.frs)
-    return cov_mask, init_mra, init_eval
-
-
 @register_run_kind("probabilistic")
 def run_probabilistic_kind(spec: RunSpec) -> dict | None:
     ctx = shared_context(spec)
@@ -338,10 +313,6 @@ def run_probabilistic_kind(spec: RunSpec) -> dict | None:
 
     base_rule = prepared.frs[0]
     test = prepared.test
-    cov_mask, init_mra, init_eval = _probabilistic_baseline(
-        spec.dataset, spec.model, spec.n, spec.context_seed,
-        spec.frs_size, spec.tcf, spec.seed,
-    )
 
     rule_p = probabilistic_variant(base_rule, p, marginal)
     frs_p = FeedbackRuleSet((rule_p,))
@@ -350,6 +321,10 @@ def run_probabilistic_kind(spec: RunSpec) -> dict | None:
         prepared.train, ctx.algorithm, frs_p,
         frote_config_for(spec, mod_strategy="none"),
     ).run()
+    cov_mask = base_rule.coverage_mask(test.X)
+    init_pred = unmodified_model(result, ctx.algorithm, prepared.train).predict(test.X)
+    init_mra = accuracy_score(test.y[cov_mask], init_pred[cov_mask])
+    init_eval = evaluate_predictions(init_pred, test, prepared.frs)
     pred = result.model.predict(test.X)
     # "Rule not in effect": agreement w.r.t. original labels in coverage.
     mra_orig = accuracy_score(test.y[cov_mask], pred[cov_mask])

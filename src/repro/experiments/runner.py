@@ -14,7 +14,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from repro.core.config import FroteConfig
-from repro.core.modification import apply_modification
 from repro.core.objective import Evaluation, evaluate_model
 from repro.data.dataset import Dataset
 from repro.datasets import DATASETS
@@ -119,29 +118,42 @@ def edit_session(
     )
 
 
+def unmodified_model(result: FroteResult, algorithm, train: Dataset):
+    """The model ``algorithm`` trains on ``train``, the run's input before
+    its modification.
+
+    That is the model the run's setup trained (``result.initial_model``)
+    when the modification relabelled and dropped no row (always so under
+    ``mod_strategy="none"``); a modification strategy reports every row
+    it changes in those counts.  Otherwise the model is trained here.
+    """
+    if result.n_relabelled == result.n_dropped == 0:
+        return result.initial_model
+    return algorithm(train)
+
+
 def execute_run(
     ctx: ExperimentContext,
     prepared: PreparedRun,
     *,
     config: FroteConfig,
 ) -> tuple[RunResult, FroteResult]:
-    """Train/evaluate the three models of one run and run FROTE."""
+    """Train/evaluate the three models of one run and run FROTE.
+
+    The modified-data model is the one the session's setup trains, and
+    the initial model is too when the modification changed nothing, so a
+    run trains one model beyond the session's own fits at most.
+    """
     frs = prepared.frs
     test = prepared.test
 
-    initial_model = ctx.algorithm(prepared.train)
-    initial = RunMetrics.from_evaluation(evaluate_model(initial_model, test, frs))
-
-    mod = apply_modification(
-        prepared.train, frs, config.mod_strategy, random_state=config.random_state
-    )
-    if config.mod_strategy == "none":
-        modified = initial
-    else:
-        mod_model = ctx.algorithm(mod.dataset)
-        modified = RunMetrics.from_evaluation(evaluate_model(mod_model, test, frs))
-
     result = edit_session(prepared.train, ctx.algorithm, frs, config).run()
+    modified = RunMetrics.from_evaluation(evaluate_model(result.initial_model, test, frs))
+    initial_model = unmodified_model(result, ctx.algorithm, prepared.train)
+    if initial_model is result.initial_model:
+        initial = modified
+    else:
+        initial = RunMetrics.from_evaluation(evaluate_model(initial_model, test, frs))
     final = RunMetrics.from_evaluation(evaluate_model(result.model, test, frs))
 
     return (

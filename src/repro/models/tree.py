@@ -2,31 +2,46 @@
 
 Trees grow in lockstep.  :func:`_grow` takes a list of trees (one for a
 standalone tree, all of them for a random forest) and advances them in
-rounds.  Each tree walks its nodes in pre-order from an explicit stack, so
+rounds.  Each tree keeps the nodes that still need a split search on an
+explicit stack, in the pre-order a recursive builder would visit them, so
 a tree that samples features draws them from its own generator in exactly
-the order a recursive builder would.  A round moves every tree to its next
-node that needs a split, closing leaves on the way, and one call of
-:func:`_best_splits` then scores every waiting node of every tree at once.
-A tree that draws no features has independent stack entries, so a round
-takes its whole stack; its node ids are put in pre-order afterwards.
+that builder's order.  A round takes every tree's next such node (a tree
+that draws no features has independent stack entries and gives its whole
+stack), and one call of :func:`_best_splits` scores them all at once.  A
+node that is a leaf (pure, too small, at the depth cap, or without a
+gainful split) never waits: it is closed in the round that makes it.
+Nodes are numbered as they are made, and :func:`_write_trees` renumbers
+each tree's nodes in pre-order at the end.
 
 The split search is a histogram search.  Each column of ``X`` is coded
 once per fit as an index into its sorted distinct values.  Flat (node,
 feature, code, class) keys count the rows of every scanned feature of
 every waiting node into a histogram of the values present at the node.
-A round whose histogram has no more cells (distinct values times classes,
-summed over the scanned features) than keys counts them with one
-``bincount`` into a dense cell array (:func:`_dense_counts`), the common
-case near the root and on low-cardinality columns.  A round with more
-cells than keys, such as deep nodes on many-valued columns, sorts the
-keys and counts their runs (:func:`_sorted_counts`), at a cost that
-follows the nodes' rows, not the columns' distinct values.  Either way
-the counts take no more memory than the keys.  Cumulative class counts
-give the left/right class counts at every boundary between two adjacent
-present values, and the impurity decrease of all candidates is
+The keys are built feature-major: for the j-th scanned feature of every
+node, one row of keys over all the round's rows, gathered from a per-fit
+``codes * c + y`` table and offset by the node's own bins.  They are
+written into one scratch buffer allocated once per fit and sized by the
+root round, the largest: a tree's waiting nodes hold disjoint parts of
+its sample, so no later round has more rows.  The order of the keys does
+not matter: a key names its (node, feature, value, class) cell, every
+count below depends only on how many keys each cell gets, and the counts
+are integers.  A round whose histogram has no more cells (distinct
+values times classes, summed over the scanned features) than keys counts
+them with one ``bincount`` into a dense cell array (:func:`_dense_counts`),
+the common case near the root and on low-cardinality columns.  A round
+with more cells than keys, such as deep nodes on many-valued columns,
+sorts the keys and counts their runs (:func:`_sorted_counts`), at a cost
+that follows the nodes' rows, not the columns' distinct values.  Either
+way the counts take no more memory than the keys.  Cumulative class
+counts give the left/right class counts at every boundary between two
+adjacent present values, and the impurity decrease of all candidates is
 evaluated in one pass.  Only boundaries between distinct values are
 scored, never the rows between them.  A child's class counts are its
-parent's chosen left or right counts.
+parent's chosen left or right counts.  The same buffer then routes the
+round's rows: one gather of every row's code on its node's split feature
+splits them into the left rows and the right rows, each grouped by node
+in node order.  Only that grouping matters; the order of the rows inside
+a node changes no count.
 
 The result is bit-identical to a recursive builder that sorts each
 feature's values and scores every row position, the original tree, which
@@ -36,8 +51,9 @@ exception is a split between two adjacent floats whose midpoint rounds
 onto the upper one: there the original sent every row left and never
 stopped, and the lower value is the threshold here.
 
-A fitted tree is a set of flat arrays, which :func:`_grow` writes as it
-visits the nodes, numbered in pre-order: ``feature_`` and ``threshold_``
+A fitted tree is a set of flat arrays, with its nodes numbered in
+pre-order (a forest's trees share one array of each kind and hold
+slices of it): ``feature_`` and ``threshold_``
 (a row whose value of ``feature_[j]`` exceeds ``threshold_[j]`` goes
 right), ``children_`` (node ``j``'s left child at ``2 * j``, its right
 child at ``2 * j + 1``), ``value_`` (a leaf's class distribution, a row
@@ -150,32 +166,44 @@ class _Splits:
 def _best_splits(
     data: _BinnedX,
     keys_table: np.ndarray,
-    rows: list[np.ndarray],
+    rows: np.ndarray,
+    sizes: np.ndarray,
     counts: np.ndarray,
     features: np.ndarray,
+    scratch: np.ndarray,
     *,
     criterion: str,
     min_samples_leaf: int,
 ) -> _Splits:
     """Best split of every node of a round, found in one pass.
 
-    Node ``i`` holds the rows ``rows[i]`` (repeats allowed), with class
-    counts ``counts[i]``, and scans the features ``features[i]``.
-    ``keys_table`` is ``codes * c + y``.
+    Node ``i`` holds ``sizes[i]`` rows (repeats allowed), stored in
+    ``rows`` one node after another, with class counts ``counts[i]``, and
+    scans the features ``features[i]``.  ``keys_table`` is
+    ``codes * c + y``.  The keys are written into ``scratch``, which holds
+    at least ``(m + 1) * rows.size`` entries.
     """
     n_nodes, m = features.shape
     c = counts.shape[1]
     n = keys_table.shape[1]
-    sizes = np.array([r.size for r in rows])
-    all_rows = np.concatenate(rows)
+    n_rows = rows.size
     # Histogram bins: slot s = i * m + j (node i, its j-th feature) owns
     # bins [starts[s], ends[s]), one per distinct value of the feature; a
     # key is bin * c + label.
     n_bins = data.n_bins[features].ravel()
     ends = np.cumsum(n_bins)
     starts = ends - n_bins
-    keys = keys_table.take(np.repeat(features * n, sizes, axis=0) + all_rows[:, None])
-    keys += np.repeat(starts.reshape(n_nodes, m) * c, sizes, axis=0)
+    # Feature-major: keys[j] holds every row's key for its node's j-th
+    # feature, built from per-node constants repeated over the node's rows.
+    # (The indices are in range; mode="raise" would copy ``out`` first.)
+    keys = scratch[: m * n_rows].reshape(m, n_rows)
+    at = scratch[m * n_rows : (m + 1) * n_rows]
+    column_start = features.T * n
+    first_key = starts.reshape(n_nodes, m).T * c
+    for j in range(m):
+        np.add(np.repeat(column_start[j], sizes), rows, out=at)
+        keys_table.take(at, out=keys[j], mode="clip")
+        keys[j] += np.repeat(first_key[j], sizes)
     keys = keys.ravel()
     # bins holds the bins present at their node (values with rows there),
     # hist[i] the class counts of bins[i], through[i] the keys up to and
@@ -258,25 +286,6 @@ def _leaf_walk(
     return node
 
 
-def _preorder(tree: DecisionTreeClassifier) -> None:
-    """Renumber the nodes of ``tree`` (root first) in pre-order."""
-    children = tree.children_.tolist()
-    order = []
-    stack = [0]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        left, right = children[2 * node], children[2 * node + 1]
-        if left != node:
-            stack += [right, left]
-    new_id = np.empty(len(order), dtype=np.intp)
-    new_id[order] = np.arange(len(order))
-    tree.feature_ = tree.feature_[order]
-    tree.threshold_ = tree.threshold_[order]
-    tree.children_ = new_id[tree.children_.reshape(-1, 2)[order]].ravel()
-    tree.value_ = tree.value_[order]
-
-
 def _grow(
     trees: list[DecisionTreeClassifier],
     data: _BinnedX,
@@ -296,112 +305,186 @@ def _grow(
     d, n = data.codes.shape
     n_split_features = params._resolve_max_features(d)
     draws = n_split_features < d
-    all_features = np.arange(d)
+    m = n_split_features if draws else d
     keys_table = data.codes * n_classes + y
+    # One buffer serves every round: its rows, the gather indices and the
+    # keys.  A tree's waiting nodes hold disjoint parts of its sample, so
+    # no round has more rows than the root round.
+    scratch = np.empty((m + 2) * sum(rows.size for rows in samples), dtype=np.intp)
 
-    def leaf_probas(counts: np.ndarray, depth: np.ndarray) -> list[np.ndarray | None]:
-        """The class distribution of each node that is a leaf without a
-        split search (pure, too small or at the depth cap), else None."""
-        n_rows = counts.sum(axis=1)
-        leaf = (np.count_nonzero(counts, axis=1) == 1) | (n_rows < params.min_samples_split)
+    def is_leaf(counts: np.ndarray, depth: np.ndarray) -> np.ndarray:
+        """Which nodes are leaves without a split search: pure, too small
+        or at the depth cap."""
+        leaf = np.count_nonzero(counts, axis=1) == 1
+        leaf |= counts.sum(axis=1) < params.min_samples_split
         if params.max_depth is not None:
             leaf |= depth >= params.max_depth
-        proba = counts / n_rows[:, None]
-        return [p if is_leaf else None for p, is_leaf in zip(proba, leaf.tolist())]
+        return leaf
 
-    # Each tree's node arrays (see the module docstring), grown as lists.
-    features = [[] for _ in trees]
-    thresholds = [[] for _ in trees]
-    children = [[] for _ in trees]
-    values = [[] for _ in trees]
-    depths = [0] * len(trees)
-    split_value = np.zeros(n_classes)
+    # Nodes get ids in the order they are created, the roots first and a
+    # split's left and right child next to each other; the per-tree
+    # pre-order ids are worked out at the end.  Per node: its tree and
+    # depth; per leaf: its class distribution; per split: its id,
+    # feature, threshold and left child's id (the right child's is next).
+    n_trees = len(trees)
+    node_tree = [np.arange(n_trees)]
+    node_depth = [np.zeros(n_trees, dtype=np.intp)]
+    leaf_ids, leaf_values, split_log = [], [], []
 
-    def attach(
-        t: int, slot: int, depth: int, value: np.ndarray, feature: int = 0, threshold: float = 0.0
-    ) -> int:
-        """Add a node to tree ``t`` at ``children[t][slot]`` (the root has
-        no slot) and return its id.  It loops to itself until its own
-        children attach."""
-        node_id = len(values[t])
-        if slot >= 0:
-            children[t][slot] = node_id
-        features[t].append(feature)
-        thresholds[t].append(threshold)
-        children[t] += (node_id, node_id)
-        values[t].append(value)
-        depths[t] = max(depths[t], depth)
-        return node_id
+    def close(ids: np.ndarray, counts: np.ndarray) -> None:
+        leaf_ids.append(ids)
+        leaf_values.append(counts / counts.sum(axis=1, keepdims=True))
 
-    # A stack entry is a node to visit: (rows, class counts, depth, its
-    # class distribution if it is a leaf, its slot in its parent's children).
+    # A stack entry is a node that needs a split search: (id, tree, rows,
+    # class counts, depth).
     counts = np.array([np.bincount(y[rows], minlength=n_classes) for rows in samples])
-    roots = zip(samples, counts, leaf_probas(counts, np.zeros(len(trees))))
-    stacks = [[(rows, c, 0, proba, -1)] for rows, c, proba in roots]
+    leaf = is_leaf(counts, node_depth[0])
+    close(np.flatnonzero(leaf), counts[leaf])
+    stacks = [[] if leaf[t] else [(t, t, samples[t], counts[t], 0)] for t in range(n_trees)]
+    n_nodes = n_trees
     while True:
-        waiting = []  # (tree, rows, counts, depth, slot, features)
-        for t, stack in enumerate(stacks):
-            while stack:
-                rows, c, depth, proba, slot = stack.pop()
-                if proba is not None:
-                    attach(t, slot, depth, proba)
-                    continue
-                if draws:
-                    drawn = rngs[t].choice(d, size=n_split_features, replace=False)
-                    waiting.append((t, rows, c, depth, slot, drawn))
-                    break  # the tree's next node depends on this split
-                waiting.append((t, rows, c, depth, slot, all_features))
+        waiting = []
+        if draws:
+            # One node per tree: the tree's next node depends on this split.
+            drawn = []
+            for t, stack in enumerate(stacks):
+                if stack:
+                    waiting.append(stack.pop())
+                    drawn.append(rngs[t].choice(d, size=n_split_features, replace=False))
+        else:
+            for stack in stacks:
+                waiting += stack
+                stack.clear()
         if not waiting:
             break
-        counts = np.array([w[2] for w in waiting])
+        ids = np.array([w[0] for w in waiting])
+        counts = np.array([w[3] for w in waiting])
+        sizes = counts.sum(axis=1)
+        n_rows = int(sizes.sum())
+        rows = np.concatenate([w[2] for w in waiting], out=scratch[:n_rows])
         splits = _best_splits(
             data,
             keys_table,
-            [w[1] for w in waiting],
+            rows,
+            sizes,
             counts,
-            np.array([w[5] for w in waiting]),
+            np.array(drawn) if draws else np.tile(np.arange(d), (len(waiting), 1)),
+            scratch[n_rows:],
             criterion=params.criterion,
             min_samples_leaf=params.min_samples_leaf,
         )
+        # A node without a split is a leaf.
+        no_split = np.ones(len(waiting), dtype=bool)
+        no_split[splits.node] = False
+        close(ids[no_split], counts[no_split])
         split_nodes = splits.node.tolist()
-        # Route the rows of every node that splits at once.  The left rows,
-        # and the right rows, stay grouped by node, in node order.
-        split_rows = [waiting[i][1] for i in split_nodes]
-        sizes = np.array([r.size for r in split_rows], dtype=np.intp)
-        go_rows = np.concatenate(split_rows) if split_rows else np.empty(0, np.intp)
-        go_left = data.codes.take(np.repeat(splits.feature * n, sizes) + go_rows)
-        go_left = go_left <= np.repeat(splits.code, sizes)
-        left_rows, right_rows = go_rows[go_left], go_rows[~go_left]
-        left, right = splits.left, counts[splits.node] - splits.left
-        left_bounds = [0, *np.cumsum(left.sum(axis=1)).tolist()]
-        right_bounds = [0, *np.cumsum(right.sum(axis=1)).tolist()]
-        child_depth = np.array([waiting[i][3] + 1 for i in split_nodes])
-        child_proba = leaf_probas(np.concatenate((left, right)), np.tile(child_depth, 2))
-        no_split_proba = counts / counts.sum(axis=1, keepdims=True)
-        split_features, split_thresholds = splits.feature.tolist(), splits.threshold.tolist()
-        split_of = {i: k for k, i in enumerate(split_nodes)}
-        for i, (t, _, _, depth, slot, _) in enumerate(waiting):
-            k = split_of.get(i)
-            if k is None:
-                attach(t, slot, depth, no_split_proba[i])
-                continue
-            node_id = attach(t, slot, depth, split_value, split_features[k], split_thresholds[k])
+        k = len(split_nodes)
+        if not k:
+            continue
+        # Route the rows of every waiting node at once: a node that splits
+        # by its split, one that does not all right (every code exceeds -1).
+        # The left rows, and the right rows, stay grouped by node, in node
+        # order.
+        go_code = np.full(len(waiting), -1, dtype=np.intp)
+        go_code[splits.node] = splits.code
+        go_column = np.zeros(len(waiting), dtype=np.intp)
+        go_column[splits.node] = splits.feature * n
+        at = scratch[n_rows : 2 * n_rows]
+        code = scratch[2 * n_rows : 3 * n_rows]
+        np.add(np.repeat(go_column, sizes), rows, out=at)
+        data.codes.take(at, out=code, mode="clip")
+        go_left = code <= np.repeat(go_code, sizes)
+        # np.compress, not a boolean index: several times faster on a
+        # mask that alternates at random.
+        n_go_left = np.count_nonzero(go_left)
+        routed = np.empty(n_rows, dtype=np.intp)
+        left_rows, right_rows = routed[:n_go_left], routed[n_go_left:]
+        np.compress(go_left, rows, out=left_rows)
+        np.compress(np.logical_not(go_left, out=go_left), rows, out=right_rows)
+        n_left = np.zeros(len(waiting), dtype=np.intp)
+        n_left[splits.node] = splits.left.sum(axis=1)
+        left_bounds = [0, *np.cumsum(n_left).tolist()]
+        right_bounds = [0, *np.cumsum(sizes - n_left).tolist()]
+        # Split j's children get the ids first + 2j (left) and first + 2j + 1.
+        first = n_nodes
+        n_nodes += 2 * k
+        child_counts = np.empty((k, 2, n_classes), dtype=counts.dtype)
+        child_counts[:, 0] = splits.left
+        child_counts[:, 1] = counts[splits.node] - splits.left
+        child_counts = child_counts.reshape(2 * k, n_classes)
+        child_depth = np.repeat([waiting[i][4] + 1 for i in split_nodes], 2)
+        child_leaf = is_leaf(child_counts, child_depth)
+        split_log.append(
+            (ids[splits.node], splits.feature, splits.threshold, first + 2 * np.arange(k))
+        )
+        node_tree.append(np.repeat([waiting[i][1] for i in split_nodes], 2))
+        node_depth.append(child_depth)
+        close(first + np.flatnonzero(child_leaf), child_counts[child_leaf])
+        pending = (~child_leaf).tolist()
+        for j, i in enumerate(split_nodes):
+            t, depth = waiting[i][1], waiting[i][4] + 1
             # The right child goes on the stack first, so the left is visited first.
-            right_k = right_rows[right_bounds[k] : right_bounds[k + 1]]
-            left_k = left_rows[left_bounds[k] : left_bounds[k + 1]]
-            right_proba = child_proba[len(split_nodes) + k]
-            stacks[t].append((right_k, right[k], depth + 1, right_proba, 2 * node_id + 1))
-            stacks[t].append((left_k, left[k], depth + 1, child_proba[k], 2 * node_id))
+            if pending[2 * j + 1]:
+                right = right_rows[right_bounds[i] : right_bounds[i + 1]]
+                stacks[t].append((first + 2 * j + 1, t, right, child_counts[2 * j + 1], depth))
+            if pending[2 * j]:
+                left = left_rows[left_bounds[i] : left_bounds[i + 1]]
+                stacks[t].append((first + 2 * j, t, left, child_counts[2 * j], depth))
+    _write_trees(trees, n_classes, d, node_tree, node_depth, leaf_ids, leaf_values, split_log)
+
+
+def _write_trees(
+    trees: list[DecisionTreeClassifier],
+    n_classes: int,
+    d: int,
+    node_tree: list[np.ndarray],
+    node_depth: list[np.ndarray],
+    leaf_ids: list[np.ndarray],
+    leaf_values: list[np.ndarray],
+    split_log: list[tuple[np.ndarray, ...]],
+) -> None:
+    """Give each tree its node arrays, its nodes numbered in pre-order,
+    from the nodes :func:`_grow` logged in creation order."""
+    tree_of = np.concatenate(node_tree)
+    depth_of = np.concatenate(node_depth)
+    n_nodes = tree_of.size
+    value = np.zeros((n_nodes, n_classes))
+    value[np.concatenate(leaf_ids)] = np.concatenate(leaf_values)
+    feature = np.zeros(n_nodes, dtype=np.intp)
+    threshold = np.zeros(n_nodes)
+    left = np.arange(n_nodes)  # a leaf's children are itself
+    right = np.arange(n_nodes)
+    for ids, split_feature, split_threshold, left_ids in split_log:
+        feature[ids] = split_feature
+        threshold[ids] = split_threshold
+        left[ids] = left_ids
+        right[ids] = left_ids + 1
+    # Subtree sizes bottom up: a split's children split in later rounds.
+    size = np.ones(n_nodes, dtype=np.intp)
+    for ids, _, _, left_ids in reversed(split_log):
+        size[ids] += size[left_ids] + size[left_ids + 1]
+    # Pre-order ids top down: the left subtree follows its parent, the
+    # right subtree the left one.
+    pos = np.zeros(n_nodes, dtype=np.intp)
+    for ids, _, _, left_ids in split_log:
+        pos[left_ids] = pos[ids] + 1
+        pos[left_ids + 1] = pos[ids] + 1 + size[left_ids]
+    n_tree_nodes = np.bincount(tree_of, minlength=len(trees))
+    tree_first = np.cumsum(n_tree_nodes) - n_tree_nodes
+    order = np.empty(n_nodes, dtype=np.intp)
+    order[tree_first[tree_of] + pos] = np.arange(n_nodes)
+    feature, threshold, value = feature[order], threshold[order], value[order]
+    children = np.stack((pos[left], pos[right]), axis=1)[order].ravel()
+    depth = np.maximum.reduceat(depth_of[order], tree_first)
     for t, tree in enumerate(trees):
+        lo, hi = tree_first[t], tree_first[t] + n_tree_nodes[t]
         tree.n_classes_ = n_classes
         tree.n_features_in_ = d
-        tree.feature_ = np.array(features[t], dtype=np.intp)
-        tree.threshold_ = np.array(thresholds[t], dtype=np.float64)
-        tree.children_ = np.array(children[t], dtype=np.intp)
-        tree.value_ = np.array(values[t])
-        tree.depth_ = depths[t]
-        if not draws:
-            _preorder(tree)
+        tree.feature_ = feature[lo:hi]
+        tree.threshold_ = threshold[lo:hi]
+        tree.children_ = children[2 * lo : 2 * hi]
+        tree.value_ = value[lo:hi]
+        tree.depth_ = int(depth[t])
 
 
 def _check_tree_params(
@@ -420,7 +503,14 @@ def _check_tree_params(
         raise ValueError("min_samples_split must be >= 2")
     if min_samples_leaf < 1:
         raise ValueError("min_samples_leaf must be >= 1")
-    if isinstance(max_features, (int, np.integer)) and max_features < 1:
+    # bool is an int, but True is no feature count.
+    is_count = isinstance(max_features, (int, np.integer)) and not isinstance(max_features, bool)
+    is_sqrt = isinstance(max_features, str) and max_features == "sqrt"
+    if not (max_features is None or is_sqrt or is_count):
+        raise ValueError(
+            f"max_features must be None, 'sqrt' or an int >= 1, got {max_features!r}"
+        )
+    if is_count and max_features < 1:
         raise ValueError(f"max_features must be >= 1, got {max_features}")
 
 
@@ -479,9 +569,7 @@ class DecisionTreeClassifier:
             return d
         if self.max_features == "sqrt":
             return max(1, int(np.sqrt(d)))
-        if isinstance(self.max_features, (int, np.integer)):
-            return min(int(self.max_features), d)
-        raise ValueError(f"invalid max_features: {self.max_features!r}")
+        return min(int(self.max_features), d)
 
     # ------------------------------------------------------------------ #
     def predict_proba(self, X: np.ndarray) -> np.ndarray:

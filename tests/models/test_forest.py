@@ -68,6 +68,13 @@ class TestRandomForest:
         with pytest.raises(ValueError, match=next(iter(params))):
             RandomForestClassifier(**params)
 
+    @pytest.mark.parametrize("max_features", ["log2", "SQRT", 0.5, 1.5, True, False, [2]])
+    def test_max_features_outside_none_sqrt_int_raises_at_construction(self, max_features):
+        """Only None, "sqrt" or an int >= 1 name a feature count; a bool
+        is an int to Python but not a count."""
+        with pytest.raises(ValueError, match="max_features"):
+            RandomForestClassifier(max_features=max_features)
+
     @pytest.mark.parametrize("bootstrap", [True, False])
     def test_no_columns_averages_the_class_distributions(self, bootstrap):
         """Every tree is one leaf holding its sample's class distribution."""

@@ -70,6 +70,13 @@ class TestFit:
         with pytest.raises(ValueError, match=next(iter(params))):
             DecisionTreeClassifier(**params)
 
+    @pytest.mark.parametrize("max_features", ["log2", "SQRT", 0.5, 1.5, True, False, [2]])
+    def test_max_features_outside_none_sqrt_int_raises_at_construction(self, max_features):
+        """Only None, "sqrt" or an int >= 1 name a feature count; a bool
+        is an int to Python but not a count."""
+        with pytest.raises(ValueError, match="max_features"):
+            DecisionTreeClassifier(max_features=max_features)
+
     @pytest.mark.parametrize("max_features", [None, "sqrt", 2])
     def test_no_columns_is_one_leaf(self, max_features):
         X = np.zeros((7, 0))

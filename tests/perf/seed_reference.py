@@ -18,7 +18,8 @@ row sets down from the root, tree by tree: the walk that the
 level-synchronous walk over flat node arrays replaced.  The gradient
 boosting model's node lists and frontier walk are kept the same way, in
 :class:`SeedHistTree`, grown by :class:`SeedHistTreeBuilder` inside
-:class:`SeedFrontierBoosting`.
+:class:`SeedFrontierBoosting` with its own copy of the per-feature split
+search, :func:`seed_gbdt_best_split`.
 
 The logistic-regression objective is kept the same way:
 :class:`SeedObjectiveLR` fits with the seed objective (row-major logits,
@@ -391,8 +392,44 @@ class SeedHistTree:
         return out
 
 
+def seed_gbdt_best_split(
+    builder: _HistTreeBuilder, B: np.ndarray, g: np.ndarray, h: np.ndarray, idx: np.ndarray
+) -> tuple[float, int, int]:
+    """Seed GBDT split search: per feature, ``bincount`` histograms of the
+    gradients, hessians and rows at ``idx``, their cumulative sums, and
+    the first bin with the largest gain; a feature wins only by a strictly
+    larger gain.  Returns (gain, feature, bin_threshold)."""
+    lam = builder.reg_lambda
+    G, H = g[idx].sum(), h[idx].sum()
+    parent = G * G / (H + lam)
+    best = (-np.inf, -1, -1)
+    for f in range(B.shape[1]):
+        nb = builder.binner.n_bins(f)
+        if nb < 2:
+            continue
+        bins_f = B[idx, f]
+        hist_g = np.bincount(bins_f, weights=g[idx], minlength=nb)
+        hist_h = np.bincount(bins_f, weights=h[idx], minlength=nb)
+        hist_n = np.bincount(bins_f, minlength=nb)
+        GL = np.cumsum(hist_g)[:-1]
+        HL = np.cumsum(hist_h)[:-1]
+        NL = np.cumsum(hist_n)[:-1]
+        GR, HR, NR = G - GL, H - HL, idx.size - NL
+        valid = (NL >= builder.min_child_samples) & (NR >= builder.min_child_samples)
+        if not np.any(valid):
+            continue
+        gain = GL * GL / (HL + lam) + GR * GR / (HR + lam) - parent
+        gain[~valid] = -np.inf
+        b = int(np.argmax(gain))
+        if gain[b] > best[0]:
+            best = (float(gain[b]), f, b)
+    return best
+
+
 class SeedHistTreeBuilder(_HistTreeBuilder):
-    """Leaf-wise growth into a :class:`SeedHistTree`'s list of nodes."""
+    """Leaf-wise growth into a :class:`SeedHistTree`'s list of nodes, with
+    the splits of :func:`seed_gbdt_best_split`, so that the oracle keeps
+    its own split search when the live one is rewritten."""
 
     def build(self, B: np.ndarray, g: np.ndarray, h: np.ndarray) -> SeedHistTree:
         lam = self.reg_lambda
@@ -416,7 +453,7 @@ class SeedHistTreeBuilder(_HistTreeBuilder):
                 return
             if idx.size < 2 * self.min_child_samples:
                 return
-            gain, f, b = self.best_split(B, g, h, idx)
+            gain, f, b = seed_gbdt_best_split(self, B, g, h, idx)
             if gain > self.min_gain:
                 heapq.heappush(heap, (-gain, counter, node_id, f, b, idx, depth))
                 counter += 1

@@ -12,6 +12,7 @@ import seed_reference as seed_ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.models.tree as tree_module
 from repro.data import Table, TabularEncoder, make_schema
 from repro.data.builder import TableBuilder
 from repro.data.shards import SpillPolicy
@@ -285,6 +286,31 @@ def _query_rows(X: np.ndarray, trees: list[seed_ref.SeedSplitTree]) -> np.ndarra
     return Q
 
 
+def _car_shaped(n_rows: int, n_continuous: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """A matrix shaped like the car data: six categorical attributes of
+    four or three levels one-hot coded into 21 columns, four imbalanced
+    classes driven by two of them with label noise, and ``n_continuous``
+    normal columns appended."""
+    rng = np.random.default_rng(seed)
+    levels = (4, 4, 4, 3, 3, 3)
+    cats = [rng.integers(0, k, n_rows) for k in levels]
+    onehot = [np.eye(k)[c] for k, c in zip(levels, cats)]
+    X = np.concatenate([*onehot, rng.normal(size=(n_rows, n_continuous))], axis=1)
+    score = (3 - cats[0]) + cats[5] + rng.integers(-1, 2, n_rows)
+    return X, np.clip(score - 2, 0, 3)
+
+
+def _count_calls(monkeypatch, module, name: str, calls: dict) -> None:
+    """Count the calls of ``module.name`` into ``calls[name]``."""
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls[name] += 1
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+
+
 class TestCartSplitParity:
     """The lockstep grower with its batched histogram split search grows
     the trees the seed's recursive builder and per-feature argsort search
@@ -327,6 +353,27 @@ class TestCartSplitParity:
         ]
         for Q in (X, _query_rows(X, seed.trees_)):
             assert current.predict_proba(Q).tobytes() == seed.predict_proba(Q).tobytes()
+
+    @pytest.mark.parametrize("n_continuous", [0, 4])
+    def test_paper_forest_bit_for_bit(self, n_continuous, monkeypatch):
+        """The paper's forest (50 trees of depth 3 on sqrt features) on a
+        car-shaped one-hot matrix, whose rounds count densely across many
+        trees, and with continuous columns added, whose many distinct
+        values send the deeper rounds down the sorted path."""
+        X, y = _car_shaped(640, n_continuous, seed=11)
+        calls = {"_dense_counts": 0, "_sorted_counts": 0}
+        for name in calls:
+            _count_calls(monkeypatch, tree_module, name, calls)
+        params = {"n_estimators": 50, "max_depth": 3, "random_state": 5}
+        current = RandomForestClassifier(**params).fit(X, y, n_classes=4)
+        seed = seed_ref.SeedSplitForest(**params).fit(X, y, n_classes=4)
+        assert [_node_list(t) for t in current.trees_] == [
+            _node_list(t) for t in seed.trees_
+        ]
+        for Q in (X, _query_rows(X[:8], seed.trees_)):
+            assert current.predict_proba(Q).tobytes() == seed.predict_proba(Q).tobytes()
+        assert calls["_dense_counts"] > 0
+        assert (calls["_sorted_counts"] > 0) == (n_continuous > 0)
 
 
 @st.composite
