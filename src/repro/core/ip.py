@@ -96,7 +96,7 @@ def solve_lp_relaxation(problem: SelectionProblem) -> np.ndarray | None:
         -problem.weights,
         A_ub=A_ub,
         b_ub=b_ub,
-        bounds=[(0.0, 1.0)] * p,
+        bounds=(0.0, 1.0),
         method="highs",
     )
     if not res.success:

@@ -143,12 +143,14 @@ class PreselectStage:
         state.bp = preselect_base_population(
             state.active, state.frs, k=state.config.k
         )
+        space = state.active_neighbor_space()
         state.generators = [
             RuleConstrainedGenerator(
                 rule,
                 state.active.X,
                 k=state.config.k,
                 distance_backend=getattr(state.config, "distance_backend", None),
+                space=space,
             )
             for rule in state.frs
         ]

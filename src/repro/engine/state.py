@@ -202,6 +202,7 @@ class EditState:
     journal: DeltaJournal = field(default_factory=DeltaJournal)
     predictions_cache: tuple[int, Any, np.ndarray] | None = None
     assign_cache: tuple[int, np.ndarray] | None = None
+    neighbor_space_cache: tuple[int, Any] | None = None
     evaluation_cache: tuple[int, Any, Any, Any] | None = None
     stage_seconds: dict[str, float] = field(default_factory=dict)
 
@@ -443,6 +444,22 @@ class EditState:
         assign = self.frs.assign(self.active.X)
         self.assign_cache = (self.dataset_version, assign)
         return assign
+
+    def active_neighbor_space(self) -> Any:
+        """The active table fitted into its neighbour space, memoized.
+
+        One :class:`~repro.neighbors.distance.TableNeighborSpace` per
+        dataset version, shared by every rule's generator: its scaling and
+        the generators' numeric bounds come from one pass over the table.
+        """
+        cached = self.neighbor_space_cache
+        if cached is not None and cached[0] == self.dataset_version:
+            return cached[1]
+        from repro.neighbors.distance import TableNeighborSpace
+
+        space = TableNeighborSpace().fit(self.active.X)
+        self.neighbor_space_cache = (self.dataset_version, space)
+        return space
 
     def evaluate_active(self) -> Any:
         """Current model's evaluation on (active dataset, FRS), memoized.

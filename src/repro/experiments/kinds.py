@@ -284,9 +284,11 @@ def run_selection_kind(spec: RunSpec) -> dict | None:
         return None
     record = dict(_coords(spec))
     strategies = spec.params_mapping.get("strategies", "random,ip").split(",")
+    initial = None  # the unmodified model's metrics, one fit per run
     for strategy in strategies:
         config = frote_config_for(spec, selection=strategy)
-        run, _ = execute_run(ctx, prepared, config=config)
+        run, _ = execute_run(ctx, prepared, config=config, initial=initial)
+        initial = run.initial
         record.update(
             {
                 f"{strategy}_delta_j": run.delta_j,

@@ -137,23 +137,27 @@ def execute_run(
     prepared: PreparedRun,
     *,
     config: FroteConfig,
+    initial: RunMetrics | None = None,
 ) -> tuple[RunResult, FroteResult]:
     """Train/evaluate the three models of one run and run FROTE.
 
     The modified-data model is the one the session's setup trains, and
     the initial model is too when the modification changed nothing, so a
-    run trains one model beyond the session's own fits at most.
+    run trains one model beyond the session's own fits at most.  Pass the
+    ``initial`` metrics of an earlier call on the same ``prepared`` run
+    (they do not depend on ``config``'s loop settings) to train none.
     """
     frs = prepared.frs
     test = prepared.test
 
     result = edit_session(prepared.train, ctx.algorithm, frs, config).run()
     modified = RunMetrics.from_evaluation(evaluate_model(result.initial_model, test, frs))
-    initial_model = unmodified_model(result, ctx.algorithm, prepared.train)
-    if initial_model is result.initial_model:
-        initial = modified
-    else:
-        initial = RunMetrics.from_evaluation(evaluate_model(initial_model, test, frs))
+    if initial is None:
+        initial_model = unmodified_model(result, ctx.algorithm, prepared.train)
+        if initial_model is result.initial_model:
+            initial = modified
+        else:
+            initial = RunMetrics.from_evaluation(evaluate_model(initial_model, test, frs))
     final = RunMetrics.from_evaluation(evaluate_model(result.model, test, frs))
 
     return (

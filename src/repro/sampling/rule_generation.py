@@ -358,6 +358,10 @@ class RuleConstrainedGenerator:
         ``None`` (default) keeps the exact float64 neighbour search; a
         :data:`repro.engine.DISTANCE_BACKENDS` name opts into the blocked
         kernel layer (:mod:`repro.neighbors.kernels`).
+    space : TableNeighborSpace, optional
+        ``reference`` already fitted into its neighbour space.  The edit
+        loop fits one per active-dataset version and hands it to every
+        rule's generator; without it the generator fits its own.
     """
 
     def __init__(
@@ -367,22 +371,21 @@ class RuleConstrainedGenerator:
         *,
         k: int = 5,
         distance_backend=None,
+        space: TableNeighborSpace | None = None,
     ) -> None:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
+        if space is None:
+            space = TableNeighborSpace().fit(reference)
+        elif space.schema_ != reference.schema:
+            raise ValueError("space was fitted on a different schema")
         self.rule = rule
         self.k = k
         self.distance_backend = distance_backend
         self.schema = reference.schema
-        self._space = TableNeighborSpace().fit(reference)
+        self._space = space
         self._index_cache: tuple[object, np.ndarray, BruteKNN | None] | None = None
-        self._ranges: dict[str, tuple[float, float]] = {}
-        for name in reference.schema.numeric_names:
-            col = reference.column(name)
-            if col.size:
-                self._ranges[name] = (float(col.min()), float(col.max()))
-            else:
-                self._ranges[name] = (0.0, 1.0)
+        self._ranges = space.bounds_
         self._conditions: dict[str, tuple[Predicate, ...]] = {
             attr: rule.clause.predicates_on(attr) for attr in rule.clause.attributes
         }

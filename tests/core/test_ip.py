@@ -39,6 +39,35 @@ class TestBuildProblem:
 
 
 class TestSolvers:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_lp_scalar_bounds_match_per_variable_bounds(self, seed):
+        """One (0, 1) pair for every variable hands HiGHS the same LP as a
+        list of p pairs: the solutions are identical."""
+        from scipy.optimize import linprog
+
+        rng = np.random.default_rng(seed)
+        pools = [
+            rng.choice(40, size=rng.integers(3, 15), replace=False)
+            for _ in range(rng.integers(1, 5))
+        ]
+        union = np.unique(np.concatenate(pools))
+        weights = rng.choice([1.0, 3.0], size=union.size) + rng.uniform(0, 0.1, union.size)
+        problem, _ = build_selection_problem(
+            weights, pools, k=int(rng.integers(1, 4)), eta=int(rng.integers(2, 20))
+        )
+        A = problem.membership.astype(np.float64)
+        res = linprog(
+            -problem.weights,
+            A_ub=np.vstack([A, -A]),
+            b_ub=np.concatenate([problem.upper, -problem.lower]).astype(np.float64),
+            bounds=[(0.0, 1.0)] * problem.n_candidates,
+            method="highs",
+        )
+        assert res.success
+        np.testing.assert_array_equal(
+            solve_lp_relaxation(problem), np.clip(res.x, 0.0, 1.0)
+        )
+
     def test_lp_relaxation_feasible(self):
         problem, _ = _problem([3, 1, 1, 1], [[0, 1], [2, 3]], k=1, eta=4)
         frac = solve_lp_relaxation(problem)

@@ -95,6 +95,27 @@ class TestPreselectStage:
         PreselectStage().run(state)
         assert state.bp is bp  # not recomputed
 
+    def test_generators_share_one_neighbor_space_per_version(
+        self, mixed_dataset, two_rule_frs, algorithm
+    ):
+        from repro.neighbors import TableNeighborSpace
+
+        state = make_state(mixed_dataset, two_rule_frs, algorithm)
+        ModificationStage().run(state)
+        PreselectStage().run(state)
+        space = state.active_neighbor_space()
+        assert all(gen._space is space for gen in state.generators)
+        fresh = TableNeighborSpace().fit(state.active.X)
+        assert space.bounds_ == fresh.bounds_
+        np.testing.assert_array_equal(
+            space.encode(state.active.X), fresh.encode(state.active.X)
+        )
+        state.bump_dataset_version()  # as an accepted batch does
+        state.population_stale = True
+        PreselectStage().run(state)
+        assert state.active_neighbor_space() is not space
+        assert all(gen._space is state.active_neighbor_space() for gen in state.generators)
+
 
 class TestSelectionGeneration:
     def test_selection_fills_positions(self, mixed_dataset, two_rule_frs, algorithm):

@@ -56,3 +56,33 @@ def test_trains_only_the_models_the_session_lacks(run_inputs, mod_strategy):
     ).dataset
     assert run.initial == fresh(prepared.train)
     assert run.modified == fresh(modified)
+
+
+def test_selection_kind_fits_the_unmodified_model_once(monkeypatch):
+    """A ``selection`` run compares strategies on one prepared run, so the
+    unmodified training set is fitted once, not once per strategy."""
+    from repro.experiments import kinds
+    from repro.experiments.spec import RunSpec
+
+    spec = RunSpec(
+        experiment="selection", dataset="car", model="LR", frs_size=2,
+        tcf=0.2, run=0, seed=11, context_seed=0, n=240,
+        config={"mod_strategy": "relabel", "tau": 2, "eta": 10},
+        params={"strategies": "random,ip"},
+    )
+    prepared = kinds.prepared_for(spec)
+    assert prepared is not None
+    ctx = kinds.shared_context(spec)
+    counted, run_fits = _counted(ctx)
+    monkeypatch.setattr(kinds, "shared_context", lambda _spec: counted)
+    record = kinds.run_selection_kind(spec)
+    assert {"random_delta_j", "ip_delta_j"} <= set(record)
+
+    alone, session_fits = _counted(ctx)
+    changed = False
+    for strategy in ("random", "ip"):
+        config = kinds.frote_config_for(spec, selection=strategy)
+        result = edit_session(prepared.train, alone.algorithm, prepared.frs, config).run()
+        changed |= result.n_relabelled > 0
+    assert changed
+    assert len(run_fits) == len(session_fits) + 1

@@ -172,6 +172,8 @@ class TestApplyRule:
         assert not state.population_stale
         assert len(state.bp.per_rule) == n_rules_before + 1
         assert len(state.generators) == len(state.pools) == n_rules_before + 1
+        # The new rule's generator shares the version's neighbour space.
+        assert state.generators[-1]._space is state.generators[0]._space
 
     def test_rebuild_marks_everything_stale(self):
         state = self.make_state()

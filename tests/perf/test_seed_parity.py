@@ -23,7 +23,9 @@ from repro.models import (
     RandomForestClassifier,
     softmax,
 )
-from repro.neighbors.brute import _topk_from_dists
+import repro.neighbors.brute as brute
+from repro.neighbors.brute import _topk_from_dists, _topk_from_sq
+from repro.neighbors.distance import MixedMetric, sq_euclidean
 from repro.rules import Predicate
 from repro.sampling import (
     SMOTE,
@@ -36,6 +38,24 @@ from repro.sampling import (
 from repro.sampling.borderline import DEFAULT_WEIGHTS
 from repro.sampling.rule_generation import NumericWindow
 from repro.rules import FeedbackRule, clause
+
+
+# Values for squared-distance matrices that tie before or after the map
+# sqrt(maximum(sq, 0)): exact duplicates, signed zeros, negative residue
+# that clips to the same zero, and the non-finite entries.
+_SQ_PALETTE = [0.0, -0.0, -1e-17, -3e-17, 1e-300, 0.25, 0.5, 1.0, 2.0,
+               np.inf, -np.inf, np.nan]
+
+
+@st.composite
+def sq_matrices(draw):
+    n_q = draw(st.integers(0, 6))
+    n_x = draw(st.integers(1, 9))
+    vals = draw(
+        st.lists(st.sampled_from(_SQ_PALETTE) | st.floats(0.0, 4.0),
+                 min_size=n_q * n_x, max_size=n_q * n_x)
+    )
+    return np.array(vals, dtype=np.float64).reshape(n_q, n_x)
 
 
 class TestTopKParity:
@@ -63,6 +83,141 @@ class TestTopKParity:
         cd, ci = _topk_from_dists(D, 5, exclude_self=True)
         np.testing.assert_array_equal(sd, cd)
         np.testing.assert_array_equal(si, ci)
+
+    # The min-sweep selection on squared distances must equal the seed's
+    # argpartition selection on sqrt(maximum(SQ, 0)), bit for bit.
+
+    @pytest.fixture
+    def fallback_rows(self, monkeypatch):
+        """Rows handed to argpartition, one entry per call."""
+        rows = []
+        real = brute._sorted_topk
+
+        def spy(D, k_eff):
+            rows.append(D.shape[0])
+            return real(D, k_eff)
+
+        monkeypatch.setattr(brute, "_sorted_topk", spy)
+        return rows
+
+    @pytest.fixture
+    def sweep_always(self, monkeypatch):
+        """Open the size and k gate so small matrices are swept."""
+        monkeypatch.setattr(brute, "SWEEP_MIN_CELLS", 0)
+        monkeypatch.setattr(brute, "SWEEP_MAX_K", 10**6)
+
+    @staticmethod
+    def _check(SQ, k, exclude_self):
+        D = np.sqrt(np.maximum(SQ, 0.0))
+        sd, si = seed_ref.seed_topk_from_dists(D, k, exclude_self=exclude_self)
+        work = SQ.copy()
+        cd, ci = _topk_from_sq(work, k, exclude_self=exclude_self)
+        np.testing.assert_array_equal(sd, cd)
+        np.testing.assert_array_equal(si, ci)
+        assert cd.dtype == sd.dtype and ci.dtype == si.dtype
+        return work
+
+    @staticmethod
+    def _euclidean(seed, n_q=40, n_x=60, with_self=True):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(0, 1, size=(n_x, 3))
+        Q = X[:n_q] if with_self else rng.uniform(0, 1, size=(n_q, 3))
+        return X, Q
+
+    @pytest.mark.parametrize("exclude_self", [False, True])
+    @pytest.mark.parametrize("k", [1, 5, 10])
+    def test_tie_free_rows_all_swept(self, sweep_always, fallback_rows, k, exclude_self):
+        X, Q = self._euclidean(0, with_self=False)
+        SQ = sq_euclidean(Q, X)
+        work = self._check(SQ, k, exclude_self)
+        assert fallback_rows == []  # every row answered by the sweeps
+        # The masked entries were restored in place.
+        np.testing.assert_array_equal(work, SQ)
+
+    @pytest.mark.parametrize("exclude_self", [False, True])
+    def test_duplicate_rows_take_both_branches(self, sweep_always, fallback_rows, exclude_self):
+        X, _ = self._euclidean(1)
+        X[1] = X[0]
+        X[7] = X[6]
+        SQ = sq_euclidean(X[:40], X)
+        work = self._check(SQ, 5, exclude_self)
+        assert len(fallback_rows) == 1
+        assert 0 < fallback_rows[0] < SQ.shape[0]
+        np.testing.assert_array_equal(work, SQ)
+
+    @pytest.mark.parametrize("exclude_self", [False, True])
+    def test_all_categorical_heom_ties_every_row(self, sweep_always, fallback_rows, exclude_self):
+        rng = np.random.default_rng(2)
+        codes = rng.integers(0, 3, size=(50, 4)).astype(np.float64)
+        SQ = MixedMetric(np.ones(4, dtype=bool)).pairwise_sq(codes, codes)
+        assert np.array_equal(SQ, np.round(SQ))  # integer squared distances
+        self._check(SQ, 5, exclude_self)
+        assert fallback_rows == [SQ.shape[0]]  # stopped early, one call
+
+    @pytest.mark.parametrize("exclude_self", [False, True])
+    def test_negative_residue_near_zero(self, sweep_always, fallback_rows, exclude_self):
+        rng = np.random.default_rng(3)
+        SQ = rng.uniform(0.1, 1.0, size=(30, 50))
+        # Distinct squared values that all clip to a zero distance tie.
+        SQ[::2, 3] = -1e-17
+        SQ[::2, 9] = -3e-17
+        SQ[1::4, 4] = -2e-16  # one residue per row: no tie
+        self._check(SQ, 4, exclude_self)
+        assert fallback_rows == [15]
+
+    @pytest.mark.parametrize("exclude_self", [False, True])
+    def test_nan_and_inf_entries(self, sweep_always, fallback_rows, exclude_self):
+        rng = np.random.default_rng(4)
+        SQ = rng.uniform(0.0, 1.0, size=(20, 12))
+        SQ[0, 5] = np.nan
+        SQ[1, :] = np.nan
+        SQ[2, 2:] = np.inf  # two finite entries, then only +inf
+        SQ[3, 0] = SQ[3, 7] = -np.inf
+        SQ[4, 3] = np.inf
+        work = self._check(SQ, 3, exclude_self)
+        assert 0 < sum(fallback_rows) < SQ.shape[0]
+        np.testing.assert_array_equal(work, SQ)
+
+    @pytest.mark.parametrize("exclude_self", [False, True])
+    @pytest.mark.parametrize("n_q, n_x, k", [
+        (10, 6, 6),   # k == n_x
+        (10, 6, 20),  # k > n_x
+        (10, 6, 5),   # k_eff == n_x - 1 with exclude_self=False
+        (10, 6, 4),   # k_eff == n_x - 1 with exclude_self=True
+        (0, 6, 3),    # no queries
+        (5, 1, 1),
+    ])
+    def test_edge_shapes(self, sweep_always, fallback_rows, n_q, n_x, k, exclude_self):
+        rng = np.random.default_rng(5)
+        self._check(rng.uniform(0, 1, size=(n_q, n_x)), k, exclude_self)
+
+    @pytest.mark.parametrize("exclude_self", [False, True])
+    def test_default_gate_both_branches(self, fallback_rows, exclude_self):
+        """At the default gate a large enough matrix is swept, and its
+        tied rows still go to argpartition."""
+        X, _ = self._euclidean(6, n_x=140)
+        X[1] = X[0]
+        SQ = sq_euclidean(X[:120], X)
+        assert SQ.size >= brute.SWEEP_MIN_CELLS
+        self._check(SQ, 5, exclude_self)
+        assert len(fallback_rows) == 1 and 0 < fallback_rows[0] < SQ.shape[0]
+
+    def test_default_gate_small_or_large_k(self, fallback_rows):
+        X, Q = self._euclidean(7, with_self=False)
+        self._check(sq_euclidean(Q, X), 5, False)  # below SWEEP_MIN_CELLS
+        X, Q = self._euclidean(7, n_q=140, n_x=140)
+        self._check(sq_euclidean(Q, X), brute.SWEEP_MAX_K + 1, False)
+        assert fallback_rows == [40, 140]  # argpartition on every row
+
+    @settings(max_examples=300, deadline=None)
+    @given(SQ=sq_matrices(), k=st.integers(1, 10), exclude_self=st.booleans())
+    def test_property(self, SQ, k, exclude_self):
+        saved = brute.SWEEP_MIN_CELLS, brute.SWEEP_MAX_K
+        brute.SWEEP_MIN_CELLS, brute.SWEEP_MAX_K = 0, 10**6
+        try:
+            self._check(SQ, k, exclude_self)
+        finally:
+            brute.SWEEP_MIN_CELLS, brute.SWEEP_MAX_K = saved
 
 
 class TestMajorityParity:
