@@ -5,12 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isinf
 
-from repro.engine.registry import (
-    DISTANCE_BACKENDS,
-    MODIFIERS,
-    OBJECTIVES,
-    SELECTORS,
-)
+from repro.engine.registry import MODIFIERS, OBJECTIVES, SELECTORS
 from repro.utils.rng import RandomState
 
 
@@ -57,16 +52,6 @@ class FroteConfig:
     accept_equal:
         Accept batches that leave the loss exactly unchanged (paper
         requires strict improvement; kept as a knob for ablations).
-    distance_backend:
-        Opt into the blocked float32 distance-kernel layer for every
-        neighbour search the run performs (generation samplers, the IP
-        selector's borderline analysis, preselect pools) — any name in
-        :data:`repro.engine.DISTANCE_BACKENDS` (built-in: ``"numpy"``;
-        plugins register via :func:`repro.engine.register_distance_backend`).
-        ``None`` (default) keeps the exact float64 path, bit-identical
-        to the seed.  The kernel
-        layer's precision/tie contract is documented in
-        :mod:`repro.neighbors.kernels` and ``docs/architecture.md``.
     incremental:
         Opt into the delta-proportional compute path: candidate models
         partial-refit in O(batch) when they support it (KNN, NB over
@@ -132,7 +117,6 @@ class FroteConfig:
     objective: str = "equal"
     mra_weight: float = 0.5
     accept_equal: bool = False
-    distance_backend: str | None = None
     incremental: bool = False
     max_resident_mb: float | None = None
     shard_rows: int | None = None
@@ -190,8 +174,6 @@ class FroteConfig:
         SELECTORS.validate(self.selection)
         MODIFIERS.validate(self.mod_strategy)
         OBJECTIVES.validate(self.objective)
-        if self.distance_backend is not None:
-            DISTANCE_BACKENDS.validate(self.distance_backend)
 
     def effective_eta(self, n: int) -> int:
         """Per-iteration generation count: explicit η or the uniform quota."""

@@ -33,11 +33,6 @@ class SelectionContext:
     passes its ``dataset_version``); strategies may memoize work derived
     from the dataset and the model predictions against it, since both only
     change when the token does.
-
-    ``distance_backend`` carries the run's
-    :attr:`~repro.core.config.FroteConfig.distance_backend` so strategies
-    that search neighbours (the IP selector's borderline analysis) follow
-    the configured kernel path.
     """
 
     def __init__(
@@ -49,7 +44,6 @@ class SelectionContext:
         rng: np.random.Generator,
         frs=None,
         cache_token: object | None = None,
-        distance_backend=None,
     ) -> None:
         self.dataset = dataset
         self.model_predictions = model_predictions
@@ -57,7 +51,6 @@ class SelectionContext:
         self.rng = rng
         self.frs = frs  # needed by the online-proxy strategy
         self.cache_token = cache_token
-        self.distance_backend = distance_backend
 
 
 class BaseInstanceSelector(Protocol):
@@ -143,7 +136,6 @@ class IPSelector:
             labels,
             k=self.k_classify,
             weights={"noisy": 1.0, "safe": 1.0, "borderline": self.borderline_weight},
-            distance_backend=getattr(ctx, "distance_backend", None),
         )
         if token is not None:
             self._analysis_cache = (token, analysis)

@@ -14,7 +14,6 @@ Three layers, lowest first:
 """
 
 from repro.engine.registry import (
-    DISTANCE_BACKENDS,
     MODIFIERS,
     OBJECTIVES,
     SAMPLERS,
@@ -23,7 +22,6 @@ from repro.engine.registry import (
     Registry,
     RegistryError,
     UnknownEntryError,
-    register_distance_backend,
     register_modifier,
     register_objective,
     register_sampler,
@@ -61,12 +59,10 @@ __all__ = [
     "MODIFIERS",
     "SAMPLERS",
     "OBJECTIVES",
-    "DISTANCE_BACKENDS",
     "register_selector",
     "register_modifier",
     "register_sampler",
     "register_objective",
-    "register_distance_backend",
     "Stage",
     "FeedbackStage",
     "ModificationStage",

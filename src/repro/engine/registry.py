@@ -195,7 +195,6 @@ SELECTORS = Registry("selection strategy")
 MODIFIERS = Registry("modification strategy")
 SAMPLERS = Registry("sampler")
 OBJECTIVES = Registry("objective")
-DISTANCE_BACKENDS = Registry("distance backend")
 
 
 def _make_decorator(registry: Registry) -> Callable:
@@ -211,7 +210,6 @@ register_selector = _make_decorator(SELECTORS)
 register_modifier = _make_decorator(MODIFIERS)
 register_sampler = _make_decorator(SAMPLERS)
 register_objective = _make_decorator(OBJECTIVES)
-register_distance_backend = _make_decorator(DISTANCE_BACKENDS)
 
 
 # Built-ins, declared lazily so config validation needs no heavy imports.
@@ -229,7 +227,3 @@ SAMPLERS.register_lazy("adasyn", "repro.sampling.adasyn:ADASYN")
 
 OBJECTIVES.register_lazy("equal", "repro.core.objective:equal_weight_objective")
 OBJECTIVES.register_lazy("weighted", "repro.core.objective:coverage_weighted_objective")
-
-# Distance backends are registered as *instances*, not classes: a
-# backend is a stateless tile kernel shared by every run.
-DISTANCE_BACKENDS.register_lazy("numpy", "repro.neighbors.kernels:NUMPY_BACKEND")

@@ -149,7 +149,6 @@ class PreselectStage:
                 rule,
                 state.active.X,
                 k=state.config.k,
-                distance_backend=getattr(state.config, "distance_backend", None),
                 space=space,
             )
             for rule in state.frs
@@ -180,7 +179,6 @@ class SelectionStage:
             rng=state.rng,
             frs=state.frs,
             cache_token=state.dataset_version,
-            distance_backend=getattr(state.config, "distance_backend", None),
         )
         state.per_rule_positions = state.selector.select(state.bp, state.eta, ctx)
 

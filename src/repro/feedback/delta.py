@@ -221,7 +221,6 @@ def _apply_append(state, new_frs: FeedbackRuleSet, rule: FeedbackRule) -> None:
                 rule,
                 state.active.X,
                 k=state.config.k,
-                distance_backend=getattr(state.config, "distance_backend", None),
                 space=state.active_neighbor_space(),
             )
         ]

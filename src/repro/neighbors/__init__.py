@@ -1,6 +1,5 @@
-"""Nearest-neighbour substrate: distances, the exact brute-force KNN index
-(:class:`BruteKNN`), and the blocked kernel layer
-(:mod:`repro.neighbors.kernels`)."""
+"""Nearest-neighbour substrate: distances and the exact brute-force KNN
+index (:class:`BruteKNN`)."""
 
 from repro.neighbors.brute import BruteKNN
 from repro.neighbors.distance import (
@@ -8,22 +7,10 @@ from repro.neighbors.distance import (
     TableNeighborSpace,
     pairwise_euclidean,
 )
-from repro.neighbors.kernels import (
-    CODED_SELF_DISTANCE_TOL,
-    CodedLayout,
-    NumpyDistanceBackend,
-    kneighbors_blocked,
-    resolve_distance_backend,
-)
 
 __all__ = [
     "BruteKNN",
-    "CODED_SELF_DISTANCE_TOL",
-    "CodedLayout",
     "MixedMetric",
-    "NumpyDistanceBackend",
     "TableNeighborSpace",
-    "kneighbors_blocked",
     "pairwise_euclidean",
-    "resolve_distance_backend",
 ]

@@ -1,8 +1,8 @@
 """Brute-force k-nearest-neighbour search.
 
-The exact path (``backend=None``) computes the full matrix of squared
-distances and picks each query's ``k_eff`` nearest rows (``k``, plus one
-with ``exclude_self``) by *min sweeps*: each sweep takes every row's
+A query computes the full matrix of squared distances and picks each
+query row's ``k_eff`` nearest fitted rows (``k``, plus one with
+``exclude_self``) by *min sweeps*: each sweep takes every row's
 ``argmin``, records it and masks it with ``+inf``; the masked entries are
 restored afterwards, so the matrix is never copied.  ``k_eff + 1`` sweeps
 are made.  The result is bit-identical to the argpartition + stable
@@ -43,7 +43,6 @@ import numpy as np
 
 from repro.data.builder import append_rows_2d
 from repro.neighbors.distance import MixedMetric, dists_from_sq, sq_euclidean
-from repro.neighbors.kernels import CodedLayout, kneighbors_blocked
 
 
 class BruteKNN:
@@ -53,23 +52,13 @@ class BruteKNN:
     ----------
     metric:
         ``"euclidean"`` or a :class:`~repro.neighbors.distance.MixedMetric`.
-    backend:
-        ``None`` (default) keeps the exact float64 path, bit-identical to
-        the seed.  A ``DISTANCE_BACKENDS`` name (``"numpy"``)
-        or backend instance opts into the blocked float32 kernel layer
-        (:mod:`repro.neighbors.kernels`) — see that module's precision and
-        tie contract.
     """
 
-    def __init__(
-        self, metric: str | MixedMetric = "euclidean", *, backend=None
-    ) -> None:
+    def __init__(self, metric: str | MixedMetric = "euclidean") -> None:
         self.metric = metric
-        self.backend = backend
         self._X: np.ndarray | None = None
         self._buf: np.ndarray | None = None  # growable storage; _X = _buf[:_n]
         self._n = 0
-        self._coded: tuple[int, CodedLayout] | None = None
 
     def fit(self, X: np.ndarray) -> "BruteKNN":
         """Store the reference matrix queries are answered against.
@@ -88,10 +77,14 @@ class BruteKNN:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
             raise ValueError(f"X must be 2-D, got shape {X.shape}")
+        if isinstance(self.metric, MixedMetric) and X.shape[1] != self.metric.n_features:
+            raise ValueError(
+                f"X has {X.shape[1]} features, but the metric covers "
+                f"{self.metric.n_features}"
+            )
         self._buf = X
         self._n = X.shape[0]
         self._X = X
-        self._coded = None
         return self
 
     def append(self, X_new: np.ndarray) -> "BruteKNN":
@@ -125,7 +118,6 @@ class BruteKNN:
         self._buf = append_rows_2d(self._buf, self._n, X_new)
         self._n += X_new.shape[0]
         self._X = self._buf[: self._n]
-        self._coded = None
         return self
 
     def checkpoint(self) -> int:
@@ -149,7 +141,6 @@ class BruteKNN:
             raise ValueError(f"invalid checkpoint token {token}")
         self._n = token
         self._X = self._buf[: self._n]
-        self._coded = None
 
     @property
     def n_samples(self) -> int:
@@ -178,38 +169,18 @@ class BruteKNN:
         Q = np.asarray(Q, dtype=np.float64)
         if Q.ndim != 2:
             raise ValueError(f"Q must be 2-D, got shape {Q.shape}")
+        if Q.shape[1] != self._X.shape[1]:
+            raise ValueError(
+                f"Q has {Q.shape[1]} features, but the index was fitted on "
+                f"{self._X.shape[1]}"
+            )
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
-        if self.backend is not None:
-            return kneighbors_blocked(
-                CodedLayout.from_encoded(Q, self._cat_mask()),
-                self._coded_base(),
-                k,
-                exclude_self=exclude_self,
-                backend=self.backend,
-            )
         if isinstance(self.metric, MixedMetric):
             SQ = self.metric.pairwise_sq(Q, self._X)
         else:
             SQ = sq_euclidean(Q, self._X)
         return _topk_from_sq(SQ, k, exclude_self=exclude_self)
-
-    def _cat_mask(self) -> np.ndarray:
-        if isinstance(self.metric, MixedMetric):
-            return self.metric.cat_mask
-        return np.zeros(self._X.shape[1], dtype=bool)
-
-    def _coded_base(self) -> CodedLayout:
-        """Coded layout of the fitted rows, rebuilt after any mutation.
-
-        ``fit``/``append``/``rollback`` drop the cache, so the count check
-        here is belt-and-braces only.
-        """
-        if self._coded is not None and self._coded[0] == self._n:
-            return self._coded[1]
-        layout = CodedLayout.from_encoded(self._X, self._cat_mask())
-        self._coded = (self._n, layout)
-        return layout
 
 
 # Distances below this are treated as "the query itself" for exclude_self.

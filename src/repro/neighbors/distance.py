@@ -28,7 +28,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.table import Table
-from repro.neighbors.kernels import CodedLayout
 
 
 def dists_from_sq(sq: np.ndarray) -> np.ndarray:
@@ -82,18 +81,6 @@ class MixedMetric:
         """Number of encoded columns the metric expects."""
         return self.cat_mask.size
 
-    def dists_to(self, q: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """Distances from one query row ``q`` to every row of ``X``."""
-        q = np.asarray(q, dtype=np.float64)
-        X = np.asarray(X, dtype=np.float64)
-        sq = np.zeros(X.shape[0], dtype=np.float64)
-        if self.num_idx.size:
-            diff = X[:, self.num_idx] - q[self.num_idx]
-            sq += np.einsum("ij,ij->i", diff, diff)
-        if self.cat_idx.size:
-            sq += (X[:, self.cat_idx] != q[self.cat_idx]).sum(axis=1)
-        return np.sqrt(sq)
-
     def pairwise_sq(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Squared distances between rows of ``A`` and ``B`` (unclipped)."""
         A = np.asarray(A, dtype=np.float64)
@@ -138,7 +125,6 @@ class TableNeighborSpace:
         self.bounds_: dict[str, tuple[float, float]] = {}
         self.schema_ = None
         self.metric_: MixedMetric | None = None
-        self._coded_cache: tuple[object, "CodedLayout"] | None = None
 
     def fit(self, table: Table) -> "TableNeighborSpace":
         """Learn per-column scaling from a reference table.
@@ -196,39 +182,6 @@ class TableNeighborSpace:
         if not blocks:
             return np.zeros((table.n_rows, 0))
         return np.hstack(blocks)
-
-    def encode_coded(
-        self,
-        table: Table | None = None,
-        cache_token: object | None = None,
-        *,
-        encoded: np.ndarray | None = None,
-    ) -> "CodedLayout":
-        """Return the kernel-layer :class:`~repro.neighbors.kernels.CodedLayout`.
-
-        Packs the float64 encoding into the float32/int32 coded layout the
-        blocked kernels consume.  With a ``cache_token`` (typically the
-        engine's ``dataset_version``) the layout is built once per token
-        and reused until the token changes, so repeated queries against an
-        unchanged dataset skip both the encode and the pack.
-
-        Pass ``encoded=`` to reuse an already-computed :meth:`encode`
-        matrix instead of re-reading the table.
-        """
-        if self.metric_ is None:
-            raise RuntimeError("TableNeighborSpace is not fitted")
-        if cache_token is not None and self._coded_cache is not None:
-            token, layout = self._coded_cache
-            if token == cache_token:
-                return layout
-        if encoded is None:
-            if table is None:
-                raise ValueError("encode_coded needs a table or an encoded matrix")
-            encoded = self.encode(table)
-        layout = CodedLayout.from_encoded(encoded, self.metric_.cat_mask)
-        if cache_token is not None:
-            self._coded_cache = (cache_token, layout)
-        return layout
 
     def fit_encode(self, table: Table) -> np.ndarray:
         """Fit on ``table`` and return its encoding in one call."""

@@ -20,11 +20,7 @@ from repro.utils.rng import RandomState, check_random_state
 
 
 def adasyn_weights(
-    table: Table,
-    is_minority: np.ndarray,
-    *,
-    k: int = 5,
-    distance_backend=None,
+    table: Table, is_minority: np.ndarray, *, k: int = 5
 ) -> np.ndarray:
     """Per-minority-instance generation weights.
 
@@ -43,7 +39,7 @@ def adasyn_weights(
     space = TableNeighborSpace().fit(table)
     E = space.encode(table)
     k_eff = min(k, table.n_rows - 1)
-    knn = BruteKNN(space.metric_, backend=distance_backend).fit(E)
+    knn = BruteKNN(space.metric_).fit(E)
     _, nbr = knn.kneighbors(E[minority_idx], k_eff, exclude_self=True)
     majority_frac = (~is_minority[nbr]).mean(axis=1)
     total = majority_frac.sum()
@@ -65,18 +61,11 @@ class ADASYN:
         Seed for weight-proportional base sampling and interpolation.
     """
 
-    def __init__(
-        self,
-        k: int = 5,
-        *,
-        random_state: RandomState = None,
-        distance_backend=None,
-    ) -> None:
+    def __init__(self, k: int = 5, *, random_state: RandomState = None) -> None:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         self.k = k
         self.random_state = random_state
-        self.distance_backend = distance_backend
 
     def fit_resample(self, dataset: Dataset) -> Dataset:
         """Oversample every minority class to the majority class count.
@@ -98,19 +87,14 @@ class ADASYN:
         rng = check_random_state(self.random_state)
         counts = dataset.class_counts()
         target = int(counts.max())
-        smote = SMOTE(self.k, distance_backend=self.distance_backend)
+        smote = SMOTE(self.k)
         parts = [dataset]
         for c in range(dataset.n_classes):
             deficit = target - int(counts[c])
             class_idx = np.flatnonzero(dataset.y == c)
             if deficit <= 0 or class_idx.size < 2:
                 continue
-            weights = adasyn_weights(
-                dataset.X,
-                dataset.y == c,
-                k=self.k,
-                distance_backend=self.distance_backend,
-            )
+            weights = adasyn_weights(dataset.X, dataset.y == c, k=self.k)
             # Draw base instances proportionally to the density weights,
             # then interpolate within the class like SMOTE.
             base_draws = rng.choice(class_idx.size, size=deficit, p=weights)

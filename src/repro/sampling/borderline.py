@@ -47,7 +47,6 @@ def classify_borderline(
     k: int = 10,
     borderline_band: float = 0.3,
     weights: dict[str, float] | None = None,
-    distance_backend=None,
 ) -> BorderlineAnalysis:
     """Classify instances as noisy / safe / borderline from neighbour labels.
 
@@ -66,10 +65,6 @@ def classify_borderline(
         Above the band it is *safe*; below, *noisy*.
     weights:
         Weight per category; defaults to the paper's {1, 1, 3}.
-    distance_backend:
-        Optional :data:`repro.engine.DISTANCE_BACKENDS` name (or backend
-        instance) for the neighbour search; ``None`` keeps the exact
-        float64 path.
     """
     labels = check_array_1d(labels, name="labels", dtype=np.int64)
     if labels.shape[0] != table.n_rows:
@@ -84,7 +79,7 @@ def classify_borderline(
     space = TableNeighborSpace().fit(table)
     E = space.encode(table)
     k_eff = min(k, table.n_rows - 1)
-    knn = BruteKNN(space.metric_, backend=distance_backend).fit(E)
+    knn = BruteKNN(space.metric_).fit(E)
     _, nbr = knn.kneighbors(E, k_eff, exclude_self=True)
     same = labels[nbr] == labels[:, None]
     p_frac = same.mean(axis=1)
@@ -139,18 +134,10 @@ class BorderlineSMOTE:
     restricted to the borderline set.
     """
 
-    def __init__(
-        self,
-        k: int = 5,
-        *,
-        k_classify: int = 10,
-        random_state=None,
-        distance_backend=None,
-    ) -> None:
+    def __init__(self, k: int = 5, *, k_classify: int = 10, random_state=None) -> None:
         self.k = k
         self.k_classify = k_classify
         self.random_state = random_state
-        self.distance_backend = distance_backend
 
     def fit_resample(self, dataset):
         """Oversample minority classes from their borderline instances.
@@ -172,14 +159,9 @@ class BorderlineSMOTE:
         rng = check_random_state(self.random_state)
         counts = dataset.class_counts()
         target = int(counts.max())
-        analysis = classify_borderline(
-            dataset.X,
-            dataset.y,
-            k=self.k_classify,
-            distance_backend=self.distance_backend,
-        )
+        analysis = classify_borderline(dataset.X, dataset.y, k=self.k_classify)
         parts = [dataset]
-        smote = SMOTE(self.k, distance_backend=self.distance_backend)
+        smote = SMOTE(self.k)
         for c in range(dataset.n_classes):
             deficit = target - int(counts[c])
             if deficit <= 0:

@@ -354,10 +354,6 @@ class RuleConstrainedGenerator:
         neighbour-space scaling (typically the current active dataset).
     k : int, default 5
         Neighbours per base instance (paper: 5).
-    distance_backend : str or backend, optional
-        ``None`` (default) keeps the exact float64 neighbour search; a
-        :data:`repro.engine.DISTANCE_BACKENDS` name opts into the blocked
-        kernel layer (:mod:`repro.neighbors.kernels`).
     space : TableNeighborSpace, optional
         ``reference`` already fitted into its neighbour space.  The edit
         loop fits one per active-dataset version and hands it to every
@@ -370,7 +366,6 @@ class RuleConstrainedGenerator:
         reference: Table,
         *,
         k: int = 5,
-        distance_backend=None,
         space: TableNeighborSpace | None = None,
     ) -> None:
         if k < 1:
@@ -381,7 +376,6 @@ class RuleConstrainedGenerator:
             raise ValueError("space was fitted on a different schema")
         self.rule = rule
         self.k = k
-        self.distance_backend = distance_backend
         self.schema = reference.schema
         self._space = space
         self._index_cache: tuple[object, np.ndarray, BruteKNN | None] | None = None
@@ -414,11 +408,7 @@ class RuleConstrainedGenerator:
         ):
             return self._index_cache[1], self._index_cache[2]
         E = self._space.encode(pool)
-        knn = (
-            BruteKNN(self._space.metric_, backend=self.distance_backend).fit(E)
-            if pool.n_rows > 1
-            else None
-        )
+        knn = BruteKNN(self._space.metric_).fit(E) if pool.n_rows > 1 else None
         if cache_token is not None:
             self._index_cache = (cache_token, E, knn)
         return E, knn

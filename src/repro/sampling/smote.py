@@ -44,26 +44,13 @@ class SMOTE:
         Number of nearest neighbours (paper default 5).
     random_state : int, Generator, or None
         Seed for neighbour choice and interpolation weights.
-    distance_backend : str or backend, optional
-        ``None`` (default) keeps the exact float64 neighbour search.  A
-        :data:`repro.engine.DISTANCE_BACKENDS` name opts the ``kneighbors``
-        call into the blocked kernel layer (:mod:`repro.neighbors.kernels`);
-        neighbour sets can differ from the exact path only on distance
-        ties, per the kernel contract.
     """
 
-    def __init__(
-        self,
-        k: int = 5,
-        *,
-        random_state: RandomState = None,
-        distance_backend=None,
-    ) -> None:
+    def __init__(self, k: int = 5, *, random_state: RandomState = None) -> None:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         self.k = k
         self.random_state = random_state
-        self.distance_backend = distance_backend
 
     # ------------------------------------------------------------------ #
     def generate(
@@ -109,7 +96,7 @@ class SMOTE:
 
         space = TableNeighborSpace().fit(table)
         E = space.encode(table)
-        knn = BruteKNN(space.metric_, backend=self.distance_backend).fit(E)
+        knn = BruteKNN(space.metric_).fit(E)
         k_eff = min(self.k, table.n_rows - 1)
         _, nbr_idx = knn.kneighbors(E[base_indices], k_eff, exclude_self=True)
 

@@ -90,3 +90,17 @@ def make_tiny_dataset(n: int = 60, seed: int = 0) -> Dataset:
     )
     y = (t.column("x1") + 0.5 * t.column("x2") > 0).astype(np.int64)
     return Dataset(t, y, ("neg", "pos"))
+
+
+def heom_dists_to(q, X, cat_mask) -> np.ndarray:
+    """Distances from one row ``q`` to every row of ``X`` by direct
+    differences: squared differences on numeric columns, 0/1 overlap on
+    the columns ``cat_mask`` marks categorical (none marked is plain
+    Euclidean).  An independent reference for the norm-expansion metrics
+    in :mod:`repro.neighbors.distance`."""
+    q = np.asarray(q, dtype=np.float64)
+    X = np.asarray(X, dtype=np.float64)
+    cat = np.asarray(cat_mask, dtype=bool)
+    diff = X[:, ~cat] - q[~cat]
+    sq = (diff * diff).sum(axis=1) + (X[:, cat] != q[cat]).sum(axis=1)
+    return np.sqrt(sq)

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from repro.neighbors import BruteKNN, MixedMetric
 
+from tests.conftest import heom_dists_to
+
 
 def _data(n=100, d=3, seed=0, n_cat=0):
     rng = np.random.default_rng(seed)
@@ -42,6 +44,10 @@ class TestBruteKNN:
         X, _ = _data(n=4)
         d, i = BruteKNN().fit(X).kneighbors(X[:2], 10)
         assert i.shape == (2, 4)
+        # An empty fitted base answers every query with no neighbours.
+        for exclude_self in (False, True):
+            d, i = BruteKNN().fit(X[:0]).kneighbors(X[:2], 3, exclude_self=exclude_self)
+            assert d.shape == i.shape == (2, 0)
 
     def test_k_larger_than_n_exclude_self(self):
         X, _ = _data(n=4)
@@ -58,13 +64,26 @@ class TestBruteKNN:
             BruteKNN().fit(X).kneighbors(X[:1], 0)
 
     def test_mixed_metric(self):
-        X, m = _data(n=50, n_cat=2)
-        d, i = BruteKNN(m).fit(X).kneighbors(X[:5], 3, exclude_self=True)
-        assert d.shape == (5, 3)
+        # Mixed and categorical-only: each reported distance carries the
+        # bits of the metric's pairwise entry for the reported row.
+        for d_num, n_cat in ((3, 2), (0, 3)):
+            X, m = _data(n=50, d=d_num, n_cat=n_cat)
+            d, i = BruteKNN(m).fit(X).kneighbors(X[:5], 3, exclude_self=True)
+            assert d.shape == (5, 3)
+            D = m.pairwise(X[:5], X)
+            np.testing.assert_array_equal(np.take_along_axis(D, i, axis=1), d)
 
+    def test_fit_width_must_match_metric(self):
+        X, m = _data(n=20, d=1, n_cat=2)
+        with pytest.raises(ValueError, match="X has 6 features, but the metric covers 3"):
+            BruteKNN(m).fit(np.hstack([X, X]))
 
-def _euclidean_dists_to(q, X):
-    return np.sqrt(((X - q) ** 2).sum(axis=1))
+    def test_query_width_must_match_fit(self):
+        X, m = _data(n=20, d=1, n_cat=2)
+        for metric in ("euclidean", m):
+            knn = BruteKNN(metric).fit(X)
+            with pytest.raises(ValueError, match="Q has 5 features, but the index was fitted on 3"):
+                knn.kneighbors(np.zeros((2, 5)), 1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -77,7 +96,7 @@ def _euclidean_dists_to(q, X):
 )
 def test_brute_matches_per_query_reference_property(n, k, seed, mixed, exclude_self):
     """BruteKNN's sorted top-k distances equal an independent per-query
-    scan: ``MixedMetric.dists_to`` (or direct differences) plus a sort,
+    scan: direct differences (:func:`heom_dists_to`) plus a sort,
     dropping one zero-distance self match under ``exclude_self``."""
     rng = np.random.default_rng(seed)
     X = rng.uniform(0, 1, (n, 3))
@@ -86,19 +105,16 @@ def test_brute_matches_per_query_reference_property(n, k, seed, mixed, exclude_s
     fresh = rng.uniform(0, 1, (3, 3))
     fresh[:, 2] = rng.integers(0, 3, 3)
     Q = np.vstack([X[:4], fresh])
-    if mixed:
-        metric = MixedMetric(np.array([False, False, True]))
-        reference = metric.dists_to
-    else:
-        metric = "euclidean"
-        reference = _euclidean_dists_to
+    cat_mask = np.array([False, False, mixed])
+    metric = MixedMetric(cat_mask) if mixed else "euclidean"
     d, i = BruteKNN(metric).fit(X).kneighbors(Q, k, exclude_self=exclude_self)
     out_k = min(k, n - 1 if exclude_self else n)
     assert d.shape == i.shape == (Q.shape[0], out_k)
     for q, d_q, i_q in zip(Q, d, i):
-        ref = np.sort(reference(q, X))
+        row = heom_dists_to(q, X, cat_mask)
+        ref = np.sort(row)
         if exclude_self and ref[0] < 1e-6:
             ref = ref[1:]
         np.testing.assert_allclose(d_q, ref[:out_k], atol=1e-6)
         # Every returned index is a real row at the reported distance.
-        np.testing.assert_allclose(reference(q, X)[i_q], d_q, atol=1e-6)
+        np.testing.assert_allclose(row[i_q], d_q, atol=1e-6)

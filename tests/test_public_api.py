@@ -66,11 +66,46 @@ class TestRemovedNamesFailLoudly:
 
     @staticmethod
     def _removed_backend():
+        import repro
         from repro import FroteConfig
-        from repro.engine import UnknownEntryError
 
-        with pytest.raises(UnknownEntryError, match="numpy"):
-            FroteConfig(distance_backend="numba")
+        from tests.conftest import make_tiny_dataset
+
+        with pytest.raises(TypeError, match="distance_backend"):
+            FroteConfig(distance_backend="numpy")
+        session = (
+            repro.edit(make_tiny_dataset())
+            .with_rules("x1 > 0 => pos")
+            .with_algorithm("LR")
+            .configure(distance_backend="numpy")
+        )
+        with pytest.raises(TypeError, match="distance_backend"):
+            session.build_state()
+
+    @staticmethod
+    def _removed_backend_keywords():
+        from repro.neighbors import BruteKNN, MixedMetric
+        from repro.sampling import SMOTE
+
+        metric = MixedMetric([False, True])
+        with pytest.raises(TypeError, match="backend"):
+            BruteKNN(metric, backend="numpy")
+        with pytest.raises(TypeError, match="distance_backend"):
+            SMOTE(5, distance_backend="numpy")
+
+    @staticmethod
+    def _removed_kernel_exports():
+        import repro.engine
+        import repro.neighbors
+
+        for name in (
+            "DISTANCE_BACKENDS",
+            "register_distance_backend",
+            "kneighbors_blocked",
+            "CodedLayout",
+        ):
+            assert not hasattr(repro.engine, name)
+            assert not hasattr(repro.neighbors, name)
 
     @staticmethod
     def _option_group_kwarg():
@@ -87,7 +122,14 @@ class TestRemovedNamesFailLoudly:
         assert not hasattr(repro, "StorageOptions")
 
     @pytest.mark.parametrize(
-        "check", ["_removed_backend", "_option_group_kwarg", "_legacy_exports"]
+        "check",
+        [
+            "_removed_backend",
+            "_removed_backend_keywords",
+            "_removed_kernel_exports",
+            "_option_group_kwarg",
+            "_legacy_exports",
+        ],
     )
     def test_removed_name(self, check):
         getattr(self, check)()
