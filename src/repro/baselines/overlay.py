@@ -26,7 +26,7 @@ import numpy as np
 from repro.data.table import Table
 from repro.models.base import TableModel
 from repro.rules.learning import GreedyRuleLearner
-from repro.rules.predicate import EQ, GE, GT, LE, LT, NE, Predicate
+from repro.rules.predicate import EQ, NE, Predicate
 from repro.rules.rule import FeedbackRule
 from repro.rules.ruleset import FeedbackRuleSet
 from repro.sampling.rule_generation import window_from_conditions

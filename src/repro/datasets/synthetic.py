@@ -21,7 +21,6 @@ from repro.data.dataset import Dataset
 from repro.data.schema import Schema
 from repro.data.table import Table
 from repro.rules.clause import Clause
-from repro.utils.rng import RandomState, check_random_state
 
 
 @dataclass(frozen=True)

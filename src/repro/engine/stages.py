@@ -31,7 +31,6 @@ from repro.core.modification import apply_modification
 from repro.core.objective import evaluate_predictions
 from repro.core.preselect import preselect_base_population
 from repro.core.selection import SelectionContext
-from repro.data.dataset import Dataset
 from repro.engine.registry import SELECTORS
 from repro.engine.state import EditState, IterationRecord
 
@@ -82,8 +81,7 @@ class ModificationStage:
         # config: dense in RAM by default, sharded-with-spill under
         # ``max_resident_mb`` (the out-of-core path).
         state.record_rebuild("setup")
-        state.active_builder = state.make_builder(state.active)
-        state.active = state.active_builder.snapshot()
+        state.ensure_builder()
         state.model = state.algorithm(state.active)
         state.initial_model = state.model
         # Routing the initial evaluation through the prediction cache
@@ -256,7 +254,11 @@ class AcceptanceStage:
             self._finish_iteration(state, record, "empty-batch", t0)
             return
 
-        candidate, staged = self._stage_candidate(state)
+        # D̂ ∪ batch, staged past the builder's committed rows: O(batch),
+        # and D̂ itself is not copied.
+        candidate = state.ensure_builder().stage(
+            state.batch.table, state.batch.labels
+        )
 
         # Train the candidate model: a partial refit when the incremental
         # path is on and the model supports it, else a full fit.
@@ -285,15 +287,8 @@ class AcceptanceStage:
         )
         external: float | None = None
         if improved:
-            if staged:
-                state.active_builder.commit(candidate.n)
-                state.active = candidate
-            else:
-                # Concat fallback accepted: re-home the active dataset
-                # into a fresh builder (same storage policy as setup) so
-                # later batches append in O(batch) again.
-                state.active_builder = state.make_builder(candidate)
-                state.active = state.active_builder.snapshot()
+            state.active_builder.commit(candidate.n)
+            state.active = candidate
             state.n_added += state.batch.n
             state.best_loss = cand_loss
             state.model = cand_model
@@ -324,32 +319,6 @@ class AcceptanceStage:
         )
         self._finish_iteration(
             state, record, "accepted" if improved else "rejected", t0
-        )
-
-    @staticmethod
-    def _stage_candidate(state: EditState) -> tuple[Dataset, bool]:
-        """The tentative dataset D̂ ∪ batch, staged without copying D̂.
-
-        Returns ``(candidate, staged)``: ``staged`` says the candidate
-        lives in the state's builder (commit on acceptance).  Falls back
-        to a concat when no builder owns the active dataset — custom
-        stages that assign ``state.active`` directly and record a
-        rebuild delta (which drops the builder) keep working, at the
-        legacy O(n) cost for that one acceptance.
-        """
-        builder = state.active_builder
-        if builder is not None and builder.n_rows == state.active.n:
-            return builder.stage(state.batch.table, state.batch.labels), True
-        return (
-            Dataset.concat(
-                [
-                    state.active,
-                    Dataset(
-                        state.batch.table, state.batch.labels, state.active.label_names
-                    ),
-                ]
-            ),
-            False,
         )
 
     def _finish_iteration(

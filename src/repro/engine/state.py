@@ -140,7 +140,7 @@ class ListenerError:
 
 
 # Process-global source of dataset-version cache tokens (see
-# EditState.bump_dataset_version).
+# EditState.record_rebuild).
 _DATASET_VERSIONS = itertools.count(1)
 
 
@@ -163,8 +163,8 @@ class EditState:
 
     # The evolving dataset and model.  ``active`` is a snapshot of
     # ``active_builder`` when the default stages drive the loop; custom
-    # stage chains may leave the builder unset and assign ``active``
-    # directly (the concat path).
+    # stage chains may assign ``active`` directly and record a rebuild,
+    # which drops the builder until :meth:`ensure_builder` re-homes it.
     active: Dataset | None = None
     active_builder: DatasetBuilder | None = None
     model: Any = None
@@ -283,11 +283,12 @@ class EditState:
         is recomputed lazily on next use, and the append builder is
         dropped — a rebuilt ``active`` no longer corresponds to the
         builder's rows, so staging onto them would resurrect stale data
-        (the acceptance stage re-establishes a builder on the next
-        accepted batch).  Versions are drawn from a process-global
-        counter so tokens never collide across states — a strategy
-        instance shared between sessions (``with_selector`` accepts
-        instances) cannot be handed a stale cache hit.
+        (the acceptance stage re-homes ``active`` through
+        :meth:`ensure_builder` before it stages the next batch).
+        Versions are drawn from a process-global counter so tokens never
+        collide across states — a strategy instance shared between
+        sessions (``with_selector`` accepts instances) cannot be handed a
+        stale cache hit.
         """
         parent = self.dataset_version
         self.dataset_version = next(_DATASET_VERSIONS)
@@ -319,8 +320,8 @@ class EditState:
 
         Row count and identity are preserved but the feature space
         changed, so the append builder (whose staged columns follow the
-        old schema) is dropped — the acceptance stage re-homes the
-        active dataset on the next accepted batch.  Cache survival is
+        old schema) is dropped — :meth:`ensure_builder` re-homes the
+        active dataset before the next batch is staged.  Cache survival is
         *selective*, decided per delta kind by
         :func:`repro.engine.migration.apply_schema_delta` (which calls
         this); the journal entry carries the schema delta so any other
@@ -351,17 +352,20 @@ class EditState:
             dataset, policy=spill_policy_for(self.config)
         )
 
-    def bump_dataset_version(self) -> None:
-        """Invalidate every active-dataset-derived cache.
+    def ensure_builder(self) -> DatasetBuilder:
+        """The append builder that owns ``active``, re-homing it if needed.
 
-        .. deprecated::
-            Compatibility shim for pre-delta custom stages; equivalent to
-            ``record_rebuild("bump")``.  New code should record an
-            explicit :class:`~repro.engine.delta.DatasetDelta` via
-            :meth:`record_append` / :meth:`record_rebuild` so caches can
-            stay warm across accepted batches (see ``docs/migration.md``).
+        ``active`` moves into a fresh builder (:meth:`make_builder`) and
+        becomes its snapshot only when there is no builder — setup, a
+        rebuild or a schema migration dropped it — or when the builder's
+        committed rows no longer match ``active``.  The rows are
+        unchanged, so the dataset version and its caches stay valid.
         """
-        self.record_rebuild("bump")
+        builder = self.active_builder
+        if builder is None or builder.n_rows != self.active.n:
+            builder = self.active_builder = self.make_builder(self.active)
+            self.active = builder.snapshot()
+        return builder
 
     # ------------------------------------------------------------------ #
     def active_predictions(self) -> np.ndarray:

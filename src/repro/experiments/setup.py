@@ -12,8 +12,7 @@ The paper's protocol for every experiment:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from repro.experiments.persistence import dump_json, to_jsonable
 from repro.journal.reader import JournalReader

@@ -558,10 +558,7 @@ def fast_forward(
                 {name: entry.batch["columns"][name] for name in schema.names},
             )
             labels = np.asarray(entry.batch["labels"], dtype=np.int64)
-            builder = state.active_builder
-            if builder is None or builder.n_rows != state.active.n:
-                state.active_builder = builder = state.make_builder(state.active)
-                state.active = builder.snapshot()
+            builder = state.ensure_builder()
             candidate = builder.stage(table, labels)
             builder.commit(candidate.n)
             state.active = candidate

@@ -204,10 +204,10 @@ def run_streaming_workload(
             algorithm=algorithm,
             config=config,
             rng=rng,
+            active=base,
         )
         state.record_rebuild("oocbench-setup")
-        builder = state.active_builder = state.make_builder(base)
-        state.active = builder.snapshot()
+        builder = state.ensure_builder()
         state.model = algorithm(state.active)
         state.active_assignment()
         window = (shard_rows or 16384) * 2

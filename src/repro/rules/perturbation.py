@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.data.dataset import Dataset
 from repro.rules.clause import Clause, clause_satisfiable
-from repro.rules.predicate import Predicate
 from repro.rules.rule import FeedbackRule
 from repro.utils.rng import RandomState, check_random_state
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.data.schema import Schema
 from repro.data.table import Table
-from repro.rules.clause import Clause, clause_satisfiable
+from repro.rules.clause import Clause
 from repro.rules.predicate import EQ, GE, GT, LE, LT, NE, Predicate
 from repro.rules.rule import FeedbackRule
 from repro.rules.ruleset import FeedbackRuleSet

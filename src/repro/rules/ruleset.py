@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.data.schema import Schema
 from repro.data.table import Table
-from repro.rules.clause import Clause, clauses_intersect
+from repro.rules.clause import clauses_intersect
 from repro.rules.rule import FeedbackRule
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.analysis import ModelDiff, diff_models, explain_changes, format_diff
+from repro.analysis import diff_models, explain_changes, format_diff
 from repro.models import LogisticRegression, make_algorithm
 from repro.rules import FeedbackRule, FeedbackRuleSet, Predicate, clause
 

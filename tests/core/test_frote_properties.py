@@ -8,7 +8,6 @@ rule-satisfaction of all synthetic rows.
 """
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

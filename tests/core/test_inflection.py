@@ -1,7 +1,6 @@
 """Tests for the inflection-point analysis (paper §6)."""
 
 import numpy as np
-import pytest
 
 from repro.core import InflectionTrace, format_inflection, trace_inflection
 from repro.data import train_test_split

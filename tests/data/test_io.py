@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from repro.data import (
-    Dataset,
-    Table,
     infer_schema,
     make_schema,
     read_csv,
@@ -108,8 +106,6 @@ class TestWriteCsv:
         )
 
     def test_label_collision_raises(self, mixed_dataset):
-        import dataclasses
-
         with pytest.raises(ValueError, match="collides"):
             to_csv_text(mixed_dataset, label_column="age")
 

@@ -137,16 +137,6 @@ class TestEditStateDeltas:
         state.record_rebuild("custom-stage-mutation")
         assert state.active_builder is None
 
-    def test_bump_dataset_version_compat(self):
-        state = make_state()
-        v0 = state.dataset_version
-        state.active_predictions()
-        state.bump_dataset_version()
-        assert state.dataset_version != v0
-        assert state.predictions_cache is None
-        delta = state.journal.get(state.dataset_version)
-        assert delta is not None and not delta.is_append
-
     def test_predictions_cache_requires_same_model(self):
         state = make_state()
         preds = state.active_predictions()

@@ -3,15 +3,19 @@
 The incremental path (``configure(incremental=True)``) must change *when*
 work happens, never *what* is computed: a session driven with partial
 model refits, staged candidates, and delta-extended caches produces the
-same run as the default rebuild path.
+same run as the default rebuild path.  KNN (bitwise) and NB (within
+float rounding) are rows of the mode-contract table
+(``tests/test_mode_contracts.py``); the cases below are the ones it
+cannot express.
 """
 
 import numpy as np
-import pytest
 
 import repro
 from repro.data import Dataset, Table, make_schema
-from repro.models import GaussianNB, KNeighborsClassifier, make_algorithm
+from repro.models import KNeighborsClassifier, make_algorithm
+
+from conftest import assert_same_run
 
 SCHEMA = make_schema(
     numeric=["age", "income"], categorical={"marital": ("single", "married")}
@@ -46,39 +50,7 @@ def run_session(dataset, algorithm, *, incremental, tau=8, seed=3):
     )
 
 
-def assert_same_run(a, b, *, loss_exact=True):
-    assert a.n_added == b.n_added
-    assert a.iterations == b.iterations
-    assert [r.accepted for r in a.history] == [r.accepted for r in b.history]
-    assert [r.n_generated for r in a.history] == [r.n_generated for r in b.history]
-    if loss_exact:
-        assert [r.candidate_loss for r in a.history] == [
-            r.candidate_loss for r in b.history
-        ]
-    assert a.dataset.n == b.dataset.n
-    np.testing.assert_array_equal(a.dataset.y, b.dataset.y)
-    for name in a.dataset.X.schema.names:
-        np.testing.assert_array_equal(
-            a.dataset.X.column(name), b.dataset.X.column(name)
-        )
-
-
 class TestIncrementalRunParity:
-    def test_knn_incremental_bit_identical(self):
-        """KNN partial refits are exact, so whole runs match bit-for-bit."""
-        dataset = make_dataset()
-        algorithm = make_algorithm(
-            lambda: KNeighborsClassifier(k=3), standardize=False
-        )
-        rebuild = run_session(dataset, algorithm, incremental=False)
-        incremental = run_session(dataset, algorithm, incremental=True)
-        assert rebuild.accepted_iterations > 0  # the comparison must bite
-        assert_same_run(rebuild, incremental)
-        assert (
-            incremental.final_evaluation.j_weighted()
-            == rebuild.final_evaluation.j_weighted()
-        )
-
     def test_brute_knn_bit_identical_on_tie_heavy_categorical_data(self):
         """The default KNN index (brute force) is tie-proof: same matrix ⇒
         same distance matrix ⇒ same top-k, so even all-categorical data
@@ -102,16 +74,6 @@ class TestIncrementalRunParity:
         rebuild, incremental = run(False), run(True)
         assert rebuild.accepted_iterations > 0
         assert_same_run(rebuild, incremental)
-
-    def test_nb_incremental_matches_within_rounding(self):
-        """NB folds exact moments; only float association differs."""
-        dataset = make_dataset(seed=1)
-        algorithm = make_algorithm(lambda: GaussianNB(), standardize=False)
-        rebuild = run_session(dataset, algorithm, incremental=False)
-        incremental = run_session(dataset, algorithm, incremental=True)
-        assert_same_run(rebuild, incremental, loss_exact=False)
-        for ra, rb in zip(rebuild.history, incremental.history):
-            assert ra.candidate_loss == pytest.approx(rb.candidate_loss, abs=1e-9)
 
     def test_unsupported_model_incremental_is_noop(self):
         """Models without the protocol silently use the rebuild path."""

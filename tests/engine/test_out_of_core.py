@@ -1,4 +1,4 @@
-"""Out-of-core session tests: the sharded path is bit-identical to dense."""
+"""Out-of-core session tests: storage, configuration and blocked passes."""
 
 import numpy as np
 import pytest
@@ -8,6 +8,8 @@ from repro.core.config import FroteConfig
 from repro.data import Dataset, ShardedTable
 from repro.engine.state import EditState
 from repro.serve.cli import synthetic_mixed_table
+
+from conftest import assert_same_run
 
 
 def make_dataset(n=1200, seed=42):
@@ -32,28 +34,8 @@ def session(dataset, **configure):
 
 
 class TestOutOfCoreSession:
-    def test_bit_identical_to_dense_path(self):
-        """The ISSUE acceptance criterion at test scale: a full edit-loop
-        run with a resident budget far below the dense size produces a
-        bit-identical FroteResult, with real spills along the way."""
-        dataset = make_dataset()
-        dense = session(dataset).run()
-        ooc = session(dataset).out_of_core(0.01, shard_rows=128).run()
-
-        assert isinstance(ooc.dataset.X, ShardedTable)
-        stats = ooc.dataset.X.storage_stats()
-        assert stats["n_spilled"] > 0  # the budget actually bound storage
-        assert dense.n_added == ooc.n_added and dense.n_added > 0
-        for name in dataset.X.schema.names:
-            np.testing.assert_array_equal(
-                ooc.dataset.X.column(name), dense.dataset.X.column(name)
-            )
-        np.testing.assert_array_equal(ooc.dataset.y, dense.dataset.y)
-        assert [
-            (r.candidate_loss, r.accepted, r.n_generated) for r in dense.history
-        ] == [(r.candidate_loss, r.accepted, r.n_generated) for r in ooc.history]
-        assert dense.final_evaluation.mra == ooc.final_evaluation.mra
-        assert dense.final_evaluation.f1_outside == ooc.final_evaluation.f1_outside
+    """Out-of-core against the dense path is a row of the mode-contract
+    table (``tests/test_mode_contracts.py``)."""
 
     def test_incremental_composes_with_out_of_core(self):
         dataset = make_dataset(800, seed=7)
@@ -63,10 +45,7 @@ class TestOutOfCoreSession:
             .out_of_core(0.01, shard_rows=64)
             .run()
         )
-        np.testing.assert_array_equal(ooc.dataset.y, dense.dataset.y)
-        assert [r.candidate_loss for r in dense.history] == [
-            r.candidate_loss for r in ooc.history
-        ]
+        assert_same_run(ooc, dense)
 
     def test_spill_dir_is_honoured(self, tmp_path):
         dataset = make_dataset(600, seed=3)

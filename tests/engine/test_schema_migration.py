@@ -178,25 +178,6 @@ class TestScheduledMigrations:
         result = base_session(mixed_dataset, single_rule_frs).run()
         assert result.schema_log == []
 
-    def test_frozen_path_unchanged_by_migration_machinery(
-        self, mixed_dataset, single_rule_frs
-    ):
-        """A schedule-bearing session whose boundary is never reached is
-        bit-identical to a plain run (the no-delta default path)."""
-        plain = base_session(mixed_dataset, single_rule_frs, tau=2).run()
-        armed = (
-            base_session(mixed_dataset, single_rule_frs, tau=2)
-            .with_schema_migration(50, SchemaDelta.add_column("never"))
-            .run()
-        )
-        assert armed.history == plain.history
-        assert armed.schema_log == []
-        np.testing.assert_array_equal(armed.dataset.y, plain.dataset.y)
-        for name in plain.dataset.X.schema.names:
-            np.testing.assert_array_equal(
-                armed.dataset.X.column(name), plain.dataset.X.column(name)
-            )
-
 
 class TestParkingAndDeferral:
     def test_scheduled_rule_parks_until_column_lands(self, mixed_dataset,

@@ -1,11 +1,13 @@
-"""The streamed-parity acceptance contract plus journaled rule timelines.
+"""Streamed feedback around its parity contract, plus journaled rule
+timelines.
 
 * **Streamed-append parity** — a run that receives an append-only rule
-  through a ``FeedbackSource`` at iteration *k* is bit-identical (X, y,
-  evaluations, history) to a run where the rule was present from the
-  start but scheduled to activate at iteration *k*
-  (``with_scheduled_rules``) — rules applied at iteration boundaries
-  never perturb the RNG stream or the committed prefix.
+  through a ``FeedbackSource`` at iteration *k* is bit-identical to a
+  run where the rule was scheduled to activate at iteration *k*
+  (``with_scheduled_rules``).  That contract, plain and journaled, is a
+  row of the mode-contract table (``tests/test_mode_contracts.py``);
+  the tests here pin what surrounds it: the committed prefix, gating,
+  determinism and crash-resume.
 * **Journal reconstruction** — feedback events are journaled as
   ``ruleset-delta`` records, so ``SessionReplay.rule_timeline()`` and
   crash-resume rebuild the run's rule timeline from the journal alone.
@@ -13,20 +15,19 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 import repro
 from repro.feedback import (
-    QueueFeedbackSource,
     RuleProposal,
     RuleVerdict,
     ScriptedFeedbackSource,
 )
 from repro.journal import SessionReplay
+from repro.journal import cli as journal_cli
 from repro.rules import FeedbackRule, Predicate, clause
 
-from conftest import make_tiny_dataset
+from conftest import SimulatedCrash, assert_same_run, crash_at_fit, make_tiny_dataset
 
 DATASET = make_tiny_dataset(n=150, seed=11)
 
@@ -54,27 +55,7 @@ def session(**configure):
     )
 
 
-def assert_runs_identical(a, b):
-    assert len(a.history) == len(b.history)
-    for ra, rb in zip(a.history, b.history):
-        assert ra == rb
-    np.testing.assert_array_equal(a.dataset.y, b.dataset.y)
-    for name in a.dataset.X.schema.names:
-        np.testing.assert_array_equal(
-            a.dataset.X.column(name), b.dataset.X.column(name)
-        )
-    assert a.final_evaluation.mra == b.final_evaluation.mra
-    assert a.final_evaluation.f1_outside == b.final_evaluation.f1_outside
-
-
 class TestStreamedAppendParity:
-    def test_streamed_equals_scheduled(self):
-        streamed = session().with_feedback(
-            ScriptedFeedbackSource([(3, RuleProposal(LATE, source="expert"))])
-        ).run()
-        scheduled = session().with_scheduled_rules(3, LATE).run()
-        assert_runs_identical(streamed, scheduled)
-
     def test_streamed_differs_from_batch_start(self):
         """The rule genuinely changes the run once it lands."""
         streamed = session().with_feedback(
@@ -95,12 +76,12 @@ class TestStreamedAppendParity:
 
     def test_rerun_is_deterministic(self):
         spec = session().with_feedback(ScriptedFeedbackSource([(3, LATE)]))
-        assert_runs_identical(spec.run(), spec.run())
+        assert_same_run(spec.run(), spec.run())
 
     def test_rebuild_delivery_is_deterministic(self):
         spec = session().with_feedback(ScriptedFeedbackSource([(2, CONTRA)]))
         a, b = spec.run(), spec.run()
-        assert_runs_identical(a, b)
+        assert_same_run(a, b)
         assert len(a.frs) == 2  # carved pair, no duplicate exceptions
 
     def test_empty_start_session(self):
@@ -142,7 +123,7 @@ class TestAggregationGating:
         assert len(result.frs) == 2
         # Quorum reached at iteration 3 -> identical to scheduling there.
         scheduled = session().with_scheduled_rules(3, LATE).run()
-        assert_runs_identical(result, scheduled)
+        assert_same_run(result, scheduled)
 
 
 class TestJournaledFeedback:
@@ -165,11 +146,13 @@ class TestJournaledFeedback:
         assert row["n_rules"] == 2
         assert "expert" in row["provenance"]
         assert replay.summary()["ruleset_deltas"] == 1
+        # The status table renders ruleset-delta records without a gate error.
+        assert journal_cli.main(["--strict", "status", str(tmp_path)]) == 0
 
     def test_fast_forward_resume_matches_uninterrupted(self, tmp_path):
         first = self.make_journaled(tmp_path).run()
         again = self.make_journaled(tmp_path).run()  # full fast-forward
-        assert_runs_identical(first, again)
+        assert_same_run(first, again)
         assert len(again.frs) == 2
         replay = SessionReplay.load(tmp_path / "fb")
         assert replay.summary()["resumes"] == 1
@@ -188,24 +171,13 @@ class TestCrashResumeWithFeedback:
     """Interrupted journaled runs rebuild the rule timeline on resume."""
 
     def crashing_session(self, tmp_path, *, fail_at_fit):
-        from repro.models import paper_algorithm
-
-        base_algorithm = paper_algorithm("LR")
-        fits = {"n": 0}
-
-        def algorithm(dataset):
-            fits["n"] += 1
-            if fits["n"] == fail_at_fit:
-                raise RuntimeError("simulated crash")
-            return base_algorithm(dataset)
-
         src = ScriptedFeedbackSource([(3, RuleProposal(LATE, source="expert"))])
         return (
             session(
                 journal_dir=str(tmp_path), journal_name="crash",
                 journal_resume=True,
             )
-            .with_algorithm(algorithm)
+            .with_algorithm(crash_at_fit(fail_at_fit))
             .with_feedback(src)
         )
 
@@ -233,7 +205,7 @@ class TestCrashResumeWithFeedback:
     ):
         want = self.uninterrupted(tmp_path)
 
-        with pytest.raises(RuntimeError, match="simulated crash"):
+        with pytest.raises(SimulatedCrash):
             self.crashing_session(tmp_path, fail_at_fit=fail_at_fit).run()
         partial = SessionReplay.load(tmp_path / "crash")
         committed = partial.committed()
@@ -241,7 +213,7 @@ class TestCrashResumeWithFeedback:
         assert len(partial.rule_timeline()) == 1
 
         got = self.crashing_session(tmp_path, fail_at_fit=0).run()
-        assert_runs_identical(want, got)
+        assert_same_run(want, got)
         assert [r.name for r in got.frs] == ["base", "late"]
 
         replay = SessionReplay.load(tmp_path / "crash")

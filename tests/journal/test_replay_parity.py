@@ -13,7 +13,7 @@ scale:
   finishes with a final dataset bit-identical to the uninterrupted run.
 """
 
-import json
+import pickle
 import signal
 import subprocess
 import sys
@@ -24,8 +24,9 @@ import pytest
 
 import repro
 from repro.data import Dataset, Table, make_schema
-from repro.experiments.persistence import from_jsonable
 from repro.journal import JournalReader, JournalResumeError, SessionReplay
+
+from conftest import assert_same_run
 
 SCHEMA = make_schema(
     numeric=["age", "income"],
@@ -104,21 +105,10 @@ class TestReplayParity:
         assert replay.meta["dataset"]["n"] == 250
         assert replay.summary()["seconds"] > 0
 
-    def test_journaled_run_equals_plain_run(self, tmp_path):
-        plain = make_session().run()
-        journaled = make_session().journaled(tmp_path, name="s").run()
-        assert journaled.history == plain.history
-        np.testing.assert_array_equal(journaled.dataset.y, plain.dataset.y)
-        for name in SCHEMA.names:
-            np.testing.assert_array_equal(
-                journaled.dataset.X.column(name), plain.dataset.X.column(name)
-            )
-
     def test_finished_journal_fast_forwards_to_same_result(self, tmp_path):
         first = make_session().journaled(tmp_path, name="s").run()
         again = make_session().journaled(tmp_path, name="s").run()
-        assert again.history == first.history
-        np.testing.assert_array_equal(again.dataset.y, first.dataset.y)
+        assert_same_run(again, first)
         replay = SessionReplay.load(tmp_path / "s")
         assert replay.summary()["resumes"] == 1  # one run-resumed record
         assert replay.summary()["runs"] == 1  # ...extending the same run
@@ -171,7 +161,7 @@ class TestResumeValidation:
 # --------------------------------------------------------------------- #
 CHILD = """
 import os, signal, sys
-sys.path.insert(0, {test_dir!r})
+sys.path[:0] = [{test_dir!r}, os.path.dirname({test_dir!r})]  # + conftest
 from test_replay_parity import make_session
 
 mode, jdir, out = sys.argv[1], sys.argv[2], sys.argv[3]
@@ -191,23 +181,9 @@ def algorithm(dataset):
 session = make_session(tau=6).with_algorithm(algorithm)
 result = session.journaled(jdir, name="crash").run()
 
-import json
-from repro.experiments.persistence import to_jsonable
-payload = {{
-    "columns": {{
-        name: result.dataset.X.column(name)
-        for name in result.dataset.X.schema.names
-    }},
-    "y": result.dataset.y,
-    "n_added": result.n_added,
-    "history": [
-        [r.iteration, r.candidate_loss, r.accepted, r.n_generated,
-         r.n_added_total]
-        for r in result.history
-    ],
-}}
-with open(out, "w") as fh:
-    json.dump(to_jsonable(payload), fh, allow_nan=False)
+import pickle
+with open(out, "wb") as fh:
+    pickle.dump(result, fh)
 """
 
 
@@ -231,14 +207,14 @@ def run_child(tmp_path, mode, jdir, out, *, kill_at_fit=0):
 class TestCrashResume:
     def test_sigkill_mid_iteration_resumes_bit_identical(self, tmp_path):
         # Reference: the same journaled session, uninterrupted.
-        full = run_child(tmp_path, "run", tmp_path / "j-full", tmp_path / "full.json")
+        full = run_child(tmp_path, "run", tmp_path / "j-full", tmp_path / "full.pkl")
         assert full.returncode == 0, full.stderr
 
         # Fit #4 happens inside loop iteration 2 (setup fit + one
         # candidate fit per iteration), so the process dies with two
         # iterations committed and the third in flight.
         crashed = run_child(
-            tmp_path, "kill", tmp_path / "j", tmp_path / "unused.json",
+            tmp_path, "kill", tmp_path / "j", tmp_path / "unused.pkl",
             kill_at_fit=4,
         )
         assert crashed.returncode == -signal.SIGKILL
@@ -250,29 +226,19 @@ class TestCrashResume:
 
         # Re-running the same spec fast-forwards and finishes the run.
         resumed = run_child(
-            tmp_path, "run", tmp_path / "j", tmp_path / "resumed.json"
+            tmp_path, "run", tmp_path / "j", tmp_path / "resumed.pkl"
         )
         assert resumed.returncode == 0, resumed.stderr
 
-        with open(tmp_path / "full.json") as fh:
-            want = from_jsonable(json.load(fh))
-        with open(tmp_path / "resumed.json") as fh:
-            got = from_jsonable(json.load(fh))
-        assert got["history"] == want["history"]
-        assert got["n_added"] == want["n_added"]
-        np.testing.assert_array_equal(np.asarray(got["y"]), np.asarray(want["y"]))
-        for name, column in want["columns"].items():
-            np.testing.assert_array_equal(
-                np.asarray(got["columns"][name]), np.asarray(column)
-            )
+        with open(tmp_path / "full.pkl", "rb") as fh:
+            want = pickle.load(fh)
+        with open(tmp_path / "resumed.pkl", "rb") as fh:
+            got = pickle.load(fh)
+        assert_same_run(got, want)
 
         replay = SessionReplay.load(tmp_path / "j" / "crash")
         assert replay.summary()["resumes"] == 1
         assert replay.summary()["finished"]
         assert replay.summary()["iterations"] == 6
         # The resumed journal alone reconstructs the full history.
-        assert [
-            [r.iteration, r.candidate_loss, r.accepted, r.n_generated,
-             r.n_added_total]
-            for r in replay.history()
-        ] == want["history"]
+        assert replay.history() == want.history

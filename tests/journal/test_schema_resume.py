@@ -14,13 +14,12 @@ The schema-evolution acceptance criteria, pinned at test scale:
   default path is untouched.
 """
 
-import numpy as np
 import pytest
 
 from repro.data.evolution import SchemaDelta
 from repro.journal import JournalReader, SessionReplay
-from repro.models import paper_algorithm
 
+from conftest import SimulatedCrash, assert_same_run, crash_at_fit
 from test_replay_parity import make_session
 
 DELTA2 = SchemaDelta.add_column("tenure", fill=3.0)
@@ -43,37 +42,6 @@ def migrating_session(jdir, name, algorithm=None):
     return session
 
 
-class Crash(RuntimeError):
-    """Simulated mid-iteration death (in-process SIGKILL stand-in)."""
-
-
-def bomb_algorithm(at_fit):
-    base = paper_algorithm("LR")
-    fits = {"n": 0}
-
-    def algorithm(dataset):
-        fits["n"] += 1
-        if fits["n"] == at_fit:
-            raise Crash(f"fit #{at_fit}")
-        return base(dataset)
-
-    return algorithm
-
-
-def assert_runs_identical(got, want):
-    assert got.history == want.history
-    assert got.n_added == want.n_added
-    assert got.dataset.X.schema == want.dataset.X.schema
-    np.testing.assert_array_equal(got.dataset.y, want.dataset.y)
-    for name in want.dataset.X.schema.names:
-        np.testing.assert_array_equal(
-            got.dataset.X.column(name), want.dataset.X.column(name)
-        )
-    assert [r.version for r in got.schema_log] == [
-        r.version for r in want.schema_log
-    ]
-
-
 class TestSchemaCrashResume:
     def test_crash_after_migration_resumes_bit_identical(self, tmp_path):
         full = migrating_session(tmp_path, "full").run()
@@ -83,8 +51,8 @@ class TestSchemaCrashResume:
 
         # Fit #6 dies inside iteration 3: the journal holds the
         # iteration-2 migration plus an accepted post-migration batch.
-        with pytest.raises(Crash):
-            migrating_session(tmp_path, "crash", bomb_algorithm(6)).run()
+        with pytest.raises(SimulatedCrash):
+            migrating_session(tmp_path, "crash", crash_at_fit(6)).run()
 
         replay = SessionReplay.load(tmp_path / "crash")
         committed = replay.committed()
@@ -94,7 +62,7 @@ class TestSchemaCrashResume:
         assert replay.schema_timeline()[0]["op"] == "add_column"
 
         resumed = migrating_session(tmp_path, "crash").run()
-        assert_runs_identical(resumed, full)
+        assert_same_run(resumed, full)
 
         replay = SessionReplay.load(tmp_path / "crash")
         assert replay.summary()["resumes"] == 1
@@ -104,16 +72,16 @@ class TestSchemaCrashResume:
     def test_crash_before_first_migration_resumes_bit_identical(self, tmp_path):
         full = migrating_session(tmp_path, "full").run()
         # Fit #3 dies inside iteration 2, before the boundary migration.
-        with pytest.raises(Crash):
-            migrating_session(tmp_path, "crash", bomb_algorithm(3)).run()
+        with pytest.raises(SimulatedCrash):
+            migrating_session(tmp_path, "crash", crash_at_fit(3)).run()
         assert SessionReplay.load(tmp_path / "crash").schema_timeline() == []
         resumed = migrating_session(tmp_path, "crash").run()
-        assert_runs_identical(resumed, full)
+        assert_same_run(resumed, full)
 
     def test_finished_migrated_journal_fast_forwards(self, tmp_path):
         full = migrating_session(tmp_path, "s").run()
         again = migrating_session(tmp_path, "s").run()
-        assert_runs_identical(again, full)
+        assert_same_run(again, full)
         replay = SessionReplay.load(tmp_path / "s")
         assert replay.summary()["runs"] == 1
         assert replay.summary()["resumes"] == 1

@@ -1,7 +1,6 @@
 """Tests for Clause conjunction semantics and symbolic satisfiability."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -15,7 +15,6 @@ from repro.rules import (
     deduplicate_rules,
     remove_subsumed_rules,
     simplify_clause,
-    simplify_rule,
 )
 
 

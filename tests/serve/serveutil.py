@@ -48,29 +48,3 @@ def make_spec(n: int = 250, tau: int = 4, seed: int = 42, **configure):
         .configure(tau=tau, q=0.5, random_state=seed, **configure)
     )
 
-
-
-def assert_results_identical(a, b):
-    """Bit-for-bit equality of two FroteResults (the parity contract)."""
-    assert a.iterations == b.iterations
-    assert a.n_added == b.n_added
-    assert a.n_relabelled == b.n_relabelled
-    assert a.n_dropped == b.n_dropped
-    for name in a.dataset.X.schema.names:
-        np.testing.assert_array_equal(
-            a.dataset.X.column(name), b.dataset.X.column(name)
-        )
-    np.testing.assert_array_equal(a.dataset.y, b.dataset.y)
-    for eval_a, eval_b in (
-        (a.initial_evaluation, b.initial_evaluation),
-        (a.final_evaluation, b.final_evaluation),
-    ):
-        np.testing.assert_array_equal(eval_a.per_rule_mra, eval_b.per_rule_mra)
-        np.testing.assert_array_equal(
-            eval_a.per_rule_count, eval_b.per_rule_count
-        )
-        assert eval_a.mra == eval_b.mra
-        assert eval_a.f1_outside == eval_b.f1_outside
-        assert eval_a.n_covered == eval_b.n_covered
-        assert eval_a.n_outside == eval_b.n_outside
-    assert a.history == b.history  # IterationRecords: scalar dataclasses

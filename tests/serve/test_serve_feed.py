@@ -73,7 +73,7 @@ class TestFeedDelivery:
     def test_unfed_session_results_unchanged(self):
         """Attaching the (empty) feed source to every served session must
         not perturb the serve-vs-batch parity contract."""
-        from serveutil import assert_results_identical
+        from conftest import assert_same_run
 
         async def main():
             service = EditService()
@@ -82,7 +82,7 @@ class TestFeedDelivery:
 
         served = run(main())
         batch = make_spec(seed=7, tau=4).run()
-        assert_results_identical(served, batch)
+        assert_same_run(served, batch)
 
 
 class TestFeedJournal:

@@ -17,9 +17,8 @@ Pinned here:
 
 import asyncio
 
-import numpy as np
-
-from serveutil import assert_results_identical, make_spec
+from conftest import assert_same_run
+from serveutil import make_spec
 
 from repro.journal import JournalReader, SessionReplay
 from repro.serve.service import EditService, _percentile_ms
@@ -84,7 +83,7 @@ class TestSessionJournalIsolation:
 
         unjournaled = asyncio.run(plain())
         for name, result in unjournaled.items():
-            assert_results_identical(result, journaled[name])
+            assert_same_run(result, journaled[name])
 
     def test_session_config_journal_dir_honored_without_service_dir(
         self, tmp_path

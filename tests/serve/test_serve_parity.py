@@ -4,7 +4,10 @@ The serving layer's core contract: a served session calls exactly the
 same engine entry points (initialize / step / finalize) on the same
 state as the sync path, and all randomness lives in per-session state —
 so results match bit for bit whether a session runs alone, is stepped
-manually, or interleaves with many concurrent tenants.
+manually, or interleaves with many concurrent tenants.  A lone session,
+with and without a memory pool, is a row of the mode-contract table
+(``tests/test_mode_contracts.py``); the cases below need more than one
+run or a manual driver.
 """
 
 from __future__ import annotations
@@ -13,28 +16,8 @@ import asyncio
 
 from repro.serve import EditService
 
-from serveutil import assert_results_identical, make_spec
-
-
-def test_single_session_bit_identical():
-    serial = make_spec(seed=42).run()
-
-    async def serve():
-        service = EditService()
-        return await service.submit(make_spec(seed=42)).run_to_completion()
-
-    assert_results_identical(serial, asyncio.run(serve()))
-
-
-def test_single_session_with_memory_pool_bit_identical():
-    """A carved max_resident_mb budget must not change the numbers."""
-    serial = make_spec(seed=7).run()
-
-    async def serve():
-        service = EditService(memory_budget_mb=64.0)
-        return await service.submit(make_spec(seed=7)).run_to_completion()
-
-    assert_results_identical(serial, asyncio.run(serve()))
+from conftest import assert_same_run
+from serveutil import make_spec
 
 
 def test_manual_stepping_bit_identical():
@@ -48,7 +31,7 @@ def test_manual_stepping_bit_identical():
             assert view.quanta_done > 0
         return await handle.result()
 
-    assert_results_identical(serial, asyncio.run(serve()))
+    assert_same_run(serial, asyncio.run(serve()))
 
 
 def test_concurrent_sessions_each_bit_identical():
@@ -73,7 +56,7 @@ def test_concurrent_sessions_each_bit_identical():
 
     served = asyncio.run(serve())
     for seed in seeds:
-        assert_results_identical(serial[seed], served[seed])
+        assert_same_run(serial[seed], served[seed])
 
 
 def test_rerun_of_same_spec_is_deterministic():
@@ -83,4 +66,4 @@ def test_rerun_of_same_spec_is_deterministic():
         service = EditService()
         return await service.submit(make_spec(seed=5)).run_to_completion()
 
-    assert_results_identical(asyncio.run(serve()), asyncio.run(serve()))
+    assert_same_run(asyncio.run(serve()), asyncio.run(serve()))

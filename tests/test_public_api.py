@@ -121,6 +121,13 @@ class TestRemovedNamesFailLoudly:
         assert not hasattr(repro, "FROTE")
         assert not hasattr(repro, "StorageOptions")
 
+    @staticmethod
+    def _bump_dataset_version():
+        from repro.engine import EditState
+
+        with pytest.raises(AttributeError, match="bump_dataset_version"):
+            EditState().bump_dataset_version()
+
     @pytest.mark.parametrize(
         "check",
         [
@@ -129,6 +136,7 @@ class TestRemovedNamesFailLoudly:
             "_removed_kernel_exports",
             "_option_group_kwarg",
             "_legacy_exports",
+            "_bump_dataset_version",
         ],
     )
     def test_removed_name(self, check):
