@@ -1,16 +1,18 @@
 """Schema-evolution deltas: ordered, replayable migrations over live data.
 
-The delta core (:mod:`repro.engine.delta`) records *row* deltas — appends
-and rebuilds over a frozen schema.  This module extends the idea one
-level up: a :class:`SchemaDelta` records a change to the *feature space*
-itself (add / drop / rename / retype a column), and an ordered sequence
+Over a frozen schema the edit loop changes its dataset in two ways only:
+it appends accepted rows or rebuilds wholesale
+(:meth:`~repro.engine.state.EditState.record_append` /
+:meth:`~repro.engine.state.EditState.record_rebuild`).  This module
+covers the change one level up: a :class:`SchemaDelta` records a change
+to the *feature space* itself (add / drop / rename / retype a column), and an ordered sequence
 of schema deltas replays over :class:`~repro.data.schema.Schema`,
 :class:`~repro.data.table.Table`, and :class:`~repro.data.dataset.Dataset`
 exactly the way database migration files (V2, V3, …) replay over a live
 schema: each delta is a pure, deterministic function of its input, so any
 two replays of the same sequence from the same base are bit-identical.
 
-Versioning mirrors the row-delta journal: every schema has a content
+Versioning mirrors the dataset-version tokens: every schema has a content
 fingerprint (:func:`schema_fingerprint`), and a :class:`SchemaVersion`
 lineage chains fingerprints through delta content hashes — the schema
 analogue of ``dataset_version`` tokens, but content-addressed so lineages

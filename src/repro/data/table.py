@@ -206,8 +206,8 @@ class Table:
 
         Unlike :meth:`take`, no arrays are copied — the returned table
         shares storage with this one (both are immutable by contract).
-        The edit loop uses this to evaluate only the rows a
-        :class:`~repro.engine.delta.DatasetDelta` appended.
+        The edit loop uses this to extend its row caches over just the
+        rows appended past their length.
         """
         start, stop, _ = slice(start, stop).indices(self._n_rows)
         n = max(stop - start, 0)

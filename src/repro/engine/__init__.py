@@ -27,7 +27,6 @@ from repro.engine.registry import (
     register_sampler,
     register_selector,
 )
-from repro.engine.delta import DatasetDelta, DeltaJournal
 from repro.engine.migration import SchemaMigrationRecord, apply_schema_delta
 from repro.engine.session import EditSession, edit
 from repro.engine.stages import (
@@ -74,8 +73,6 @@ __all__ = [
     "default_stages",
     "default_setup_stages",
     "EditState",
-    "DatasetDelta",
-    "DeltaJournal",
     "SchemaMigrationRecord",
     "apply_schema_delta",
     "ListenerError",

@@ -8,14 +8,16 @@ boundary is applied by :func:`apply_schema_delta`, which
 1. migrates the feedback rule set first (refusing destructive deltas on
    referenced columns *before* anything mutates),
 2. replays the delta over the active dataset,
-3. records a ``schema`` entry in the row-delta journal and advances the
-   content-hashed :class:`~repro.data.evolution.SchemaVersion` lineage,
+3. records a rebuild on the state (fresh dataset version, row caches
+   cleared, append builder dropped) and advances the content-hashed
+   :class:`~repro.data.evolution.SchemaVersion` lineage,
 4. classifies every derived artifact as **survive vs refit**: the FRS
-   row-assignment cache survives any migratable delta (coverage reads
-   only referenced columns), the fitted encoder/model and prediction
-   cache survive a pure rename (the encoder migrates symbolically) and
-   are deterministically refit otherwise, and the per-rule populations /
-   generators / evaluation are always recomputed.
+   row-assignment cache survives any migratable delta when it covers
+   every row (coverage reads only referenced columns), the fitted
+   encoder/model and prediction cache survive a pure rename (the encoder
+   migrates symbolically) and are deterministically refit otherwise, and
+   the per-rule populations / generators / evaluation are always
+   recomputed.
 
 Everything here is a pure function of (state, delta), so journal replay
 re-applying the same deltas at the same boundaries reconstructs the
@@ -105,8 +107,8 @@ def apply_schema_delta(
 
     old_predictions = state.predictions_cache
     old_assign = state.assign_cache
-    parent_version = state.dataset_version
-    state.record_schema_delta(delta, provenance)
+    n = state.active.n
+    state.record_rebuild()
     state.active = new_active
     state.frs = new_frs
     state.schema_version = state.schema_version.advance(delta)
@@ -127,19 +129,19 @@ def apply_schema_delta(
     # Survive-vs-refit: caches.  Rule coverage reads only referenced
     # columns, and migrate_ruleset succeeding proves no referenced column
     # was dropped or retyped, so a fresh assignment pass would be
-    # bit-identical — re-key the cached one to the new version.  The
-    # prediction cache only survives when the model object itself did.
-    if old_assign is not None and old_assign[0] == parent_version:
-        state.assign_cache = (state.dataset_version, old_assign[1])
+    # bit-identical — reinstall the cached one.  The prediction cache only
+    # survives when the model object itself did.  Row count is preserved,
+    # so a cache survives only when it covered every row: a shorter one
+    # (an accepted batch it was never extended over) is recomputed.
+    if old_assign is not None and len(old_assign) == n:
+        state.assign_cache = old_assign
     if (
         not refit
         and old_predictions is not None
-        and old_predictions[0] == parent_version
-        and old_predictions[1] is state.model
+        and old_predictions[0] is state.model
+        and len(old_predictions[1]) == n
     ):
-        state.predictions_cache = (
-            state.dataset_version, state.model, old_predictions[2],
-        )
+        state.predictions_cache = old_predictions
     state.evaluation_cache = None
 
     # Per-rule populations, generators, and pools hold old-schema tables.

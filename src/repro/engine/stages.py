@@ -80,7 +80,7 @@ class ModificationStage:
         # builder's committed rows.  The builder's storage follows the
         # config: dense in RAM by default, sharded-with-spill under
         # ``max_resident_mb`` (the out-of-core path).
-        state.record_rebuild("setup")
+        state.record_rebuild()
         state.ensure_builder()
         state.model = state.algorithm(state.active)
         state.initial_model = state.model
@@ -298,12 +298,12 @@ class AcceptanceStage:
             )
             state.population_stale = True
             # The candidate predictions over the pre-batch rows seed the
-            # prediction cache before the version moves, so the appended
-            # rows are all the next prediction pass has left to cover
-            # (incremental mode) — and the append delta keeps the FRS
-            # assignment cache extendable in every mode.
+            # prediction cache, so the appended rows are all the next
+            # prediction pass has left to cover (incremental mode) — and
+            # the FRS assignment cache, kept by the append, is extended
+            # over them in every mode.
             state.seed_predictions(cand_model, cand_pred)
-            state.record_append(state.batch.n, "accepted-batch")
+            state.record_append()
             if state.eval_callback is not None:
                 external = float(state.eval_callback(state.model))
         elif partial_token is not None:
@@ -416,8 +416,8 @@ class EditEngine:
         :meth:`initialize`/:meth:`step`/:meth:`finalize` granularity —
         can reproduce ``run()`` exactly, one quantum at a time.
         """
-        # The delta-aware prediction cache was seeded by the last accepted
-        # batch, so this costs one pass over at most the appended rows in
+        # The prediction cache was seeded by the last accepted batch, so
+        # this costs one pass over at most the appended rows in
         # incremental mode (and matches evaluate_model exactly otherwise);
         # a ruleset delta applied at the final boundary already left the
         # identical evaluation in the cache.

@@ -20,7 +20,6 @@ import numpy as np
 from repro.core.audit import EditAudit, RowProvenance
 from repro.data.builder import DatasetBuilder
 from repro.data.dataset import Dataset
-from repro.engine.delta import DatasetDelta, DeltaJournal
 from repro.rules.ruleset import FeedbackRuleSet
 
 
@@ -190,18 +189,17 @@ class EditState:
 
     # Iteration-scoped caches.  ``dataset_version`` moves to a fresh
     # process-globally-unique value whenever ``active`` changes (setup and
-    # every accepted batch); anything derived purely from the active
-    # dataset — model predictions, the FRS row assignment, fitted
-    # neighbour indices — is memoized against it so rejected iterations
-    # never recompute unchanged work.  ``journal`` records *how* each
-    # version relates to its parent (appended row range vs rebuild), so
-    # caches can extend themselves by the delta instead of starting over
-    # (see :meth:`record_append`).  The version default is drawn from the
+    # every accepted batch); the fitted neighbour space and the evaluation
+    # are memoized against it so rejected iterations never recompute
+    # unchanged work.  Between rebuilds ``active`` only grows at the end,
+    # so the FRS row assignment and the model's predictions are kept as
+    # bare row prefixes: a cache shorter than ``active.n`` covers rows
+    # ``[0, len)`` and is extended over ``[len, n)`` on read (see
+    # :meth:`record_append`).  The version default is drawn from the
     # same counter so two states never share a token even before setup.
     dataset_version: int = field(default_factory=lambda: next(_DATASET_VERSIONS))
-    journal: DeltaJournal = field(default_factory=DeltaJournal)
-    predictions_cache: tuple[int, Any, np.ndarray] | None = None
-    assign_cache: tuple[int, np.ndarray] | None = None
+    predictions_cache: tuple[Any, np.ndarray] | None = None
+    assign_cache: np.ndarray | None = None
     neighbor_space_cache: tuple[int, Any] | None = None
     evaluation_cache: tuple[int, Any, Any, Any] | None = None
     stage_seconds: dict[str, float] = field(default_factory=dict)
@@ -266,73 +264,44 @@ class EditState:
     def incremental(self) -> bool:
         """Whether the opt-in incremental compute path is enabled
         (``FroteConfig(incremental=True)``): partial model refits and
-        delta-extended prediction caches.  The always-exact delta
-        machinery — O(batch) appends and incremental FRS assignment — is
+        prediction caches extended over appended rows.  The always-exact
+        paths — O(batch) appends and the extended FRS assignment — are
         on regardless."""
         return bool(getattr(self.config, "incremental", False))
 
     # ------------------------------------------------------------------ #
-    # The delta journal: every mutation of ``active`` is recorded so
-    # consumers can ask "what changed since version v?".
-    def record_rebuild(self, provenance: str = "") -> DatasetDelta:
+    # The two ways ``active`` changes: wholesale, or by appended rows.
+    def record_rebuild(self) -> None:
         """Move to a fresh dataset version sharing nothing with the last.
 
         Called whenever ``active`` is (re)established wholesale — setup,
-        modification, warm start.  Every memoized value keyed on the old
-        version (predictions, FRS assignment, fitted neighbour indices)
-        is recomputed lazily on next use, and the append builder is
-        dropped — a rebuilt ``active`` no longer corresponds to the
-        builder's rows, so staging onto them would resurrect stale data
-        (the acceptance stage re-homes ``active`` through
-        :meth:`ensure_builder` before it stages the next batch).
+        modification, warm start, schema migration.  The prediction and
+        assignment caches are cleared, everything keyed on the old version
+        (fitted neighbour space, evaluation) misses on next use, and the
+        append builder is dropped — a rebuilt ``active`` no longer
+        corresponds to the builder's rows, so staging onto them would
+        resurrect stale data (the acceptance stage re-homes ``active``
+        through :meth:`ensure_builder` before it stages the next batch).
         Versions are drawn from a process-global counter so tokens never
         collide across states — a strategy instance shared between
         sessions (``with_selector`` accepts instances) cannot be handed a
         stale cache hit.
         """
-        parent = self.dataset_version
         self.dataset_version = next(_DATASET_VERSIONS)
         self.predictions_cache = None
         self.assign_cache = None
         self.active_builder = None
-        return self.journal.record_rebuild(parent, self.dataset_version, provenance)
 
-    def record_append(self, n_appended: int, provenance: str = "") -> DatasetDelta:
-        """Move to a fresh dataset version that appended ``n_appended`` rows.
+    def record_append(self) -> None:
+        """Move to a fresh dataset version that appended rows to ``active``.
 
-        Unlike :meth:`record_rebuild`, caches are *not* cleared: the
-        journal remembers the appended row range, and cache reads extend
-        the memoized value over just those rows (assignment always;
-        predictions only when the cached model is the live one).  Call
-        *after* ``active`` already reflects the appended rows.
+        Unlike :meth:`record_rebuild`, the row caches are kept: every row
+        they cover is unchanged, and a read extends them over the rows
+        past their length (assignment always; predictions only in
+        incremental mode, and only for the model they were computed
+        with).  Call *after* ``active`` already holds the appended rows.
         """
-        parent = self.dataset_version
-        n = self.active.n
         self.dataset_version = next(_DATASET_VERSIONS)
-        # A prediction cache can only be extended for the model object it
-        # was computed with; acceptance re-seeds it for the new model.
-        return self.journal.record_append(
-            parent, self.dataset_version, n - n_appended, n, provenance
-        )
-
-    def record_schema_delta(self, schema_delta: Any, provenance: str = "") -> DatasetDelta:
-        """Move to a fresh dataset version across a schema migration.
-
-        Row count and identity are preserved but the feature space
-        changed, so the append builder (whose staged columns follow the
-        old schema) is dropped — :meth:`ensure_builder` re-homes the
-        active dataset before the next batch is staged.  Cache survival is
-        *selective*, decided per delta kind by
-        :func:`repro.engine.migration.apply_schema_delta` (which calls
-        this); the journal entry carries the schema delta so any other
-        consumer can classify for itself.
-        """
-        parent = self.dataset_version
-        self.dataset_version = next(_DATASET_VERSIONS)
-        self.active_builder = None
-        return self.journal.record_schema(
-            parent, self.dataset_version, schema_delta, provenance
-        )
 
     def make_builder(self, dataset: Dataset) -> DatasetBuilder:
         """Home ``dataset`` in a fresh append builder under the config's
@@ -373,45 +342,28 @@ class EditState:
 
         The (model, active) pair only changes when a batch is accepted, so
         between acceptances every iteration reuses one prediction pass.
-        After an acceptance the cache is version-stale but — in
-        incremental mode — extendable: see :meth:`predict_cached`.
-        """
-        return self.predict_cached()
-
-    def predict_cached(self) -> np.ndarray:
-        """Delta-aware memoized predictions of ``model`` on ``active``.
-
-        Cache hits require the same dataset version *and* the same model
-        object.  On a version miss where the cached model **is** the live
-        model and the journal proves the path is append-only, only the
-        appended rows are predicted and the cached array is extended —
-        O(batch) instead of O(n).  The extension is gated on
-        :attr:`incremental` because row-sliced prediction, while
+        A hit needs the same model object and a cache covering every
+        active row.  A shorter cache of the live model (the acceptance
+        stage seeds it over the pre-batch rows) is extended by predicting
+        just the appended rows — O(batch) instead of O(n) — when
+        :attr:`incremental` is on; row-sliced prediction, while
         mathematically identical, is not guaranteed bit-identical for
-        every BLAS-backed model; the default path keeps the seed's exact
-        full-pass behaviour.
+        every BLAS-backed model, so the default path keeps the exact
+        full pass.
         """
+        n = self.active.n
         cached = self.predictions_cache
-        if cached is not None:
-            version, model, preds = cached
-            if model is self.model:
-                if version == self.dataset_version:
-                    return preds
-                if self.incremental:
-                    span = self.journal.appended_between(
-                        version, self.dataset_version
-                    )
-                    if span is not None and span[0] == preds.shape[0]:
-                        fresh = self.model.predict(
-                            self.active.X.row_slice(span[0], span[1])
-                        )
-                        preds = np.concatenate([preds, fresh])
-                        self.predictions_cache = (
-                            self.dataset_version, self.model, preds,
-                        )
-                        return preds
+        if cached is not None and cached[0] is self.model:
+            preds = cached[1]
+            if len(preds) == n:
+                return preds
+            if len(preds) < n and self.incremental:
+                fresh = self.model.predict(self.active.X.row_slice(len(preds), n))
+                preds = np.concatenate([preds, fresh])
+                self.predictions_cache = (self.model, preds)
+                return preds
         preds = self.model.predict(self.active.X)
-        self.predictions_cache = (self.dataset_version, self.model, preds)
+        self.predictions_cache = (self.model, preds)
         return preds
 
     def seed_predictions(self, model: Any, preds: np.ndarray) -> None:
@@ -423,30 +375,28 @@ class EditState:
         extends it over the accepted batch instead of re-predicting n
         rows.
         """
-        self.predictions_cache = (self.dataset_version, model, preds)
+        self.predictions_cache = (model, preds)
 
     def active_assignment(self) -> np.ndarray:
         """First-match FRS rule assignment over the active dataset, memoized.
 
         Rule coverage masks are pure per-row functions of the active
-        table, so on an append-only version change the cached assignment
-        is *extended* by assigning just the appended rows — bit-identical
-        to a full pass, and O(batch · rules) instead of O(n · rules).
-        Full recomputation only happens after a rebuild delta.
+        table, so a cache shorter than ``active.n`` is *extended* by
+        assigning just the rows past its length — bit-identical to a full
+        pass, and O(batch · rules) instead of O(n · rules).  Full
+        recomputation only happens after :meth:`record_rebuild` (or a
+        rule-set change) dropped the cache.
         """
-        cached = self.assign_cache
-        if cached is not None:
-            version, assign = cached
-            if version == self.dataset_version:
-                return assign
-            span = self.journal.appended_between(version, self.dataset_version)
-            if span is not None and span[0] == assign.shape[0]:
-                fresh = self.frs.assign(self.active.X.row_slice(span[0], span[1]))
-                assign = np.concatenate([assign, fresh])
-                self.assign_cache = (self.dataset_version, assign)
-                return assign
-        assign = self.frs.assign(self.active.X)
-        self.assign_cache = (self.dataset_version, assign)
+        n = self.active.n
+        assign = self.assign_cache
+        if assign is not None and len(assign) == n:
+            return assign
+        if assign is not None and len(assign) < n:
+            fresh = self.frs.assign(self.active.X.row_slice(len(assign), n))
+            assign = np.concatenate([assign, fresh])
+        else:
+            assign = self.frs.assign(self.active.X)
+        self.assign_cache = assign
         return assign
 
     def active_neighbor_space(self) -> Any:

@@ -9,7 +9,7 @@ tables.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -194,26 +194,23 @@ def run_many(
 ) -> list[RunResult]:
     """Repeat :func:`execute_run` with fresh FRS draws and splits.
 
-    Draws that admit no conflict-free FRS are skipped (the paper drops
-    those settings too).
+    Each run keeps every field of ``config`` except ``random_state``,
+    which is drawn per run.  Draws that admit no conflict-free FRS are
+    skipped (the paper drops those settings too).  A ``journal_dir`` is
+    refused: every run would write to the same journal.
     """
+    if config.journal_dir is not None:
+        raise ValueError(
+            "run_many cannot journal: its runs would share one journal "
+            f"(journal_dir={config.journal_dir!r}); journal single runs instead"
+        )
     rng = check_random_state(random_state)
     out: list[RunResult] = []
     for _ in range(n_runs):
         prepared = prepare_run(ctx, frs_size=frs_size, tcf=tcf, rng=rng)
         if prepared is None:
             continue
-        run_cfg = FroteConfig(
-            tau=config.tau,
-            q=config.q,
-            eta=config.eta,
-            k=config.k,
-            selection=config.selection,
-            mod_strategy=config.mod_strategy,
-            mra_weight=config.mra_weight,
-            accept_equal=config.accept_equal,
-            random_state=int(rng.integers(2**31)),
-        )
+        run_cfg = replace(config, random_state=int(rng.integers(2**31)))
         result, _ = execute_run(ctx, prepared, config=run_cfg)
         out.append(result)
     return out

@@ -59,10 +59,12 @@ class VoteTally:
 
     @property
     def n_approve(self) -> int:
+        """Number of approving votes."""
         return len(self.approvals)
 
     @property
     def n_reject(self) -> int:
+        """Number of rejecting votes."""
         return len(self.rejections)
 
 
@@ -80,6 +82,7 @@ class UnanimousPolicy:
         self.min_votes = min_votes
 
     def decide(self, tally: VoteTally) -> str:
+        """Reject on any rejection, approve at ``min_votes`` approvals."""
         votes = [_APPROVE] * tally.n_approve + [_REJECT] * tally.n_reject
         if not votes:
             return PENDING
@@ -101,6 +104,7 @@ class QuorumPolicy:
         self.quorum = quorum
 
     def decide(self, tally: VoteTally) -> str:
+        """Decide for the first side with ``quorum`` votes, rejection first."""
         if tally.n_reject >= self.quorum:
             return REJECTED
         if tally.n_approve >= self.quorum:
@@ -127,6 +131,7 @@ class PriorityWeightedPolicy:
         return float(weight) * float(self.weights.get(source, 1.0))
 
     def decide(self, tally: VoteTally) -> str:
+        """Decide once the weighted score reaches ``±threshold``."""
         score = sum(self._weight(s, w) for s, w in tally.approvals)
         score -= sum(self._weight(s, w) for s, w in tally.rejections)
         if score <= -self.threshold:
@@ -236,6 +241,7 @@ class FeedbackAggregator:
         entry.votes[event.source or "anonymous"] = (bool(event.approve), float(event.weight))
 
     def tally(self, proposal_id: str) -> VoteTally:
+        """The votes recorded so far on ``proposal_id``."""
         entry = self._proposals[proposal_id]
         return VoteTally(
             proposal_id=proposal_id,
@@ -244,8 +250,10 @@ class FeedbackAggregator:
         )
 
     def status(self, proposal_id: str) -> str:
+        """The proposal's decision (``PENDING`` for an unknown id)."""
         entry = self._proposals.get(proposal_id)
         return PENDING if entry is None else entry.status
 
     def pending(self) -> tuple[str, ...]:
+        """Ids of the proposals still awaiting a decision, in arrival order."""
         return tuple(pid for pid, e in self._proposals.items() if e.status == PENDING)

@@ -1,12 +1,15 @@
 """Ruleset deltas: applying approved rules to a live edit state.
 
-This extends the PR 4 ``DeltaJournal`` idiom from the dataset axis to the
-FRS axis.  A rule whose symbolic coverage is disjoint (or provably
-carved apart) from every conflicting existing rule is an **append**
-delta: first-match assignment is append-stable (the new rule takes the
-highest index, so it can only claim rows no rule covered — see
-:meth:`repro.rules.ruleset.FeedbackRuleSet.assign`), existing rules keep
-their rows and pools, and only the new rule's coverage, base population,
+The edit loop's dataset changes by appended rows or by a wholesale
+rebuild (:meth:`~repro.engine.state.EditState.record_append` /
+:meth:`~repro.engine.state.EditState.record_rebuild`); this module makes
+the same split on the FRS axis.  A rule whose symbolic coverage is
+disjoint (or provably carved apart) from every conflicting existing rule
+is an **append** delta: first-match assignment is append-stable (the new
+rule takes the highest index, so it can only claim rows no rule covered
+— see :meth:`repro.rules.ruleset.FeedbackRuleSet.assign`), existing
+rules keep their rows and pools, the full-length assignment array is
+installed directly, and only the new rule's coverage, base population,
 generator, and evaluation terms are fresh work.  A rule that conflicts
 with an earlier rule's coverage is a **rebuild** delta: the intersection
 is carved (or mixed) out of both sides, which changes existing rules'
@@ -56,6 +59,7 @@ class RuleSetDelta:
 
 
 def delta_to_jsonable(delta: RuleSetDelta) -> dict[str, Any]:
+    """Self-contained JSON encoding of a ruleset delta."""
     return {
         "kind": delta.kind,
         "iteration": int(delta.iteration),
@@ -67,6 +71,7 @@ def delta_to_jsonable(delta: RuleSetDelta) -> dict[str, Any]:
 
 
 def delta_from_jsonable(data: dict[str, Any]) -> RuleSetDelta:
+    """Inverse of :func:`delta_to_jsonable`."""
     return RuleSetDelta(
         kind=str(data["kind"]),
         iteration=int(data["iteration"]),
@@ -78,8 +83,11 @@ def delta_from_jsonable(data: dict[str, Any]) -> RuleSetDelta:
 
 
 def _conflicting_indices(frs: FeedbackRuleSet, rule: FeedbackRule, schema) -> list[int]:
-    """Existing rules whose coverage provably intersects ``rule`` with a
-    different label distribution (symbolic, exception-aware)."""
+    """Indices of the existing rules that conflict with ``rule``.
+
+    A conflict is coverage that provably intersects ``rule``'s with a
+    different label distribution (symbolic, exception-aware).
+    """
     out = []
     for i, existing in enumerate(frs):
         if not existing.conflicts_with(rule):
@@ -93,8 +101,11 @@ def _conflicting_indices(frs: FeedbackRuleSet, rule: FeedbackRule, schema) -> li
 
 
 def classify_rule(frs: FeedbackRuleSet, rule: FeedbackRule, schema) -> str:
-    """``"append"`` when the rule coexists with every existing rule,
-    ``"rebuild"`` when it carves out earlier matches."""
+    """Classify adding ``rule`` to ``frs`` as an append or a rebuild.
+
+    ``"append"`` when the rule coexists with every existing rule,
+    ``"rebuild"`` when it carves out earlier matches.
+    """
     return REBUILD if _conflicting_indices(frs, rule, schema) else APPEND
 
 
@@ -198,7 +209,7 @@ def _apply_append(state, new_frs: FeedbackRuleSet, rule: FeedbackRule) -> None:
     new_assign[moved] = m_new
 
     state.frs = new_frs
-    state.assign_cache = (state.dataset_version, new_assign)
+    state.assign_cache = new_assign
     evaluation = append_rule_evaluation(base_eval, y_pred, state.active, rule, moved)
     state.evaluation = evaluation
     state.evaluation_cache = (state.dataset_version, state.model, new_frs, evaluation)

@@ -85,14 +85,17 @@ class FeedbackPipeline:
         self._migrations_done: set[int] = set()
 
     def mark_applied(self, rule: FeedbackRule) -> None:
-        """Record an externally applied rule (journal fast-forward) so a
-        source re-delivering it is a no-op."""
+        """Record an externally applied rule (journal fast-forward).
+
+        A source re-delivering it is then a no-op.
+        """
         self.applied.add(rule_key(rule))
 
     def mark_migrated(self, delta: SchemaDelta) -> None:
-        """Record an externally applied schema delta (journal
-        fast-forward) so a source or schedule re-delivering it is a
-        no-op."""
+        """Record an externally applied schema delta (journal fast-forward).
+
+        A source or schedule re-delivering it is then a no-op.
+        """
         self.applied_migrations.add(schema_delta_key(delta))
 
     def drain(self, state) -> list[RuleSetDelta]:

@@ -36,6 +36,7 @@ def clause_to_jsonable(clause: Clause) -> list[list[Any]]:
 
 
 def clause_from_jsonable(data: Iterable[Iterable[Any]]) -> Clause:
+    """Inverse of :func:`clause_to_jsonable`."""
     return Clause(tuple(Predicate(str(a), str(op), v) for a, op, v in data))
 
 
@@ -50,6 +51,7 @@ def rule_to_jsonable(rule: FeedbackRule) -> dict[str, Any]:
 
 
 def rule_from_jsonable(data: dict[str, Any]) -> FeedbackRule:
+    """Inverse of :func:`rule_to_jsonable`."""
     return FeedbackRule(
         clause=clause_from_jsonable(data["clause"]),
         pi=tuple(float(p) for p in data["pi"]),
@@ -199,6 +201,7 @@ class QueueFeedbackSource:
         return len(events)
 
     def poll(self, iteration: int) -> list[RuleProposal | RuleVerdict]:
+        """Drain every queued event, whatever the iteration."""
         with self._lock:
             out, self._pending = self._pending, []
         return out
@@ -232,6 +235,7 @@ class ScriptedFeedbackSource:
         self._cursor = 0
 
     def poll(self, iteration: int) -> list[RuleProposal | RuleVerdict]:
+        """Deliver the undelivered events scheduled at or before ``iteration``."""
         out: list[RuleProposal | RuleVerdict] = []
         while self._cursor < len(self._schedule) and self._schedule[self._cursor][0] <= iteration:
             out.append(self._schedule[self._cursor][1])
@@ -239,4 +243,5 @@ class ScriptedFeedbackSource:
         return out
 
     def reset(self) -> None:
+        """Rewind so the next poll delivers the schedule from the start."""
         self._cursor = 0

@@ -567,7 +567,7 @@ def fast_forward(
                 [int(c) for c in entry.per_rule_counts], entry.iteration
             )
             state.population_stale = True
-            state.record_append(entry.n_generated, "journal-resume")
+            state.record_append()
             any_accepted = True
             if state.active.n != entry.n_active:
                 raise JournalResumeError(

@@ -26,11 +26,6 @@ class KNeighborsClassifier:
     ----------
     k:
         Number of neighbours.
-    algorithm:
-        ``"ball_tree"`` (default, the paper's neighbour config) or
-        ``"brute"``.  Both build the same exact index,
-        :class:`~repro.neighbors.BruteKNN`; ``"ball_tree"`` is an alias
-        kept for existing callers.
     weights:
         ``"uniform"`` or ``"distance"`` (inverse-distance vote weights).
     """
@@ -40,21 +35,12 @@ class KNeighborsClassifier:
     #: :meth:`partial_update`.
     supports_partial_update = True
 
-    def __init__(
-        self,
-        k: int = 5,
-        *,
-        algorithm: str = "ball_tree",
-        weights: str = "uniform",
-    ) -> None:
+    def __init__(self, k: int = 5, *, weights: str = "uniform") -> None:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         if weights not in ("uniform", "distance"):
             raise ValueError(f"weights must be 'uniform' or 'distance', got {weights!r}")
-        if algorithm not in ("ball_tree", "brute"):
-            raise ValueError(f"algorithm must be 'ball_tree' or 'brute', got {algorithm!r}")
         self.k = k
-        self.algorithm = algorithm
         self.weights = weights
         self._index: BruteKNN | None = None
         self._y: GrowableArray | None = None

@@ -1,5 +1,7 @@
-"""Nearest-neighbour substrate: distances and the exact brute-force KNN
-index (:class:`BruteKNN`)."""
+"""Nearest-neighbour substrate: distances and the exact brute-force KNN index.
+
+The index is :class:`BruteKNN`.
+"""
 
 from repro.neighbors.brute import BruteKNN
 from repro.neighbors.distance import (

@@ -4,7 +4,7 @@ The beyond-RAM guard behind ``python -m repro.experiments bench-mem``.
 It streams batches of a wide synthetic dataset through the edit loop's
 per-batch maintenance work — sharded
 :class:`~repro.data.builder.DatasetBuilder` appends (including rejected
-stages), the delta journal, incremental FRS assignment merges,
+stages), dataset-version moves, incremental FRS assignment merges,
 GaussianNB partial refits, and slice/gather snapshot reads — until the
 active dataset's dense size reaches a configured multiple (default 4×)
 of the ``max_resident_mb`` budget, then reports the process peak RSS
@@ -206,7 +206,7 @@ def run_streaming_workload(
             rng=rng,
             active=base,
         )
-        state.record_rebuild("oocbench-setup")
+        state.record_rebuild()
         builder = state.ensure_builder()
         state.model = algorithm(state.active)
         state.active_assignment()
@@ -226,7 +226,7 @@ def run_streaming_workload(
             # would only multiply identical O(block) work).
             delta = state.active.row_slice(start, state.active.n)
             state.model.partial_update(delta)
-            state.record_append(table.n_rows, "oocbench-batch")
+            state.record_append()
             assign = state.active_assignment()
             # Snapshot reads: a trailing window slice (recent shards)
             # and a small gather across the full range (cold shards).

@@ -339,8 +339,11 @@ class SessionHandle:
         return len(events)
 
     def _flush_feed(self) -> None:
-        """Move staged feedback into the queue source (loop thread, at a
-        quantum boundary — the engine is guaranteed not to be polling)."""
+        """Move staged feedback into the queue source.
+
+        Runs on the loop thread at a quantum boundary, where the engine is
+        guaranteed not to be polling.
+        """
         if not self._feed_buffer:
             return
         staged, self._feed_buffer = self._feed_buffer, []
@@ -862,6 +865,9 @@ class EditService:
         spec._feedback_policy_kwargs = dict(session._feedback_policy_kwargs)
         spec._scheduled_rules = {
             it: list(rules) for it, rules in session._scheduled_rules.items()
+        }
+        spec._schema_migrations = {
+            it: list(deltas) for it, deltas in session._schema_migrations.items()
         }
         own = spec._config_kwargs.get("max_resident_mb")
         if self.pool is None:

@@ -118,7 +118,7 @@ class TestCustomRebuildStages:
                 y = state.active.y.copy()
                 y[0] = 1
                 state.active = Dataset(state.active.X, y, state.active.label_names)
-                state.record_rebuild("flip-first-label")
+                state.record_rebuild()
 
         dataset = make_dataset(seed=7)
         result = (

@@ -110,7 +110,7 @@ class TestPreselectStage:
         np.testing.assert_array_equal(
             space.encode(state.active.X), fresh.encode(state.active.X)
         )
-        state.record_rebuild("test")  # a new dataset version
+        state.record_rebuild()  # a new dataset version
         state.population_stale = True
         PreselectStage().run(state)
         assert state.active_neighbor_space() is not space

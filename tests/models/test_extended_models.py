@@ -83,17 +83,6 @@ class TestKNeighborsClassifier:
         m = KNeighborsClassifier(k=1).fit(X, y)
         np.testing.assert_array_equal(m.predict(X), y)
 
-    def test_brute_and_balltree_agree(self):
-        X, y = _blobs(150, seed=2)
-        p1 = KNeighborsClassifier(k=3, algorithm="brute").fit(X, y).predict(X)
-        p2 = KNeighborsClassifier(k=3, algorithm="ball_tree").fit(X, y).predict(X)
-        np.testing.assert_array_equal(p1, p2)
-        # "ball_tree" is an alias of the default exact index.
-        np.testing.assert_array_equal(
-            KNeighborsClassifier(k=3, algorithm="ball_tree").fit(X, y).predict_proba(X),
-            KNeighborsClassifier(k=3).fit(X, y).predict_proba(X),
-        )
-
     def test_distance_weights(self):
         X, y = _blobs()
         m = KNeighborsClassifier(k=5, weights="distance").fit(X, y)
@@ -110,9 +99,7 @@ class TestKNeighborsClassifier:
         P = KNeighborsClassifier(k=3).fit(X, y, n_classes=4).predict_proba(X)
         assert P.shape == (60, 4)
 
-    @pytest.mark.parametrize(
-        "kwargs", [{"k": 0}, {"weights": "gaussian"}, {"algorithm": "kd_tree"}]
-    )
+    @pytest.mark.parametrize("kwargs", [{"k": 0}, {"weights": "gaussian"}])
     def test_invalid_params_raise(self, kwargs):
         with pytest.raises(ValueError):
             KNeighborsClassifier(**kwargs)

@@ -25,19 +25,18 @@ def random_xy(n, seed, d=6, n_classes=3):
 
 
 class TestKNNPartialUpdate:
-    @pytest.mark.parametrize("algorithm", ["ball_tree", "brute"])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_bit_identical_to_fresh_fit(self, algorithm, seed):
+    def test_bit_identical_to_fresh_fit(self, seed):
         X, y = random_xy(300, seed)
         Xq, _ = random_xy(120, seed + 10)
-        inc = KNeighborsClassifier(k=5, algorithm=algorithm).fit(X, y, n_classes=3)
+        inc = KNeighborsClassifier(k=5).fit(X, y, n_classes=3)
         parts_X, parts_y = [X], [y]
         for step in range(4):
             Xb, yb = random_xy(20 + 7 * step, seed + 20 + step)
             inc.partial_update(Xb, yb)
             parts_X.append(Xb)
             parts_y.append(yb)
-            full = KNeighborsClassifier(k=5, algorithm=algorithm).fit(
+            full = KNeighborsClassifier(k=5).fit(
                 np.concatenate(parts_X), np.concatenate(parts_y), n_classes=3
             )
             np.testing.assert_array_equal(

@@ -12,6 +12,7 @@ import asyncio
 
 import pytest
 
+from repro.data.evolution import SchemaDelta
 from repro.feedback import RuleProposal
 from repro.journal import SessionReplay
 from repro.rules import FeedbackRule, Predicate, clause
@@ -123,3 +124,23 @@ class TestSpecIsolation:
         assert spec._feedback_sources == []
         assert spec._scheduled_rules == {}
         assert len(spec.run().frs) == 2
+
+    def test_carve_copies_schema_migrations(self):
+        """Migrations the caller schedules after ``submit`` stay out of
+        the served run, at a new boundary and at an already-scheduled one."""
+        spec = make_spec(seed=9, tau=3).with_schema_migration(
+            1, SchemaDelta.add_column("tenure")
+        )
+
+        async def main():
+            service = EditService()
+            handle = service.submit(spec, name="iso-schema")
+            spec.with_schema_migration(1, SchemaDelta.add_column("late_same"))
+            spec.with_schema_migration(2, SchemaDelta.add_column("late_new"))
+            return await handle.run_to_completion()
+
+        served = run(main())
+        assert [r.delta for r in served.schema_log] == [
+            SchemaDelta.add_column("tenure")
+        ]
+        assert "late_new" not in served.dataset.X.schema.names

@@ -8,8 +8,11 @@ make the same accept/reject decisions and build the same dataset as its
 reference run.  Each row of :data:`MODES` names the mode, how to run it,
 the reference run, and the contract: ``BITWISE`` (every field and byte
 equal) or ``envelope(tol)`` (float fields within ``tol``, everything
-else equal).  One parametrized test checks every row; run the table
-alone with ``pytest -k mode_contract``.
+else equal).  A row may also name fitted parameters of the final
+model's estimator that must agree within the contract: ĵ reads only
+predicted labels, which a moderate parameter error rarely flips.  One
+parametrized test checks every row; run the table alone with
+``pytest -k mode_contract``.
 
 A row replaces the "mode equals default" test it encodes; checks the
 table cannot express (concurrent tenants, tie-heavy categorical data,
@@ -23,6 +26,7 @@ import asyncio
 import functools
 from typing import Callable, NamedTuple
 
+import numpy as np
 import pytest
 
 import repro
@@ -155,6 +159,7 @@ class Mode(NamedTuple):
     run: Callable  # tmp_path -> FroteResult
     reference: Callable  # () -> FroteResult
     contract: Contract
+    model_params: tuple[str, ...] = ()  # final estimator attributes to compare
 
 
 MODES = (
@@ -166,7 +171,9 @@ MODES = (
     Mode("streamed-feedback-journaled", streamed_journaled, scheduled, BITWISE),
     Mode("unreached-schema-migration", unreached_migration, plain, BITWISE),
     Mode("incremental-knn", incremental(KNN), rebuild(KNN), BITWISE),
-    Mode("incremental-nb", incremental(NB), rebuild(NB), envelope(1e-9)),
+    Mode(
+        "incremental-nb", incremental(NB), rebuild(NB), envelope(1e-9), ("theta_", "var_")
+    ),
     Mode("raising-listener", raising_listener, plain, BITWISE),
 )
 
@@ -176,4 +183,13 @@ def test_mode_contract(mode, tmp_path):
     reference = mode.reference()
     # A reference that accepted nothing would let a broken mode pass.
     assert reference.accepted_iterations > 0
-    assert_same_run(mode.run(tmp_path), reference, tol=mode.contract.tol)
+    result = mode.run(tmp_path)
+    assert_same_run(result, reference, tol=mode.contract.tol)
+    for name in mode.model_params:
+        np.testing.assert_allclose(
+            getattr(result.model.estimator, name),
+            getattr(reference.model.estimator, name),
+            rtol=0,
+            atol=mode.contract.tol,
+            err_msg=name,
+        )

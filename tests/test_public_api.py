@@ -128,6 +128,32 @@ class TestRemovedNamesFailLoudly:
         with pytest.raises(AttributeError, match="bump_dataset_version"):
             EditState().bump_dataset_version()
 
+    @staticmethod
+    def _delta_journal():
+        import importlib
+
+        import repro.engine
+        from repro.engine import EditState
+
+        for name in ("DeltaJournal", "DatasetDelta"):
+            assert not hasattr(repro.engine, name)
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.engine.delta")
+        state = EditState()
+        for name in ("journal", "record_schema_delta", "predict_cached"):
+            with pytest.raises(AttributeError, match=name):
+                getattr(state, name)
+        with pytest.raises(TypeError):
+            state.record_append(3, "accepted-batch")
+
+    @staticmethod
+    def _knn_algorithm_keyword():
+        from repro.models import KNeighborsClassifier
+
+        for algorithm in ("ball_tree", "brute"):
+            with pytest.raises(TypeError, match="algorithm"):
+                KNeighborsClassifier(k=3, algorithm=algorithm)
+
     @pytest.mark.parametrize(
         "check",
         [
@@ -137,6 +163,8 @@ class TestRemovedNamesFailLoudly:
             "_option_group_kwarg",
             "_legacy_exports",
             "_bump_dataset_version",
+            "_delta_journal",
+            "_knn_algorithm_keyword",
         ],
     )
     def test_removed_name(self, check):
