@@ -13,10 +13,11 @@ boundary is applied by :func:`apply_schema_delta`, which
    :class:`~repro.data.evolution.SchemaVersion` lineage,
 4. classifies every derived artifact as **survive vs refit**: the FRS
    row-assignment cache survives any migratable delta when it covers
-   every row (coverage reads only referenced columns), the fitted
-   encoder/model and prediction cache survive a pure rename (the encoder
-   migrates symbolically) and are deterministically refit otherwise, and
-   the per-rule populations / generators / evaluation are always
+   every row (coverage reads only referenced columns) and is reseeded
+   under the migrated rule set, the fitted encoder/model and prediction
+   cache survive a pure rename (the encoder migrates symbolically) and
+   are deterministically refit otherwise, and the per-rule populations /
+   generators / evaluation, keyed on the old dataset version, are always
    recomputed.
 
 Everything here is a pure function of (state, delta), so journal replay
@@ -102,7 +103,8 @@ def apply_schema_delta(
 
     # Migrate rules and data first: both raise on an inapplicable delta
     # before any state mutates, so a refused migration is a clean no-op.
-    new_frs = migrate_ruleset(state.frs, delta)
+    old_frs = state.frs
+    new_frs = migrate_ruleset(old_frs, delta)
     new_active = delta.apply_to_dataset(state.active)
 
     old_predictions = state.predictions_cache
@@ -133,22 +135,15 @@ def apply_schema_delta(
     # survives when the model object itself did.  Row count is preserved,
     # so a cache survives only when it covered every row: a shorter one
     # (an accepted batch it was never extended over) is recomputed.
-    if old_assign is not None and len(old_assign) == n:
-        state.assign_cache = old_assign
+    if old_assign is not None and old_assign[0] is old_frs and len(old_assign[1]) == n:
+        state.seed_assignment(old_assign[1])
     if (
         not refit
         and old_predictions is not None
         and old_predictions[0] is state.model
         and len(old_predictions[1]) == n
     ):
-        state.predictions_cache = old_predictions
-    state.evaluation_cache = None
-
-    # Per-rule populations, generators, and pools hold old-schema tables.
-    state.population_stale = True
-    state.bp = None
-    state.generators = []
-    state.pools = []
+        state.seed_predictions(*old_predictions)
 
     # Re-evaluate under the migrated (dataset, rules, model) so the next
     # acceptance compares like-with-like — mirrors the ruleset-delta

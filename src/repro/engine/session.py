@@ -216,12 +216,14 @@ class EditSession:
     # ------------------------------------------------------------------ #
     # Algorithm and knobs.
     def with_algorithm(self, algorithm: Any) -> "EditSession":
-        """The black-box trainer: a ``Dataset -> model`` callable, or one
-        of the paper's names (``"LR"``, ``"RF"``, ``"LGBM"``, ...)."""
+        """The black-box trainer: a ``Dataset -> model`` callable, or the
+        name of any model in :data:`repro.models.MODELS` (the paper's
+        ``"LR"``, ``"RF"``, ``"LGBM"``, the extensions ``"NB"`` and
+        ``"KNN"``, and anything registered since)."""
         if isinstance(algorithm, str):
-            from repro.models import paper_algorithm
+            from repro.models import algorithm as registered_algorithm
 
-            algorithm = paper_algorithm(algorithm)
+            algorithm = registered_algorithm(algorithm)
         if not callable(algorithm):
             raise TypeError("algorithm must be callable: Dataset -> model")
         self._algorithm = algorithm
@@ -364,6 +366,16 @@ class EditSession:
         self._prior = prior
         return self
 
+    def copy(self) -> "EditSession":
+        """A copy sharing no list, dict or set (nested ones included)
+        with this session; the rules, sources and listeners in them are
+        shared.  Configuring either leaves the other as it was."""
+        twin = object.__new__(type(self))
+        twin.__dict__.update(
+            (name, _unshared(value)) for name, value in vars(self).items()
+        )
+        return twin
+
     # ------------------------------------------------------------------ #
     def build_state(self) -> EditState:
         """Assemble the initial :class:`EditState` (exposed for tests and
@@ -467,6 +479,17 @@ class EditSession:
 
             return run_journaled(self)
         return self.build_engine().run(self.build_state())
+
+
+def _unshared(value: Any) -> Any:
+    """``value`` with every list, dict and set in it copied."""
+    if isinstance(value, dict):
+        return {key: _unshared(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_unshared(item) for item in value]
+    if isinstance(value, set):
+        return set(value)
+    return value
 
 
 def edit(dataset: Dataset) -> EditSession:

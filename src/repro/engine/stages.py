@@ -22,6 +22,7 @@ consumption order), which the session digests in
 
 from __future__ import annotations
 
+import copy
 import time
 from typing import Iterable, Protocol, runtime_checkable
 
@@ -95,7 +96,6 @@ class ModificationStage:
 
         if state.selector is None:
             state.selector = SELECTORS.create(cfg.selection)
-        state.population_stale = True
 
     @staticmethod
     def _initial_provenance(state: EditState, mod):
@@ -130,35 +130,26 @@ class FeedbackStage:
 
 
 class PreselectStage:
-    """Recompute per-rule base populations and generators when stale
-    (paper Algorithm 2; re-run after every accepted batch)."""
+    """Recompute per-rule base populations and generators when the
+    dataset version or the rule set moved since they were built (paper
+    Algorithm 2; re-run after every accepted batch)."""
 
     def run(self, state: EditState) -> None:
-        if not state.population_stale:
+        if state.population_is_current():
             return
         from repro.sampling.rule_generation import RuleConstrainedGenerator
 
-        state.bp = preselect_base_population(
-            state.active, state.frs, k=state.config.k
-        )
+        X, k = state.active.X, state.config.k
+        bp = preselect_base_population(state.active, state.frs, k=k)
         space = state.active_neighbor_space()
-        state.generators = [
-            RuleConstrainedGenerator(
-                rule,
-                state.active.X,
-                k=state.config.k,
-                space=space,
-            )
-            for rule in state.frs
-        ]
         # Materialize each rule's base-population table once; generation
         # reuses it (and the fitted neighbour index keyed on the dataset
-        # version) until the next accepted batch marks the population stale.
-        state.pools = [
-            state.active.X.take(pop.indices) if pop.size else None
-            for pop in state.bp.per_rule
-        ]
-        state.population_stale = False
+        # version) until the dataset or the rule set moves on.
+        state.install_population(
+            bp,
+            [RuleConstrainedGenerator(rule, X, k=k, space=space) for rule in state.frs],
+            [X.take(pop.indices) if pop.size else None for pop in bp.per_rule],
+        )
 
 
 class SelectionStage:
@@ -191,17 +182,12 @@ class GenerationStage:
         tables = []
         labels = []
         counts = [0] * len(state.bp.per_rule)
-        for r, (pop, positions, gen) in enumerate(
-            zip(state.bp.per_rule, state.per_rule_positions, state.generators)
-        ):
+        per_rule = zip(
+            state.bp.per_rule, state.per_rule_positions, state.generators, state.pools
+        )
+        for r, (pop, positions, gen, pool) in enumerate(per_rule):
             if positions.size == 0 or pop.size == 0:
                 continue
-            # The default PreselectStage materializes per-rule pools; fall
-            # back to building one so custom preselect stages that only set
-            # bp/generators (the pre-pools contract) keep working.
-            pool = state.pools[r] if r < len(state.pools) else None
-            if pool is None:
-                pool = state.active.X.take(pop.indices)
             out = gen.generate(
                 pool, positions, state.rng, cache_token=state.dataset_version
             )
@@ -266,6 +252,10 @@ class AcceptanceStage:
         if state.incremental and getattr(
             state.model, "supports_partial_update", False
         ):
+            if state.model is state.initial_model:
+                # The setup model is a run output; the in-place updates
+                # below must not reach it.
+                state.initial_model = copy.deepcopy(state.model)
             partial_token = state.model.checkpoint()
             delta = candidate.row_slice(state.active.n, candidate.n)
             cand_model = state.model.partial_update(delta)
@@ -287,23 +277,16 @@ class AcceptanceStage:
         )
         external: float | None = None
         if improved:
-            state.active_builder.commit(candidate.n)
-            state.active = candidate
-            state.n_added += state.batch.n
             state.best_loss = cand_loss
             state.model = cand_model
             state.evaluation = cand_eval
-            state.provenance = state.provenance.extend_synthetic(
-                state.per_rule_counts, state.iteration
-            )
-            state.population_stale = True
             # The candidate predictions over the pre-batch rows seed the
             # prediction cache, so the appended rows are all the next
             # prediction pass has left to cover (incremental mode) — and
             # the FRS assignment cache, kept by the append, is extended
             # over them in every mode.
             state.seed_predictions(cand_model, cand_pred)
-            state.record_append()
+            state.accept_batch(candidate, state.per_rule_counts)
             if state.eval_callback is not None:
                 external = float(state.eval_callback(state.model))
         elif partial_token is not None:

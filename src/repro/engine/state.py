@@ -147,10 +147,11 @@ _DATASET_VERSIONS = itertools.count(1)
 class EditState:
     """Everything the pipeline stages share while editing one dataset.
 
-    A stage may read or write any field; the conventional flow is
-    documented per field group below.  Fields default so a state can be
-    built incrementally by :class:`~repro.engine.session.EditSession` or
-    directly in tests.
+    A stage may read any field and write any but the caches, which only
+    this class writes (through ``seed_*`` and ``install_population``);
+    the conventional flow is documented per field group below.  Fields
+    default so a state can be built incrementally by
+    :class:`~repro.engine.session.EditSession` or directly in tests.
     """
 
     # Inputs — fixed for the whole run.
@@ -181,25 +182,30 @@ class EditState:
     selector: Any = None
     objective: Callable[[Any, Any], float] | None = None
 
-    # Per-rule working set, refreshed whenever ``population_stale``.
+    # Per-rule working set (Algorithm 2's base populations, their
+    # generators and pool tables), installed by :meth:`install_population`
+    # for the ``(dataset_version, frs)`` pair in ``population_key`` and
+    # stale whenever that pair is not the state's
+    # (:meth:`population_is_current`).
     bp: Any = None  # BasePopulation
     generators: list = field(default_factory=list)
     pools: list = field(default_factory=list)  # per-rule base-population tables
-    population_stale: bool = True
+    population_key: tuple[int, Any] | None = None
 
-    # Iteration-scoped caches.  ``dataset_version`` moves to a fresh
+    # Iteration-scoped caches, each keyed on what it was computed from and
+    # written only by this class.  ``dataset_version`` moves to a fresh
     # process-globally-unique value whenever ``active`` changes (setup and
-    # every accepted batch); the fitted neighbour space and the evaluation
-    # are memoized against it so rejected iterations never recompute
-    # unchanged work.  Between rebuilds ``active`` only grows at the end,
-    # so the FRS row assignment and the model's predictions are kept as
-    # bare row prefixes: a cache shorter than ``active.n`` covers rows
+    # every accepted batch); the fitted neighbour space is keyed on it,
+    # the evaluation on (version, model, frs).  Between rebuilds
+    # ``active`` only grows at the end, so the FRS row assignment
+    # ``(frs, assign)`` and the model's predictions ``(model, preds)`` are
+    # kept as row prefixes: a cache shorter than ``active.n`` covers rows
     # ``[0, len)`` and is extended over ``[len, n)`` on read (see
     # :meth:`record_append`).  The version default is drawn from the
     # same counter so two states never share a token even before setup.
     dataset_version: int = field(default_factory=lambda: next(_DATASET_VERSIONS))
     predictions_cache: tuple[Any, np.ndarray] | None = None
-    assign_cache: np.ndarray | None = None
+    assign_cache: tuple[FeedbackRuleSet, np.ndarray] | None = None
     neighbor_space_cache: tuple[int, Any] | None = None
     evaluation_cache: tuple[int, Any, Any, Any] | None = None
     stage_seconds: dict[str, float] = field(default_factory=dict)
@@ -277,11 +283,12 @@ class EditState:
         Called whenever ``active`` is (re)established wholesale — setup,
         modification, warm start, schema migration.  The prediction and
         assignment caches are cleared, everything keyed on the old version
-        (fitted neighbour space, evaluation) misses on next use, and the
-        append builder is dropped — a rebuilt ``active`` no longer
-        corresponds to the builder's rows, so staging onto them would
-        resurrect stale data (the acceptance stage re-homes ``active``
-        through :meth:`ensure_builder` before it stages the next batch).
+        (fitted neighbour space, evaluation, per-rule working set) misses
+        on next use, and the append builder is dropped — a rebuilt
+        ``active`` no longer corresponds to the builder's rows, so staging
+        onto them would resurrect stale data (the acceptance stage
+        re-homes ``active`` through :meth:`ensure_builder` before it
+        stages the next batch).
         Versions are drawn from a process-global counter so tokens never
         collide across states — a strategy instance shared between
         sessions (``with_selector`` accepts instances) cannot be handed a
@@ -302,6 +309,20 @@ class EditState:
         with).  Call *after* ``active`` already holds the appended rows.
         """
         self.dataset_version = next(_DATASET_VERSIONS)
+
+    def accept_batch(self, candidate: Dataset, per_rule_counts: list) -> None:
+        """Make ``candidate`` (``active`` plus one batch staged on
+        ``active_builder``) the active dataset: commit it, count and
+        record its rows as this iteration's synthetic rows, and move to
+        the appended version.  The acceptance stage and journal
+        fast-forward both accept through here."""
+        self.active_builder.commit(candidate.n)
+        self.n_added += candidate.n - self.active.n
+        self.active = candidate
+        self.provenance = self.provenance.extend_synthetic(
+            per_rule_counts, self.iteration
+        )
+        self.record_append()
 
     def make_builder(self, dataset: Dataset) -> DatasetBuilder:
         """Home ``dataset`` in a fresh append builder under the config's
@@ -373,30 +394,44 @@ class EditState:
         dataset anyway; seeding the cache with that pass means the next
         iteration's selection step starts warm — and in incremental mode
         extends it over the accepted batch instead of re-predicting n
-        rows.
+        rows.  A schema migration reinstalls the predictions of a model
+        that survived it.
         """
         self.predictions_cache = (model, preds)
+
+    def seed_assignment(self, assign: np.ndarray) -> None:
+        """Install an FRS assignment of ``active`` rows ``[0, len)``
+        already computed under the current rule set."""
+        self.assign_cache = (self.frs, assign)
+
+    def seed_evaluation(self, evaluation: Any) -> None:
+        """Install an evaluation already computed for the current
+        (dataset version, model, rule set)."""
+        self.evaluation_cache = (
+            self.dataset_version, self.model, self.frs, evaluation,
+        )
 
     def active_assignment(self) -> np.ndarray:
         """First-match FRS rule assignment over the active dataset, memoized.
 
-        Rule coverage masks are pure per-row functions of the active
-        table, so a cache shorter than ``active.n`` is *extended* by
-        assigning just the rows past its length — bit-identical to a full
-        pass, and O(batch · rules) instead of O(n · rules).  Full
-        recomputation only happens after :meth:`record_rebuild` (or a
-        rule-set change) dropped the cache.
+        A hit needs the same rule-set object.  Rule coverage masks are
+        pure per-row functions of the active table, so a cache shorter
+        than ``active.n`` is *extended* by assigning just the rows past
+        its length — bit-identical to a full pass, and O(batch · rules)
+        instead of O(n · rules).  Full recomputation only happens after
+        :meth:`record_rebuild` dropped the cache or the rule set changed.
         """
         n = self.active.n
-        assign = self.assign_cache
-        if assign is not None and len(assign) == n:
-            return assign
-        if assign is not None and len(assign) < n:
+        cached = self.assign_cache
+        if cached is not None and cached[0] is self.frs and len(cached[1]) <= n:
+            assign = cached[1]
+            if len(assign) == n:
+                return assign
             fresh = self.frs.assign(self.active.X.row_slice(len(assign), n))
             assign = np.concatenate([assign, fresh])
         else:
             assign = self.frs.assign(self.active.X)
-        self.assign_cache = assign
+        self.seed_assignment(assign)
         return assign
 
     def active_neighbor_space(self) -> Any:
@@ -440,10 +475,23 @@ class EditState:
             self.active_predictions(), self.active, self.frs,
             assign=self.active_assignment(),
         )
-        self.evaluation_cache = (
-            self.dataset_version, self.model, self.frs, evaluation,
-        )
+        self.seed_evaluation(evaluation)
         return evaluation
+
+    def population_is_current(self) -> bool:
+        """Whether the per-rule working set was built for the current
+        dataset version and rule set (Algorithm 2 need not rerun)."""
+        key = self.population_key
+        return key is not None and key[0] == self.dataset_version and key[1] is self.frs
+
+    def install_population(self, bp: Any, generators: list, pools: list) -> None:
+        """Install a per-rule working set built for the current dataset
+        version and rule set: the base populations, one generator per
+        rule, and each rule's population table (``None`` when empty)."""
+        self.bp = bp
+        self.generators = generators
+        self.pools = pools
+        self.population_key = (self.dataset_version, self.frs)
 
     def loss_of(self, evaluation: Any) -> float:
         """Score an evaluation with the configured acceptance objective."""

@@ -47,7 +47,6 @@ from repro.experiments.persistence import (
 )
 from repro.experiments.report import BoxStats, ascii_boxplot, format_mean_std, format_table
 from repro.experiments.runner import (
-    PAPER_ETA,
     RunMetrics,
     RunResult,
     default_config,
@@ -100,7 +99,6 @@ __all__ = [
     "default_config",
     "RunResult",
     "RunMetrics",
-    "PAPER_ETA",
     "run_fig2",
     "run_fig3",
     "run_fig9",

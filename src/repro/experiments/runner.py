@@ -8,7 +8,6 @@ tables.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -21,38 +20,6 @@ from repro.engine.session import EditSession, edit
 from repro.engine.state import FroteResult
 from repro.experiments.setup import ExperimentContext, PreparedRun, prepare_run
 from repro.utils.rng import RandomState, check_random_state
-
-
-class _PaperEtaView(Mapping):
-    """Live, read-only view of the registry's per-dataset η defaults.
-
-    The paper's §5.1 per-iteration generation counts live with the
-    datasets themselves (``DatasetInfo.eta``, set at
-    :func:`repro.datasets.register_dataset` time), so a dataset
-    registered after import shows up here immediately.  Read-only by
-    design: to change a default, re-register the dataset with
-    ``overwrite=True`` — mutating this mapping would silently diverge
-    from what the runner actually uses.
-    """
-
-    def __getitem__(self, name: str) -> int:
-        info = DATASETS[name]
-        if info.eta is None:
-            raise KeyError(name)
-        return info.eta
-
-    def __iter__(self):
-        return (name for name, info in DATASETS.items() if info.eta is not None)
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self)
-
-    def __repr__(self) -> str:
-        return f"PAPER_ETA({dict(self)})"
-
-
-#: Backwards-compatible mapping over the registry's η defaults (live).
-PAPER_ETA = _PaperEtaView()
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,9 @@ disjoint (or provably carved apart) from every conflicting existing rule
 is an **append** delta: first-match assignment is append-stable (the new
 rule takes the highest index, so it can only claim rows no rule covered
 — see :meth:`repro.rules.ruleset.FeedbackRuleSet.assign`), existing
-rules keep their rows and pools, the full-length assignment array is
-installed directly, and only the new rule's coverage, base population,
-generator, and evaluation terms are fresh work.  A rule that conflicts
+rules keep their rows and pools, the extended assignment and evaluation
+are seeded under the new rule set, and only the new rule's coverage,
+base population, generator, and evaluation terms are fresh work.  A rule that conflicts
 with an earlier rule's coverage is a **rebuild** delta: the intersection
 is carved (or mixed) out of both sides, which changes existing rules'
 coverage, so assignment, populations, and the evaluation are recomputed
@@ -166,8 +166,9 @@ def apply_rule(
     ``best_loss`` so subsequent acceptance decisions compare
     like-with-like under the new objective, logs the delta on
     ``state.ruleset_log``, and emits a ``"ruleset"`` progress event (the
-    journal subscribes to it).  Append deltas cost O(new rule); rebuild
-    deltas mark everything stale and recompute.
+    journal subscribes to it).  Append deltas cost O(new rule); after a
+    rebuild delta every cache keyed on the old rule set misses and is
+    recomputed.
     """
     schema = state.active.X.schema
     old_frs = state.frs
@@ -208,44 +209,39 @@ def _apply_append(state, new_frs: FeedbackRuleSet, rule: FeedbackRule) -> None:
     new_assign = old_assign.copy()
     new_assign[moved] = m_new
 
+    population_current = state.population_is_current()
     state.frs = new_frs
-    state.assign_cache = new_assign
+    state.seed_assignment(new_assign)
     evaluation = append_rule_evaluation(base_eval, y_pred, state.active, rule, moved)
+    state.seed_evaluation(evaluation)
     state.evaluation = evaluation
-    state.evaluation_cache = (state.dataset_version, state.model, new_frs, evaluation)
     state.best_loss = state.loss_of(evaluation)
 
-    if not state.population_stale and state.bp is not None:
+    if population_current:
         # Extend the per-rule working set by just the new rule, mirroring
         # what a full PreselectStage recompute would produce (per-rule
         # populations are independent).
         from repro.core.preselect import BasePopulation, preselect_base_population
         from repro.sampling.rule_generation import RuleConstrainedGenerator
 
-        single = preselect_base_population(
-            state.active, FeedbackRuleSet((rule,)), k=state.config.k
-        )
+        X, k = state.active.X, state.config.k
+        single = preselect_base_population(state.active, FeedbackRuleSet((rule,)), k=k)
         pop = replace(single.per_rule[0], rule_index=m_new)
-        state.bp = BasePopulation(state.bp.per_rule + (pop,))
-        state.generators = list(state.generators) + [
-            RuleConstrainedGenerator(
-                rule,
-                state.active.X,
-                k=state.config.k,
-                space=state.active_neighbor_space(),
-            )
-        ]
-        state.pools = list(state.pools) + [
-            state.active.X.take(pop.indices) if pop.size else None
-        ]
+        generator = RuleConstrainedGenerator(
+            rule, X, k=k, space=state.active_neighbor_space()
+        )
+        state.install_population(
+            BasePopulation(state.bp.per_rule + (pop,)),
+            state.generators + [generator],
+            state.pools + [X.take(pop.indices) if pop.size else None],
+        )
 
 
 def _apply_rebuild(state, new_frs: FeedbackRuleSet) -> None:
-    """Carve-outs changed existing coverage: recompute from scratch."""
+    """Carve-outs changed existing coverage: every cache keyed on the old
+    rule set misses, so assignment, populations and the evaluation are
+    recomputed from scratch."""
     state.frs = new_frs
-    state.assign_cache = None
-    state.evaluation_cache = None
-    state.population_stale = True
     evaluation = state.evaluate_active()
     state.evaluation = evaluation
     state.best_loss = state.loss_of(evaluation)

@@ -449,8 +449,8 @@ def _apply_journaled_ruleset(state, record: Record) -> None:
     """Install one journaled ruleset delta without re-running aggregation.
 
     Deltas are self-contained (they carry the complete resulting rule
-    set), so fast-forward swaps the rule set in and invalidates the
-    derived caches; the per-iteration ``best_loss`` bookkeeping stays
+    set), so fast-forward swaps the rule set in, and every cache keyed on
+    the old one misses; the per-iteration ``best_loss`` bookkeeping stays
     authoritative for committed iterations, and the tail recompute in
     :func:`fast_forward` covers deltas at the resume boundary.  Rules are
     marked applied on the session's feedback pipeline so re-polled
@@ -461,9 +461,6 @@ def _apply_journaled_ruleset(state, record: Record) -> None:
 
     delta = delta_from_jsonable(record.data)
     state.frs = delta.ruleset
-    state.assign_cache = None
-    state.evaluation_cache = None
-    state.population_stale = True
     state.ruleset_log.append(delta)
     if state.feedback is not None:
         for rule in delta.rules_added:
@@ -558,16 +555,10 @@ def fast_forward(
                 {name: entry.batch["columns"][name] for name in schema.names},
             )
             labels = np.asarray(entry.batch["labels"], dtype=np.int64)
-            builder = state.ensure_builder()
-            candidate = builder.stage(table, labels)
-            builder.commit(candidate.n)
-            state.active = candidate
-            state.n_added += entry.n_generated
-            state.provenance = state.provenance.extend_synthetic(
-                [int(c) for c in entry.per_rule_counts], entry.iteration
+            state.accept_batch(
+                state.ensure_builder().stage(table, labels),
+                [int(c) for c in entry.per_rule_counts],
             )
-            state.population_stale = True
-            state.record_append()
             any_accepted = True
             if state.active.n != entry.n_active:
                 raise JournalResumeError(

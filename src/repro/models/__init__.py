@@ -53,9 +53,6 @@ __all__ = [
     "register_model",
     "algorithm",
     "paper_algorithm",
-    "extended_algorithm",
-    "PAPER_MODELS",
-    "EXTENDED_MODELS",
 ]
 
 
@@ -119,19 +116,10 @@ def algorithm(name: str, *, warm_start: bool = False) -> TrainingAlgorithm:
     )
 
 
-# Name → factory views kept for backwards compatibility; the registry is
-# the source of truth (snapshots taken at import, built-ins only).
-PAPER_MODELS = {n: MODELS[n].factory for n in MODELS if MODELS[n].paper}
-EXTENDED_MODELS = {n: MODELS[n].factory for n in MODELS}
-
-
 def paper_algorithm(name: str) -> TrainingAlgorithm:
-    """Training algorithm for one of the paper's model names (LR/RF/LGBM)."""
-    if name not in PAPER_MODELS:
-        raise KeyError(f"unknown model {name!r}; choose from {sorted(PAPER_MODELS)}")
-    return algorithm(name)
-
-
-def extended_algorithm(name: str) -> TrainingAlgorithm:
-    """Training algorithm from the full registry (paper's 3 + NB + KNN + plugins)."""
+    """Training algorithm for a model registered with ``paper=True``
+    (the built-ins are the paper's LR/RF/LGBM)."""
+    if name not in MODELS or not MODELS[name].paper:
+        paper = sorted(n for n in MODELS if MODELS[n].paper)
+        raise KeyError(f"unknown model {name!r}; choose from {paper}")
     return algorithm(name)

@@ -30,7 +30,6 @@ this.
 from __future__ import annotations
 
 import asyncio
-import copy
 import itertools
 import time
 from collections import deque
@@ -780,9 +779,9 @@ class EditService:
         Synchronous and fast: admission bookkeeping happens before this
         returns (granted or parked in the bounded FIFO queue), but no
         engine work runs yet.  The caller's ``session`` object is not
-        mutated — the service drives a shallow working copy, configured
-        with the carved per-session memory budget when the service has
-        a pool.
+        mutated — the service drives its
+        :meth:`~repro.engine.session.EditSession.copy`, configured with
+        the carved per-session memory budget when the service has a pool.
 
         Parameters
         ----------
@@ -855,20 +854,9 @@ class EditService:
 
     def _carve(self, session: EditSession) -> tuple[EditSession, float]:
         """Build the working copy of ``session`` with its budget slice."""
-        spec = copy.copy(session)
-        spec._config_kwargs = dict(session._config_kwargs)
-        spec._listeners = list(session._listeners)
-        spec._rules = list(session._rules)
-        # The handle attaches its own feed source; container fields must
-        # not be shared with the caller's session object.
-        spec._feedback_sources = list(session._feedback_sources)
-        spec._feedback_policy_kwargs = dict(session._feedback_policy_kwargs)
-        spec._scheduled_rules = {
-            it: list(rules) for it, rules in session._scheduled_rules.items()
-        }
-        spec._schema_migrations = {
-            it: list(deltas) for it, deltas in session._schema_migrations.items()
-        }
+        # The handle attaches its own feed source and the budget below
+        # configures the copy; neither may reach the caller's session.
+        spec = session.copy()
         own = spec._config_kwargs.get("max_resident_mb")
         if self.pool is None:
             return spec, float(own) if own is not None else 0.0

@@ -189,7 +189,7 @@ class TestEditStateDeltas:
         np.testing.assert_array_equal(
             state.active_predictions(), state.model.predict(state.active.X)
         )
-        assert len(state.assign_cache) == state.active.n
+        assert len(state.assign_cache[1]) == state.active.n
 
     def test_migration_keeps_covering_caches(self):
         """Caches that cover every row survive a rename as the same
@@ -201,5 +201,6 @@ class TestEditStateDeltas:
         record = apply_schema_delta(state, SchemaDelta.rename_column("kind", "segment"))
         assert not record.model_refit
         assert state.dataset_version != version
-        assert state.assign_cache is assign
+        assert state.assign_cache[1] is assign
+        assert state.assign_cache[0] is state.frs  # re-keyed to the migrated rules
         assert state.predictions_cache == (state.model, preds)

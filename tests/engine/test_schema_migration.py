@@ -71,7 +71,8 @@ class TestApplySchemaDelta:
     def test_assignment_cache_rekeyed_not_recomputed(self, live_state):
         assign = live_state.active_assignment()
         apply_schema_delta(live_state, SchemaDelta.add_column("tenure"))
-        assert live_state.assign_cache is assign  # the array survived
+        assert live_state.assign_cache[1] is assign  # the array survived
+        assert live_state.assign_cache[0] is live_state.frs
 
     def test_version_lineage_content_hashed(self, live_state, mixed_dataset,
                                             single_rule_frs):
@@ -107,7 +108,7 @@ class TestApplySchemaDelta:
         apply_schema_delta(live_state, SchemaDelta.add_column("t"))
         assert live_state.evaluation is not None
         assert np.isfinite(live_state.best_loss)
-        assert live_state.population_stale
+        assert not live_state.population_is_current()
 
     def test_record_jsonable_roundtrip(self, live_state):
         record = apply_schema_delta(

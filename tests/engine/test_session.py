@@ -26,6 +26,41 @@ class TestBuilder:
     def test_edit_returns_session(self, mixed_dataset):
         assert isinstance(repro.edit(mixed_dataset), EditSession)
 
+    def test_copy_shares_no_container(self, mixed_dataset, single_rule_frs, algorithm):
+        from repro.data.evolution import SchemaDelta
+        from repro.feedback import ScriptedFeedbackSource
+
+        session = (
+            base_session(mixed_dataset, single_rule_frs, algorithm)
+            .on_event(lambda event: None)
+            .with_feedback(ScriptedFeedbackSource([]), quorum=2)
+            .with_scheduled_rules(2, "age > 70 => deny")
+            .with_schema_migration(3, SchemaDelta.add_column("tenure"))
+        )
+        twin = session.copy()
+        assert type(twin) is EditSession
+
+        def walk(a, b, path):
+            if isinstance(a, (list, dict, set)):
+                assert a is not b, path
+                assert a == b, path
+            if isinstance(a, dict):
+                for key in a:
+                    walk(a[key], b[key], f"{path}[{key!r}]")
+            elif isinstance(a, list):
+                for i, (x, y) in enumerate(zip(a, b)):
+                    walk(x, y, f"{path}[{i}]")
+
+        containers = 0
+        for name, value in vars(twin).items():
+            containers += isinstance(value, (list, dict, set))
+            walk(value, vars(session)[name], name)
+        assert containers >= 7
+        assert vars(twin).keys() == vars(session).keys()
+        twin.configure(tau=9).with_rules("age < 20 => approve")
+        assert session._config_kwargs["tau"] == 5
+        assert len(session._rules) == 1
+
     def test_chaining_returns_self(self, mixed_dataset, single_rule_frs, algorithm):
         s = repro.edit(mixed_dataset)
         assert s.with_rules(single_rule_frs) is s

@@ -85,7 +85,7 @@ class TestPreselectStage:
         PreselectStage().run(state)
         assert state.bp is not None
         assert len(state.generators) == len(single_rule_frs)
-        assert not state.population_stale
+        assert state.population_is_current()
 
     def test_noop_when_fresh(self, mixed_dataset, single_rule_frs, algorithm):
         state = make_state(mixed_dataset, single_rule_frs, algorithm)
@@ -111,7 +111,6 @@ class TestPreselectStage:
             space.encode(state.active.X), fresh.encode(state.active.X)
         )
         state.record_rebuild()  # a new dataset version
-        state.population_stale = True
         PreselectStage().run(state)
         assert state.active_neighbor_space() is not space
         assert all(gen._space is state.active_neighbor_space() for gen in state.generators)
@@ -237,34 +236,44 @@ class TestEditEngine:
         EditEngine(stages=stages).run(state)
         assert seen == [0, 1, 2]
 
-    def test_custom_preselect_without_pools_still_generates(
-        self, mixed_dataset, single_rule_frs, algorithm
+    def test_custom_preselect_stage_rebuilds_only_when_stale(
+        self, mixed_dataset, two_rule_frs, algorithm
     ):
-        """A user preselect stage that only sets bp/generators (the
-        pre-pools contract) must keep working: GenerationStage falls back
-        to materializing the pool itself."""
+        """A user preselect stage written against the working-set
+        contract: skip while ``population_is_current()``, else install
+        populations, generators and pools for the current (dataset
+        version, rule set).  It rebuilds at the first iteration and after
+        each accepted batch, and nowhere else."""
         from repro.core.preselect import preselect_base_population
         from repro.sampling.rule_generation import RuleConstrainedGenerator
 
+        builds = []
+
         class MinimalPreselect:
             def run(self, state):
-                if not state.population_stale:
+                if state.population_is_current():
                     return
-                state.bp = preselect_base_population(
+                builds.append(state.iteration)
+                bp = preselect_base_population(
                     state.active, state.frs, k=state.config.k
                 )
-                state.generators = [
-                    RuleConstrainedGenerator(rule, state.active.X, k=state.config.k)
-                    for rule in state.frs
-                ]
-                # Deliberately does NOT set state.pools.
-                state.population_stale = False
+                state.install_population(
+                    bp,
+                    [
+                        RuleConstrainedGenerator(rule, state.active.X, k=state.config.k)
+                        for rule in state.frs
+                    ],
+                    [state.active.X.take(pop.indices) for pop in bp.per_rule],
+                )
 
         stages = (MinimalPreselect(),) + default_stages()[1:]
-        state = make_state(mixed_dataset, single_rule_frs, algorithm, tau=3)
+        state = make_state(mixed_dataset, two_rule_frs, algorithm, tau=6, eta=20)
         result = EditEngine(stages=stages).run(state)
-        assert result.iterations == 3
-        assert any(rec.n_generated > 0 for rec in result.history)
+        assert result.iterations == 6
+        accepted = [rec.accepted for rec in result.history]
+        assert True in accepted and False in accepted  # both paths ran
+        after_accept = [rec.iteration + 1 for rec in result.history[:-1] if rec.accepted]
+        assert builds == [0] + after_accept
 
     def test_events_emitted(self, mixed_dataset, single_rule_frs, algorithm):
         events = []

@@ -37,20 +37,19 @@ class TestDefaultConfig:
 
     def test_paper_eta_is_live_registry_view(self):
         from repro.datasets import DATASETS, load_car, register_dataset
-        from repro.experiments import PAPER_ETA
 
-        assert PAPER_ETA["car"] == 20
-        assert dict(PAPER_ETA)["adult"] == 200
+        assert DATASETS["car"].eta == 20
+        assert DATASETS["adult"].eta == 200
         register_dataset(
             "eta-view-test", load_car, paper_instances=1, n_numeric=0,
             n_nominal=6, n_labels=4, default_instances=100, eta=77,
         )
         try:
-            assert PAPER_ETA["eta-view-test"] == 77  # live, not a snapshot
+            assert DATASETS["eta-view-test"].eta == 77  # live, not a snapshot
             assert default_config("eta-view-test").eta == 77
         finally:
             DATASETS.unregister("eta-view-test")
-        assert "eta-view-test" not in PAPER_ETA
+        assert default_config("eta-view-test").eta is None
 
 
 class TestFig2:

@@ -163,13 +163,13 @@ class TestApplyRule:
 
         state = self.make_state()
         PreselectStage().run(state)  # build the per-rule working set
-        assert not state.population_stale
+        assert state.population_is_current()
         n_rules_before = len(state.bp.per_rule)
         new = FeedbackRule.deterministic(
             clause(Predicate("x1", ">", 0.5)), 0, 2, name="appended"
         )
         apply_rule(state, new)
-        assert not state.population_stale
+        assert state.population_is_current()
         assert len(state.bp.per_rule) == n_rules_before + 1
         assert len(state.generators) == len(state.pools) == n_rules_before + 1
         # The new rule's generator shares the version's neighbour space.
@@ -182,8 +182,48 @@ class TestApplyRule:
         )
         delta = apply_rule(state, new)
         assert delta.kind == REBUILD
-        assert state.population_stale
+        assert not state.population_is_current()
         assert state.best_loss == state.loss_of(state.evaluation)
+
+    def test_rebuild_over_current_working_set_matches_fresh_pass(self):
+        """A carve-out delta while the per-rule working set and the row
+        caches are current: the next preselect and every cached read
+        equal a from-scratch pass over the new rules."""
+        from repro.core.objective import evaluate_predictions
+        from repro.core.preselect import preselect_base_population
+        from repro.engine.stages import PreselectStage
+
+        state = self.make_state()
+        PreselectStage().run(state)
+        state.evaluate_active()  # fills every row cache under the old rules
+        new = FeedbackRule.deterministic(
+            clause(Predicate("x1", "<", -0.8)), 0, 2, name="contrarian"
+        )
+        assert apply_rule(state, new).kind == REBUILD
+        PreselectStage().run(state)
+
+        fresh = preselect_base_population(state.active, state.frs, k=state.config.k)
+        assert len(state.bp.per_rule) == len(fresh.per_rule) == len(state.frs)
+        for got, want in zip(state.bp.per_rule, fresh.per_rule):
+            assert got.rule_index == want.rule_index
+            np.testing.assert_array_equal(got.indices, want.indices)
+            np.testing.assert_array_equal(got.strong_mask, want.strong_mask)
+            assert got.relaxation.relaxed_clause == want.relaxation.relaxed_clause
+        assert [gen.rule for gen in state.generators] == list(state.frs)
+        for pool, pop in zip(state.pools, fresh.per_rule):
+            want = state.active.X.take(pop.indices)
+            for name in want.schema.names:
+                np.testing.assert_array_equal(pool.column(name), want.column(name))
+
+        assign = state.frs.assign(state.active.X)
+        preds = state.model.predict(state.active.X)
+        np.testing.assert_array_equal(state.active_assignment(), assign)
+        np.testing.assert_array_equal(state.active_predictions(), preds)
+        full = evaluate_predictions(preds, state.active, state.frs, assign=assign)
+        got = state.evaluate_active()
+        assert (got.mra, got.f1_outside) == (full.mra, full.f1_outside)
+        np.testing.assert_array_equal(got.per_rule_mra, full.per_rule_mra)
+        np.testing.assert_array_equal(got.per_rule_count, full.per_rule_count)
 
     def test_emits_ruleset_event(self):
         state = self.make_state()

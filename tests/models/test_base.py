@@ -11,7 +11,7 @@ from repro.models import (
     paper_algorithm,
     predict_from_proba,
 )
-from repro.models import PAPER_MODELS
+from repro.models import MODELS
 
 from tests.conftest import make_tiny_dataset
 
@@ -77,7 +77,7 @@ class TestMakeAlgorithm:
 
 
 class TestPaperAlgorithms:
-    @pytest.mark.parametrize("name", sorted(PAPER_MODELS))
+    @pytest.mark.parametrize("name", sorted(n for n in MODELS if MODELS[n].paper))
     def test_each_paper_model_trains(self, name):
         ds = make_tiny_dataset(80)
         model = paper_algorithm(name)(ds)
@@ -88,3 +88,5 @@ class TestPaperAlgorithms:
     def test_unknown_name_raises(self):
         with pytest.raises(KeyError, match="unknown model"):
             paper_algorithm("XGB")
+        with pytest.raises(KeyError, match="choose from"):
+            paper_algorithm("KNN")  # registered, but not one of the paper's

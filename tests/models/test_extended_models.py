@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from repro.models import (
-    EXTENDED_MODELS,
+    MODELS,
     GaussianNB,
     KNeighborsClassifier,
-    extended_algorithm,
+    algorithm,
+    paper_algorithm,
+    register_model,
 )
 
 from tests.conftest import make_tiny_dataset
@@ -121,17 +123,17 @@ class TestKNeighborsClassifier:
 
 class TestExtendedRegistry:
     def test_registry_superset_of_paper(self):
-        assert {"LR", "RF", "LGBM", "NB", "KNN"} <= set(EXTENDED_MODELS)
+        assert {"LR", "RF", "LGBM", "NB", "KNN"} <= set(MODELS)
 
     @pytest.mark.parametrize("name", ["NB", "KNN"])
     def test_extended_algorithms_train_on_tables(self, name):
         ds = make_tiny_dataset(80)
-        model = extended_algorithm(name)(ds)
+        model = algorithm(name)(ds)
         assert (model.predict(ds.X) == ds.y).mean() > 0.6
 
     def test_unknown_name_raises(self):
         with pytest.raises(KeyError, match="unknown model"):
-            extended_algorithm("SVM")
+            algorithm("SVM")
 
     def test_frote_works_with_extension_models(self, mixed_dataset):
         """The model-agnostic claim: FROTE edits NB and KNN too."""
@@ -146,7 +148,7 @@ class TestExtendedRegistry:
             )
         )
         for name in ("NB", "KNN"):
-            alg = extended_algorithm(name)
+            alg = algorithm(name)
             result = (
                 repro.edit(mixed_dataset)
                 .with_rules(frs)
@@ -155,3 +157,28 @@ class TestExtendedRegistry:
                 .run()
             )
             assert result.iterations <= 3
+
+    @pytest.mark.parametrize("paper", [False, True])
+    def test_session_accepts_every_registered_name(self, mixed_dataset, paper):
+        """``with_algorithm`` reads the live registry: a built-in
+        extension and a model registered after import both run, and a
+        late ``paper=True`` entry is one of the paper's models."""
+        import repro
+
+        register_model("late-NB", lambda: GaussianNB(), standardize=True, paper=paper)
+        try:
+            for name in ("KNN", "late-NB"):
+                result = (
+                    repro.edit(mixed_dataset)
+                    .with_rules("age < 35 => approve")
+                    .with_algorithm(name)
+                    .configure(tau=2, q=0.3, eta=10, random_state=0)
+                    .run()
+                )
+                assert result.iterations == 2
+            if paper:
+                assert paper_algorithm("late-NB")(mixed_dataset).predict(
+                    mixed_dataset.X
+                ).shape == (mixed_dataset.n,)
+        finally:
+            MODELS.unregister("late-NB")

@@ -8,11 +8,11 @@ make the same accept/reject decisions and build the same dataset as its
 reference run.  Each row of :data:`MODES` names the mode, how to run it,
 the reference run, and the contract: ``BITWISE`` (every field and byte
 equal) or ``envelope(tol)`` (float fields within ``tol``, everything
-else equal).  A row may also name fitted parameters of the final
-model's estimator that must agree within the contract: ĵ reads only
-predicted labels, which a moderate parameter error rarely flips.  One
-parametrized test checks every row; run the table alone with
-``pytest -k mode_contract``.
+else equal); under either, the setup model's predictions are equal.
+A row may also name fitted parameters of the final model's estimator
+that must agree within the contract: ĵ reads only predicted labels,
+which a moderate parameter error rarely flips.  One parametrized test
+checks every row; run the table alone with ``pytest -k mode_contract``.
 
 A row replaces the "mode equals default" test it encodes; checks the
 table cannot express (concurrent tenants, tie-heavy categorical data,
@@ -185,6 +185,11 @@ def test_mode_contract(mode, tmp_path):
     assert reference.accepted_iterations > 0
     result = mode.run(tmp_path)
     assert_same_run(result, reference, tol=mode.contract.tol)
+    # The setup model is a run output too; no mode may alter it afterwards.
+    np.testing.assert_array_equal(
+        result.initial_model.predict(DATASET.X),
+        reference.initial_model.predict(DATASET.X),
+    )
     for name in mode.model_params:
         np.testing.assert_allclose(
             getattr(result.model.estimator, name),

@@ -154,6 +154,24 @@ class TestRemovedNamesFailLoudly:
             with pytest.raises(TypeError, match="algorithm"):
                 KNeighborsClassifier(k=3, algorithm=algorithm)
 
+    @staticmethod
+    def _registry_snapshots():
+        import repro.experiments
+        import repro.models
+
+        for name in ("PAPER_MODELS", "EXTENDED_MODELS", "extended_algorithm"):
+            assert not hasattr(repro.models, name)
+        assert not hasattr(repro.experiments, "PAPER_ETA")
+
+    @staticmethod
+    def _population_stale():
+        from repro.engine import EditState
+
+        with pytest.raises(AttributeError, match="population_stale"):
+            EditState().population_stale
+        with pytest.raises(TypeError, match="population_stale"):
+            EditState(population_stale=True)
+
     @pytest.mark.parametrize(
         "check",
         [
@@ -165,6 +183,8 @@ class TestRemovedNamesFailLoudly:
             "_bump_dataset_version",
             "_delta_journal",
             "_knn_algorithm_keyword",
+            "_registry_snapshots",
+            "_population_stale",
         ],
     )
     def test_removed_name(self, check):
