@@ -87,8 +87,9 @@ class FroteConfig:
         dir); requires ``max_resident_mb``.  A private subdirectory is
         created per run and removed when the run's data is released.
     journal_dir:
-        Opt into the durable run journal: ``EditSession.run()`` appends
-        every iteration to an append-only, crash-safe journal under
+        Opt into the durable run journal: a run (``EditSession.run()``
+        or a served session, both begun by ``EditSession.start()``)
+        appends every iteration to an append-only, crash-safe journal under
         this directory (see :mod:`repro.journal`) and — when the
         journal already holds committed iterations for this exact
         session — fast-forwards through them instead of recomputing
@@ -96,8 +97,8 @@ class FroteConfig:
         as before.
     journal_name:
         Subdirectory name for this session's journal under
-        ``journal_dir`` (default ``"session"``); requires
-        ``journal_dir``.
+        ``journal_dir`` (default ``"session"``, or the session's name
+        when ``EditService`` serves it); requires ``journal_dir``.
     journal_resume:
         Whether re-running a journaled session resumes from its journal
         (default ``True``).  ``False`` wipes the journal and starts

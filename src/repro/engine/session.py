@@ -23,7 +23,7 @@ calling it again replays the same edit (same seed), while
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.data.dataset import Dataset
 from repro.engine.stages import EditEngine, Stage
@@ -31,12 +31,16 @@ from repro.engine.state import EditState, EventListener, FroteResult, ProgressEv
 from repro.rules.rule import FeedbackRule
 from repro.rules.ruleset import FeedbackRuleSet
 
+if TYPE_CHECKING:
+    from repro.journal.writer import SessionJournal
+
 
 class EditSession:
     """Builder for one model edit over ``dataset``.
 
     Every ``with_*`` / ``configure`` / ``on_*`` method returns ``self`` so
-    calls chain; nothing heavy happens until :meth:`run`.
+    calls chain; nothing heavy happens until :meth:`start` (which
+    :meth:`run` calls).
     """
 
     def __init__(self, dataset: Dataset) -> None:
@@ -467,6 +471,23 @@ class EditSession:
             return EditEngine(stages=stages)
         return EditEngine()
 
+    def start(self) -> tuple[EditState, EditEngine, SessionJournal | None]:
+        """Build the state and engine and run setup: how :meth:`run` and
+        ``EditService`` begin a run.  Returns ``(state, engine, journal)``.
+
+        With ``journal_dir`` set (see :meth:`journaled`), ``journal`` is
+        the attached :class:`~repro.journal.SessionJournal`, its committed
+        iterations fast-forwarded; the caller closes it.  Else ``None``.
+        """
+        state = self.build_state()
+        engine = self.build_engine()
+        if not state.config.journal_dir:
+            engine.initialize(state)
+            return state, engine, None
+        from repro.journal.replay import _open_journal
+
+        return state, engine, _open_journal(state, engine)
+
     def run(self) -> FroteResult:
         """Execute the edit and return the :class:`FroteResult`.
 
@@ -474,11 +495,12 @@ class EditSession:
         is journaled and crash-resumable; the result is identical
         either way.
         """
-        if self._config_kwargs.get("journal_dir"):
-            from repro.journal.replay import run_journaled
-
-            return run_journaled(self)
-        return self.build_engine().run(self.build_state())
+        state, engine, journal = self.start()
+        try:
+            return engine.finish(state)
+        finally:
+            if journal is not None:
+                journal.close()
 
 
 def _unshared(value: Any) -> Any:

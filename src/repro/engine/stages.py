@@ -411,9 +411,13 @@ class EditEngine:
         state.emit("finished")
         return state.to_result(final_evaluation)
 
-    def run(self, state: EditState):
-        """Initialize, loop to completion, and package the result."""
-        self.initialize(state)
+    def finish(self, state: EditState):
+        """Step until ``state.done``, then :meth:`finalize`."""
         while not state.done:
             self.step(state)
         return self.finalize(state)
+
+    def run(self, state: EditState):
+        """Initialize, loop to completion, and package the result."""
+        self.initialize(state)
+        return self.finish(state)

@@ -6,8 +6,9 @@
 the serving layer's admission/quantum telemetry — as segmented,
 hash-chained, strict-JSON journals that survive crashes and power three
 consumers: a replay debugger (:class:`SessionReplay`), journal-based
-crash-resume (:func:`run_journaled` / ``EditSession.journaled(...)``),
-and the ``repro-journal`` status/tail/counters CLI.
+crash-resume (``EditSession.journaled(...)``: ``EditSession.start()``
+fast-forwards committed iterations, for ``run()`` and served sessions
+alike), and the ``repro-journal`` status/tail/counters CLI.
 
 Entry points::
 
@@ -23,7 +24,6 @@ from repro.journal.replay import (
     JournalResumeError,
     ReplayIteration,
     SessionReplay,
-    run_journaled,
 )
 from repro.journal.status import export_counters, format_status, journal_rows
 from repro.journal.writer import JournalError, JournalWriter, SessionJournal
@@ -42,5 +42,4 @@ __all__ = [
     "export_counters",
     "format_status",
     "journal_rows",
-    "run_journaled",
 ]

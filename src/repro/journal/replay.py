@@ -11,14 +11,15 @@ Two consumers of a session journal live here:
     ``FroteResult.history`` field-for-field (pinned by
     ``tests/journal/test_replay_parity.py``).
 
-:func:`run_journaled`
-    Journal-based crash-resume.  Re-running a journaled session
-    fast-forwards through every committed iteration instead of
-    recomputing it: accepted batches are re-applied from their journaled
-    rows (O(batch) builder appends), the model is refit once at the
-    resume point, and the RNG is restored to its journaled
-    post-iteration state — so the continuation consumes the exact random
-    stream the uninterrupted run would have.
+:func:`fast_forward`
+    Journal-based crash-resume.  ``EditSession.start()`` — the one way
+    a run begins, whether ``run()`` or an ``EditService`` drives it —
+    opens a journaled session's journal and fast-forwards through every
+    committed iteration instead of recomputing it: accepted batches are
+    re-applied from their journaled rows (O(batch) builder appends), the
+    model is refit once at the resume point, and the RNG is restored to
+    its journaled post-iteration state — so the continuation consumes
+    the exact random stream the uninterrupted run would have.
 
 Exactness contract
 ------------------
@@ -143,15 +144,14 @@ class _Span:
     iterations: dict[int, Record] = field(default_factory=dict)
     resumes: list[Record] = field(default_factory=list)
     finished: Record | None = None
-    #: ``ruleset-delta`` records in write order.  Unlike iterations these
+    #: ``schema-delta`` and ``ruleset-delta`` records in write order,
+    #: which is the live apply order (the feedback stage drains a
+    #: boundary's migrations before its rules).  Unlike iterations these
     #: are kept as a list: a crash between a delta's fsync and its
     #: iteration's commit makes the resumed process re-apply (and
     #: re-journal) the same delta, so consumers dedupe by content key
-    #: (see :func:`_delta_key`) rather than by position.
-    rulesets: list[Record] = field(default_factory=list)
-    #: ``schema-delta`` records in write order, content-deduped the same
-    #: way (see :func:`_schema_key`).
-    schemas: list[Record] = field(default_factory=list)
+    #: (see :func:`_dedupe_boundary`) rather than by position.
+    boundary: list[Record] = field(default_factory=list)
 
 
 def _session_spans(records: list[Record]) -> list[_Span]:
@@ -167,62 +167,35 @@ def _session_spans(records: list[Record]) -> list[_Span]:
             spans[-1].resumes.append(record)
         elif record.kind == KIND_RUN_FINISHED:
             spans[-1].finished = record
-        elif record.kind == KIND_RULESET:
-            spans[-1].rulesets.append(record)
-        elif record.kind == KIND_SCHEMA:
-            spans[-1].schemas.append(record)
+        elif record.kind in (KIND_RULESET, KIND_SCHEMA):
+            spans[-1].boundary.append(record)
     return spans
 
 
-def _delta_key(data: dict[str, Any]) -> tuple[int, str, str]:
-    """Content identity of one journaled ruleset delta.
+def _canonical(value: Any) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
-    A crashed-then-resumed run re-journals the delta it re-applies at the
-    resume boundary; the (iteration, kind, rules-added) triple identifies
-    it regardless of how many times it was written.
+
+def _dedupe_boundary(records: list[Record]) -> list[Record]:
+    """``records`` with each boundary delta kept at its first write.
+
+    A crashed-then-resumed run re-journals the deltas it re-applies at
+    the resume boundary.  A ruleset delta is identified by its
+    (iteration, kind, rules-added) triple and a schema delta by its
+    (iteration, canonical delta) pair, however often it was written; the
+    two key shapes differ in length, so they never collide.
     """
-    return (
-        int(data["iteration"]),
-        str(data["kind"]),
-        json.dumps(data["rules_added"], sort_keys=True, separators=(",", ":")),
-    )
-
-
-def _dedupe_deltas(records: list[Record]) -> list[Record]:
-    seen: set[tuple[int, str, str]] = set()
+    seen: set[tuple] = set()
     out: list[Record] = []
     for record in records:
-        key = _delta_key(record.data)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(record)
-    return out
-
-
-def _schema_key(data: dict[str, Any]) -> tuple[int, str]:
-    """Content identity of one journaled schema delta.
-
-    Same contract as :func:`_delta_key`: a crashed-then-resumed run
-    re-applies (and re-journals) the migration at the resume boundary,
-    so the (iteration, canonical delta) pair identifies it regardless of
-    how many times it was written.
-    """
-    return (
-        int(data["iteration"]),
-        json.dumps(data["delta"], sort_keys=True, separators=(",", ":")),
-    )
-
-
-def _dedupe_schemas(records: list[Record]) -> list[Record]:
-    seen: set[tuple[int, str]] = set()
-    out: list[Record] = []
-    for record in records:
-        key = _schema_key(record.data)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(record)
+        data = record.data
+        if record.kind == KIND_RULESET:
+            key = (int(data["iteration"]), str(data["kind"]), _canonical(data["rules_added"]))
+        else:
+            key = (int(data["iteration"]), _canonical(data["delta"]))
+        if key not in seen:
+            seen.add(key)
+            out.append(record)
     return out
 
 
@@ -308,11 +281,8 @@ class SessionReplay:
         same timeline as the live run (pinned by
         ``tests/serve/test_serve_feed.py``).
         """
-        span = self.span
-        if span is None:
-            return []
         rows = []
-        for record in _dedupe_deltas(span.rulesets):
+        for record in self._boundary(KIND_RULESET):
             data = record.data
             rows.append(
                 {
@@ -331,6 +301,11 @@ class SessionReplay:
             )
         return rows
 
+    def _boundary(self, kind: str) -> list[Record]:
+        """The last run's ``kind`` boundary deltas, deduped, in write order."""
+        records = _dedupe_boundary(self.span.boundary) if self.span else []
+        return [record for record in records if record.kind == kind]
+
     def schema_timeline(self) -> list[dict[str, Any]]:
         """The run's feature-space evolution, from the journal alone.
 
@@ -339,11 +314,8 @@ class SessionReplay:
         the content-hashed version lineage — so an audit can reconstruct
         ``SchemaVersion`` history without the dataset.
         """
-        span = self.span
-        if span is None:
-            return []
         rows = []
-        for record in _dedupe_schemas(span.schemas):
+        for record in self._boundary(KIND_SCHEMA):
             data = record.data
             rows.append(
                 {
@@ -495,35 +467,30 @@ def _apply_journaled_schema(state, record: Record) -> None:
         state.feedback.mark_migrated(migration.delta)
 
 
-def fast_forward(
-    state,
-    entries: list[ReplayIteration],
-    ruleset_records: list[Record] = (),  # type: ignore[assignment]
-    schema_records: list[Record] = (),  # type: ignore[assignment]
-):
+_APPLY_JOURNALED = {KIND_SCHEMA: _apply_journaled_schema, KIND_RULESET: _apply_journaled_ruleset}
+
+
+def fast_forward(state, entries: list[ReplayIteration], boundary: list[Record]):
     """Re-apply committed iterations onto a freshly initialized state.
 
     Must be called right after ``engine.initialize(state)``: setup
     (modification, initial fit, budgets) is deterministically re-run by
     the engine, then each journaled iteration is replayed as pure
     bookkeeping — no model fits, no generation — with accepted batches
-    re-appended from their journaled rows, journaled schema migrations
-    re-applied, and journaled ruleset deltas re-installed at the
-    iteration boundaries where they were applied (migrations before
-    rules, matching the live feedback stage's drain order).  Finishes by
-    refitting the model once and restoring the journaled RNG state.
+    re-appended from their journaled rows, and the journaled ``boundary``
+    deltas (schema migrations re-applied, ruleset deltas re-installed)
+    replayed in write order at the iteration boundaries where they were
+    applied.  Finishes by refitting the model once and restoring the
+    journaled RNG state.
     """
     from repro.data.table import Table
 
+    records = _dedupe_boundary(boundary)
     by_iter: dict[int, list[Record]] = {}
-    for record in _dedupe_deltas(list(ruleset_records)):
+    for record in records:
         by_iter.setdefault(int(record.data["iteration"]), []).append(record)
-    schema_by_iter: dict[int, list[Record]] = {}
-    for record in _dedupe_schemas(list(schema_records)):
-        schema_by_iter.setdefault(int(record.data["iteration"]), []).append(record)
 
     any_accepted = False
-    any_delta = False
     for entry in entries:
         if entry.iteration != state.iteration:
             raise JournalResumeError(
@@ -531,18 +498,12 @@ def fast_forward(
                 f"live iteration {state.iteration}"
             )
         # Deltas journaled at iteration k were applied by the feedback
-        # stage *before* k's loop body ran — schema migrations first
-        # (live drain order), so a same-boundary rule that references a
-        # just-landed column installs against the migrated schema, and
-        # the batch re-appended below matches the active column layout.
-        # The entry's best_loss already reflects them, so the bookkeeping
-        # below overwrites whatever the re-applies compute.
-        for record in schema_by_iter.pop(entry.iteration, []):
-            _apply_journaled_schema(state, record)
-            any_delta = True
+        # stage *before* k's loop body ran, so the batch re-appended
+        # below matches the migrated column layout.  The entry's
+        # best_loss already reflects them, so the bookkeeping below
+        # overwrites whatever the re-applies compute.
         for record in by_iter.pop(entry.iteration, []):
-            _apply_journaled_ruleset(state, record)
-            any_delta = True
+            _APPLY_JOURNALED[record.kind](state, record)
         if entry.accepted:
             if entry.batch is None or entry.per_rule_counts is None:
                 raise JournalResumeError(
@@ -573,27 +534,21 @@ def fast_forward(
     # iteration then crashed before committing.  The continuation's
     # feedback stage would re-deliver them anyway (sources re-poll);
     # installing them here keeps the journal authoritative and makes the
-    # re-delivery a dedup no-op.  Schema migrations apply before rules at
-    # each boundary, mirroring the committed loop above.
-    tail_deltas = False
-    for iteration in sorted(set(by_iter) | set(schema_by_iter)):
+    # re-delivery a dedup no-op.
+    for iteration in sorted(by_iter):
         if iteration > state.iteration:
             raise JournalResumeError(
                 f"journaled delta at iteration {iteration} is "
                 f"beyond the committed prefix (resume point "
                 f"{state.iteration})"
             )
-        for record in schema_by_iter.get(iteration, []):
-            _apply_journaled_schema(state, record)
-            any_delta = tail_deltas = True
-        for record in by_iter.get(iteration, []):
-            _apply_journaled_ruleset(state, record)
-            any_delta = tail_deltas = True
+        for record in by_iter[iteration]:
+            _APPLY_JOURNALED[record.kind](state, record)
     if any_accepted:
         state.model = state.algorithm(state.active)
-    if any_accepted or any_delta:
+    if any_accepted or records:
         state.evaluation = state.evaluate_active()
-    if tail_deltas:
+    if by_iter:
         # Committed iterations carried their own journaled best_loss; a
         # tail delta post-dates the last commit, so recompute exactly as
         # the live apply_rule did at this boundary.
@@ -614,29 +569,23 @@ def fast_forward(
     return state
 
 
-def run_journaled(session):
-    """``EditSession.run()`` with a durable journal and crash-resume.
+def _open_journal(state, engine) -> SessionJournal:
+    """Run setup on ``state`` with its journal attached; return the journal.
 
-    The session's config must carry ``journal_dir`` (see
-    ``EditSession.journaled(...)``).  If the journal directory already
-    holds committed iterations for this exact session (validated by
-    config snapshot, dataset fingerprint, seed, and RNG identity) and
+    The config must carry ``journal_dir``.  If the journal already holds
+    committed iterations for this exact session (validated by config
+    snapshot, dataset fingerprint, seed, and RNG identity) and
     ``journal_resume`` is on, they are fast-forwarded instead of
-    recomputed; otherwise the run starts fresh (wiping the journal only
-    when ``journal_resume=False``).
+    recomputed and the journal records the resume; otherwise the run
+    starts fresh (wiping the journal only when ``journal_resume=False``).
     """
-    state = session.build_state()
-    engine = session.build_engine()
     config = state.config
-    if not config.journal_dir:
-        raise ValueError("run_journaled requires FroteConfig(journal_dir=...)")
     name = config.journal_name or "session"
     path = Path(config.journal_dir) / name
     meta = {"name": name}
 
     entries: list[ReplayIteration] = []
-    ruleset_records: list[Record] = []
-    schema_records: list[Record] = []
+    boundary: list[Record] = []
     if config.journal_resume and JournalReader(path).exists:
         scan = JournalReader(path).scan()
         if scan.truncation is not None and not scan.truncation.repairable:
@@ -649,25 +598,21 @@ def run_journaled(session):
         if spans:
             _validate_resume(state, dict(spans[-1].meta.data))
             entries = _committed(spans[-1])
-            ruleset_records = spans[-1].rulesets
-            schema_records = spans[-1].schemas
+            boundary = spans[-1].boundary
 
     if entries:
         engine.initialize(state)
-        fast_forward(state, entries, ruleset_records, schema_records)
+        fast_forward(state, entries, boundary)
         journal = SessionJournal(path, meta=meta).attach(state)
         journal.record_resumed(state, fast_forwarded=len(entries))
-        try:
-            while not state.done:
-                engine.step(state)
-            return engine.finalize(state)
-        finally:
-            journal.close()
+        return journal
 
     journal = SessionJournal(
         path, meta=meta, fresh=not config.journal_resume
     ).attach(state)
     try:
-        return engine.run(state)
-    finally:
+        engine.initialize(state)
+    except BaseException:
         journal.close()
+        raise
+    return journal

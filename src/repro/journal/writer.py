@@ -16,8 +16,9 @@ Two layers:
     ``ProgressEvent`` stream and appends one durable record per
     iteration — including, for accepted iterations, the generated batch
     rows and the post-iteration RNG state, which is exactly what
-    journal-based crash-resume (:func:`repro.journal.replay.run_journaled`)
-    needs to fast-forward a re-run bit-identically.
+    journal-based crash-resume (``EditSession.start()``, through
+    :func:`repro.journal.replay.fast_forward`) needs to fast-forward a
+    re-run bit-identically.
 
 Durability contract: records written with ``sync=True`` (run metadata
 and every iteration record) are flushed *and* fsynced before ``append``

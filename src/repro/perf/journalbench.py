@@ -27,6 +27,7 @@ seconds reported next to it are that run's.
 from __future__ import annotations
 
 import asyncio
+import shutil
 import tempfile
 import time
 from pathlib import Path
@@ -171,6 +172,10 @@ def run_journal_bench(
             )
             plain_s.append(seconds)
             rep_dir = root / f"rep-{rep}"
+            # The tenants are named, so a rerun over an old --out-dir
+            # would resume their journals; the bench times journaled
+            # runs, so each repetition starts empty.
+            shutil.rmtree(rep_dir, ignore_errors=True)
             seconds, stats_journaled = _fleet_seconds(
                 sizes=sizes, tau=tau, seed=seed, journal_dir=str(rep_dir)
             )

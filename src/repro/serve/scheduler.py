@@ -1,7 +1,7 @@
 """Cooperative stage-granular scheduling of concurrent edit sessions.
 
 One process, many sessions: each session advances in *quanta* (one
-engine ``initialize``, one ``step``, or one ``finalize``), every quantum
+``EditSession.start()``, one ``step``, or one ``finalize``), every quantum
 runs in a worker thread off the event loop, and at most
 ``max_concurrent`` quanta are in flight at once.  Which runnable
 session gets the next free slot is a *policy* decision, pluggable

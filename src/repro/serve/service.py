@@ -9,8 +9,8 @@ from a library object into a served workload::
         print(event.iteration, event.kind)
     result = await handle.result()
 
-Execution is *quantum*-granular: one quantum is one engine
-``initialize`` (setup stages), one loop ``step``, or one ``finalize``.
+Execution is *quantum*-granular: one quantum is one ``EditSession.start()``
+(setup, and a journal's fast-forward), one loop ``step``, or one ``finalize``.
 Every quantum runs in a worker thread via :func:`asyncio.to_thread`
 (the engine is numpy-bound, so the event loop stays responsive), and
 the :class:`~repro.serve.scheduler.SessionScheduler` decides which
@@ -18,10 +18,10 @@ runnable session gets each free slot.  Between quanta a session holds
 no locks and no thread, which is what makes cancellation and timeouts
 cooperative and cheap.
 
-**Parity contract.**  A served session calls exactly the same engine
-entry points, in the same order, on the same state as
-``EditSession.run()`` — ``initialize``, ``step`` until ``state.done``,
-``finalize`` — and all randomness lives in per-session state.  Served
+**Parity contract.**  A served session calls exactly the same entry
+points, in the same order, on the same state as ``EditSession.run()``
+— ``EditSession.start()``, ``step`` until ``state.done``, ``finalize``
+— and all randomness lives in per-session state.  Served
 results are therefore bit-identical to serial ones, regardless of how
 many sessions interleave; ``tests/serve/test_serve_parity.py`` pins
 this.
@@ -34,6 +34,7 @@ import itertools
 import time
 from collections import deque
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, AsyncIterator
 
 from repro.engine.session import EditSession
@@ -203,6 +204,9 @@ class SessionHandle:
         self._feed_source = QueueFeedbackSource(name=f"feed:{name}")
         self._feed_buffer: list[Any] = []
         spec.with_feedback(self._feed_source)
+        # Registered on the spec, so it runs before the journal's own
+        # listener: clients see each event before it is made durable.
+        spec.on_event(self._thread_listener)
 
         self._journal: Any = None
         self._events: deque[ProgressEvent] = deque()
@@ -356,24 +360,7 @@ class SessionHandle:
     def _advance(self) -> str:
         """Run one engine quantum (worker thread). Returns the kind."""
         if self._state is None:
-            state = self._spec.build_state()
-            state.listeners.append(self._thread_listener)
-            journal_path = self._service._session_journal_path(
-                self.name, state.config
-            )
-            if journal_path is not None:
-                from repro.journal.writer import SessionJournal
-
-                self._journal = SessionJournal(
-                    journal_path, meta={"name": self.name}
-                )
-                # Attached after the forwarding listener so clients see
-                # each event before it is made durable.
-                self._journal.attach(state)
-            engine = self._spec.build_engine()
-            engine.initialize(state)
-            self._state = state
-            self._engine = engine
+            self._state, self._engine, self._journal = self._spec.start()
             return _SETUP
         if not self._state.done:
             self._engine.step(self._state)
@@ -671,13 +658,15 @@ class EditService:
         Per-session bounded event queue capacity (drop-oldest).
     journal_dir:
         Opt into durable serving journals: each served session writes
-        its own session journal at ``journal_dir/<name>`` (same format
-        and replay tooling as ``EditSession.journaled(...)``), and the
+        its own session journal at ``journal_dir/<name>``, and the
         service itself appends admission decisions, per-quantum grants
         with wall times, and terminal outcomes to
         ``journal_dir/_service`` (see :mod:`repro.journal`).  Sessions
         whose own config carries ``journal_dir`` are journaled there
-        even when this is unset.
+        (under their ``journal_name``, default ``<name>``) even when
+        this is unset.  Either way a served session starts through
+        :meth:`~repro.engine.session.EditSession.start`, so it journals
+        and resumes exactly like ``EditSession.run()``.
 
     Notes
     -----
@@ -731,8 +720,6 @@ class EditService:
         #: the journal-overhead bench compares against serving time.
         self.journal_io_seconds = 0.0
         if journal_dir is not None:
-            from pathlib import Path
-
             from repro.journal.writer import JournalWriter
 
             self._journal = JournalWriter(
@@ -754,16 +741,6 @@ class EditService:
             self._journal.append(kind, data)
         except Exception:
             self.journal_errors += 1
-
-    def _session_journal_path(self, name: str, config: Any):
-        """Where a session's own journal lives, or ``None``."""
-        from pathlib import Path
-
-        if self.journal_dir is not None:
-            return Path(self.journal_dir) / name
-        if getattr(config, "journal_dir", None):
-            return Path(config.journal_dir) / (config.journal_name or name)
-        return None
 
     # ------------------------------------------------------------------ #
     def submit(
@@ -788,7 +765,9 @@ class EditService:
         session:
             The :class:`~repro.engine.session.EditSession` spec to run.
         name:
-            Service-unique session name (auto-generated when omitted).
+            Service-unique session name.  When omitted, the next
+            ``session-N`` whose journal does not exist yet: a session
+            resumes a journal only at a location its caller chose.
         priority:
             Scheduling priority (only meaningful under priority-aware
             policies such as ``"weighted-priority"``).
@@ -808,13 +787,24 @@ class EditService:
             When the submission queue is full or the session's budget
             exceeds the whole pool.
         ValueError
-            On a duplicate session name.
+            On a duplicate session name, or a journal that the service
+            or a session still running (or queued) already writes.
         """
         if name is None:
-            name = f"session-{next(self._names)}"
+            name = self._default_name(session)
         if name in self.sessions:
             raise ValueError(f"session name {name!r} already in use")
-        spec, required_mb = self._carve(session)
+        journal = self._journal_path(session._config_kwargs, name)
+        writers = {
+            self._journal_path(other._spec._config_kwargs, other.name): other.name
+            for other in self.sessions.values()
+            if not other.done
+        }
+        if self._journal is not None:
+            writers[self._journal.path.resolve()] = "_service"
+        if journal is not None and journal in writers:
+            raise ValueError(f"journal {str(journal)!r} already in use by {writers[journal]!r}")
+        spec, required_mb = self._carve(session, name)
         admission_future = self.admission.request(
             required_mb if self.pool is not None else 0.0
         )
@@ -852,12 +842,40 @@ class EditService:
                 "admission-granted", {"name": name, "mb": fut.result().mb}
             )
 
-    def _carve(self, session: EditSession) -> tuple[EditSession, float]:
-        """Build the working copy of ``session`` with its budget slice."""
-        # The handle attaches its own feed source and the budget below
-        # configures the copy; neither may reach the caller's session.
+    def _journal_path(self, config: dict, name: str) -> Path | None:
+        """The resolved journal of a session ``name`` over ``config``, or ``None``."""
+        if self.journal_dir is not None:
+            config = {"journal_dir": self.journal_dir, "journal_name": name}
+        if not config.get("journal_dir"):
+            return None
+        return (Path(config["journal_dir"]) / (config.get("journal_name") or name)).resolve()
+
+    def _default_name(self, session: EditSession) -> str:
+        """The next ``session-N`` that no session and no journal holds.
+
+        Default names restart at ``session-0`` in every service, so a
+        journal already at a default name's location is another
+        session's; resuming it would replay that session's run.
+        """
+
+        def free(name: str) -> bool:
+            path = self._journal_path(session._config_kwargs, name)
+            derived = path is not None and path.name == name
+            return name not in self.sessions and not (derived and path.exists())
+
+        return next(filter(free, (f"session-{i}" for i in self._names)))
+
+    def _carve(self, session: EditSession, name: str) -> tuple[EditSession, float]:
+        """Build the working copy of ``session``, journal location and budget slice."""
+        # The handle attaches its own feed source and listener, and the
+        # journal and budget below configure the copy; none of them may
+        # reach the caller's session.
         spec = session.copy()
-        own = spec._config_kwargs.get("max_resident_mb")
+        config = spec._config_kwargs
+        journal = self._journal_path(config, name)
+        if journal is not None:
+            config.update(journal_dir=str(journal.parent), journal_name=journal.name)
+        own = config.get("max_resident_mb")
         if self.pool is None:
             return spec, float(own) if own is not None else 0.0
         required = float(own if own is not None else self.default_session_mb)

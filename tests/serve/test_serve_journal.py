@@ -12,15 +12,21 @@ Pinned here:
   from the service journal's quantum records;
 * journaling never perturbs serving (results stay bit-identical to the
   unjournaled run) and a session's own ``journaled(...)`` config is
-  honored when the service has no journal directory.
+  honored when the service has no journal directory;
+* a served session starts like ``EditSession.run()``: ``resume=False``
+  wipes its journal, a non-integer seed refuses to resume one, and no
+  two live sessions share a journal.  (Crash-then-resume under a
+  journaled service is the ``served-journaled`` row of the mode table.)
 """
 
 import asyncio
 
+import pytest
 from conftest import assert_same_run
-from serveutil import make_spec
+from serveutil import make_dataset, make_spec
 
-from repro.journal import JournalReader, SessionReplay
+import repro
+from repro.journal import JournalReader, JournalResumeError, SessionReplay
 from repro.serve.service import EditService, _percentile_ms
 
 SEEDS = (11, 22, 33, 44)
@@ -101,6 +107,106 @@ class TestSessionJournalIsolation:
         assert replay.history() == result.history
         # No service journal was created (only the session's own).
         assert not (tmp_path / "_service").exists()
+
+
+def serve_one(spec, name="t"):
+    """Serve ``spec`` alone on a service without a journal directory."""
+
+    async def main():
+        async with EditService() as service:
+            return await service.submit(spec, name=name).run_to_completion()
+
+    return asyncio.run(main())
+
+
+class TestServedStart:
+    def test_resume_false_wipes_the_journal(self, tmp_path):
+        serve_one(make_spec(tau=3, seed=5).journaled(tmp_path, name="own"))
+        result = serve_one(
+            make_spec(tau=3, seed=5).journaled(tmp_path, name="own", resume=False)
+        )
+        replay = SessionReplay.load(tmp_path / "own")
+        assert replay.summary()["runs"] == 1
+        assert replay.summary()["resumes"] == 0
+        assert replay.history() == result.history
+
+    def test_unseeded_session_refuses_to_resume(self, tmp_path):
+        spec = make_spec(tau=2, seed=5).configure(random_state=None)
+        serve_one(spec.journaled(tmp_path, name="own"))
+        with pytest.raises(JournalResumeError, match="integer random_state"):
+            serve_one(spec.journaled(tmp_path, name="own"))
+
+    def test_second_live_session_on_one_journal_is_refused(self, tmp_path):
+        async def main():
+            async with EditService() as service:
+                first = service.submit(
+                    make_spec(tau=3, seed=5).journaled(tmp_path, name="own"),
+                    name="a",
+                )
+                with pytest.raises(ValueError, match="already in use"):
+                    service.submit(
+                        make_spec(tau=3, seed=6).journaled(tmp_path, name="own"),
+                        name="b",
+                    )
+                result = await first.run_to_completion()
+                # A terminal session frees its journal: the resubmission
+                # fast-forwards the finished run instead of recomputing it.
+                again = service.submit(
+                    make_spec(tau=3, seed=5).journaled(tmp_path, name="own"),
+                    name="c",
+                )
+                return result, await again.run_to_completion()
+
+        result, again = asyncio.run(main())
+        assert_same_run(again, result)
+        assert JournalReader(tmp_path / "own").scan().ok
+        summary = SessionReplay.load(tmp_path / "own").summary()
+        assert (summary["runs"], summary["resumes"]) == (1, 1)
+
+    @pytest.mark.parametrize("where", ["service", "spec"])
+    def test_default_name_never_resumes_another_sessions_journal(
+        self, tmp_path, where
+    ):
+        """Services started in turn on one directory restart their
+        default names at ``session-0``; a later unnamed tenant with other
+        rules must compute its own run, not replay the earlier one."""
+
+        def spec(rule):
+            return (
+                repro.edit(make_dataset(250, 5))
+                .with_rules(rule)
+                .with_algorithm("LR")
+                .configure(tau=3, q=0.5, random_state=5)
+            )
+
+        def serve(rule):
+            built = spec(rule)
+            if where == "spec":
+                built.journaled(tmp_path)
+
+            async def main():
+                service_dir = str(tmp_path) if where == "service" else None
+                async with EditService(journal_dir=service_dir) as service:
+                    return await service.submit(built).run_to_completion()
+
+            return asyncio.run(main())
+
+        serve("age < 35 => approve")
+        rule = "income < 40 AND marital = 'single' => deny"
+        assert_same_run(serve(rule), spec(rule).run())
+        assert sorted(p.name for p in tmp_path.glob("session-*")) == [
+            "session-0",
+            "session-1",
+        ]
+
+    def test_session_named_after_the_service_journal_is_refused(self, tmp_path):
+        async def main():
+            async with EditService(journal_dir=str(tmp_path)) as service:
+                with pytest.raises(ValueError, match="in use by '_service'"):
+                    service.submit(make_spec(tau=2, seed=5), name="_service")
+
+        asyncio.run(main())
+        assert JournalReader(tmp_path / "_service").scan().ok
 
 
 class TestServiceJournal:

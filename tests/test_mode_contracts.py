@@ -33,6 +33,7 @@ import repro
 from repro.data import ShardedTable
 from repro.data.evolution import SchemaDelta
 from repro.feedback import RuleProposal, ScriptedFeedbackSource
+from repro.journal import SessionReplay
 from repro.models import GaussianNB, KNeighborsClassifier, make_algorithm
 from repro.rules import FeedbackRule, Predicate, clause
 from repro.serve import EditService
@@ -111,6 +112,26 @@ def served(**service_options):
     return run
 
 
+def served_journaled(tmp_path):
+    """Serve under a journaled service, kill the session in fit 4, then
+    resubmit it to a fresh service: the served start resumes the journal
+    the crashed service left, as ``run()`` would."""
+
+    def serve(build):
+        async def main():
+            async with EditService(journal_dir=str(tmp_path)) as service:
+                return await service.submit(build(), name="run").run_to_completion()
+
+        return asyncio.run(main())
+
+    with pytest.raises(SimulatedCrash):
+        serve(lambda: session().with_algorithm(crash_at_fit(4)))
+    result = serve(session)
+    summary = SessionReplay.load(tmp_path / "run").summary()
+    assert (summary["runs"], summary["resumes"]) == (1, 1)
+    return result
+
+
 def streamed_session():
     source = ScriptedFeedbackSource([(3, RuleProposal(LATE, source="expert"))])
     return session().with_feedback(source)
@@ -167,6 +188,7 @@ MODES = (
     Mode("journaled", journaled, plain, BITWISE),
     Mode("served", served(), plain, BITWISE),
     Mode("served-memory-pool", served(memory_budget_mb=64.0), plain, BITWISE),
+    Mode("served-journaled", served_journaled, plain, BITWISE),
     Mode("streamed-feedback", streamed, scheduled, BITWISE),
     Mode("streamed-feedback-journaled", streamed_journaled, scheduled, BITWISE),
     Mode("unreached-schema-migration", unreached_migration, plain, BITWISE),

@@ -172,6 +172,16 @@ class TestRemovedNamesFailLoudly:
         with pytest.raises(TypeError, match="population_stale"):
             EditState(population_stale=True)
 
+    @staticmethod
+    def _run_journaled():
+        import repro.journal.replay
+        from repro.serve import EditService
+
+        with pytest.raises(ImportError, match="run_journaled"):
+            from repro.journal import run_journaled  # noqa: F401
+        assert not hasattr(repro.journal.replay, "run_journaled")
+        assert not hasattr(EditService, "_session_journal_path")
+
     @pytest.mark.parametrize(
         "check",
         [
@@ -185,6 +195,7 @@ class TestRemovedNamesFailLoudly:
             "_knn_algorithm_keyword",
             "_registry_snapshots",
             "_population_stale",
+            "_run_journaled",
         ],
     )
     def test_removed_name(self, check):
