@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 
 @dataclass(frozen=True)
@@ -88,6 +87,9 @@ def solve_lp_relaxation(problem: SelectionProblem) -> np.ndarray | None:
     p = problem.n_candidates
     if p == 0:
         return np.empty(0)
+    # SciPy loads on first use, so that ``import repro`` does without it.
+    from scipy.optimize import linprog
+
     A = problem.membership.astype(np.float64)
     # linprog minimizes: use -w; constraints A z <= upper and -A z <= -lower.
     A_ub = np.vstack([A, -A])

@@ -63,6 +63,7 @@ from repro.journal.writer import (
     SessionJournal,
     config_snapshot,
     dataset_fingerprint,
+    ruleset_fingerprint,
 )
 
 
@@ -404,6 +405,14 @@ def _validate_resume(state, meta: dict[str, Any]) -> None:
         raise JournalResumeError(
             "journaled input-dataset fingerprint does not match this "
             "session's dataset; refusing to replay foreign rows"
+        )
+    # Journals written before the field existed carry no rules; they
+    # resume as they did then.
+    if "rules" in meta and meta["rules"] != ruleset_fingerprint(state.frs):
+        raise JournalResumeError(
+            "journaled initial rule set (run-meta field 'rules') does not "
+            "match this session's rules; refusing to replay batches drawn "
+            "for other rules"
         )
     if meta.get("bit_generator") != type(state.rng.bit_generator).__name__:
         raise JournalResumeError(

@@ -250,6 +250,22 @@ def dataset_fingerprint(dataset) -> dict[str, Any]:
     }
 
 
+def ruleset_fingerprint(frs) -> str:
+    """Content identity of a rule set: a hash of its rules' canonical
+    keys, in order.
+
+    Used by resume to refuse fast-forwarding a journal written with other
+    rules (whose accepted batches the new rules would not have drawn).
+    """
+    from repro.feedback.sources import rule_key
+
+    digest = hashlib.sha256()
+    for rule in frs:
+        digest.update(rule_key(rule).encode())
+        digest.update(b"\n")
+    return digest.hexdigest()[:16]
+
+
 def config_snapshot(config) -> dict[str, Any]:
     """The trajectory-determining config fields (see resume validation)."""
     return {f: getattr(config, f) for f in CONFIG_SNAPSHOT_FIELDS}
@@ -370,6 +386,7 @@ class SessionJournal:
             "random_state": seed if isinstance(seed, (int, type(None))) else None,
             "seedable": isinstance(seed, (int, type(None))),
             "dataset": dataset_fingerprint(state.input_dataset),
+            "rules": ruleset_fingerprint(state.frs),
             "bit_generator": type(state.rng.bit_generator).__name__,
             "start_iteration": state.iteration,
             "eta": state.eta,

@@ -3,15 +3,103 @@
 Matches the paper's configuration surface: scikit-learn defaults except
 ``max_depth=3``.  Bootstrap sampling plus per-split feature subsampling
 (``max_features="sqrt"``), probabilities averaged across trees.
+
+Each tree draws its bootstrap sample, then the features of each split,
+from its own child stream of the forest's seed.  With an integer
+``random_state`` those draws depend only on the seed and the shape of
+the fit, so a fit keeps them for the next fit of the same shape: the
+memo is keyed by ``(seed, n_estimators, rows, features, features per
+split, bootstrap)`` and holds the last :data:`_MEMO_KEYS` keys.  An entry
+holds every tree's bootstrap sample (read-only) and a
+:class:`~repro.models.tree._FeatureTape` of its feature draws, which a
+fit extends from the tree's own generator only when it needs a draw past
+its end.  An entry takes about ``n_estimators * rows * 8`` bytes, the
+samples (464 KB for the paper's 50 trees on 1160 car rows); the tapes
+are a few rows of ``features per split`` per tree.  The edit loop refits
+on the same rows after every rejected batch, and those refits read the
+memo instead of drawing again; the trees are bit-identical to a fit that
+draws.  A ``Generator`` or ``None`` seed draws afresh on every fit and
+is never kept.
+
+``predict_proba`` walks all trees at once over their concatenated node
+arrays (:class:`~repro.models.tree._ForestNodes`) and adds the trees'
+leaf rows in tree order with one reduction, in blocks of rows that keep
+the temporaries near ``_WALK_CELLS`` entries.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass
+
 import numpy as np
 
-from repro.models.tree import DecisionTreeClassifier, _BinnedX, _check_tree_params, _grow
+from repro.models.tree import (
+    DecisionTreeClassifier,
+    _BinnedX,
+    _check_tree_params,
+    _FeatureTape,
+    _ForestNodes,
+    _grow,
+    _leaf_walk,
+    _n_split_features,
+)
 from repro.utils.rng import RandomState, check_random_state, spawn_rng
 from repro.utils.validation import check_fit_inputs, check_predict_input
+
+#: How many fit shapes the draw memo keeps, the most recently used.
+_MEMO_KEYS = 2
+#: Trees times rows per block of the all-trees predict walk.
+_WALK_CELLS = 1 << 15
+
+
+@dataclass(frozen=True)
+class _ForestDraws:
+    """What the trees of one fit draw: their samples and feature tape."""
+
+    samples: list[np.ndarray]
+    tape: _FeatureTape
+
+
+_memo: OrderedDict[tuple, _ForestDraws] = OrderedDict()
+_memo_lock = threading.Lock()
+
+
+def _draw(
+    rng: np.random.Generator, n_trees: int, n: int, d: int, m: int, bootstrap: bool
+) -> _ForestDraws:
+    """Spawn one stream per tree from ``rng`` and draw each tree's sample."""
+    rngs = spawn_rng(rng, n_trees)
+    if bootstrap:
+        samples = [tree_rng.integers(0, n, size=n) for tree_rng in rngs]
+    else:
+        samples = [np.arange(n, dtype=np.intp)] * n_trees
+    for rows in samples:
+        rows.flags.writeable = False
+    return _ForestDraws(samples, _FeatureTape(rngs, d, m))
+
+
+def _forest_draws(
+    random_state: RandomState, n_trees: int, n: int, d: int, m: int, bootstrap: bool
+) -> _ForestDraws:
+    """The draws of a fit: the memo's for an integer seed, else fresh."""
+    if not isinstance(random_state, (int, np.integer)):
+        return _draw(check_random_state(random_state), n_trees, n, d, m, bootstrap)
+    key = (int(random_state), n_trees, n, d, m, bootstrap)
+    with _memo_lock:
+        draws = _memo.get(key)
+        if draws is not None:
+            _memo.move_to_end(key)
+            return draws
+    draws = _draw(np.random.default_rng(random_state), n_trees, n, d, m, bootstrap)
+    with _memo_lock:
+        # A fit of the same key in another thread may have stored its own.
+        draws = _memo.setdefault(key, draws)
+        _memo.move_to_end(key)
+        while len(_memo) > _MEMO_KEYS:
+            _memo.popitem(last=False)
+    return draws
 
 
 class RandomForestClassifier:
@@ -55,19 +143,16 @@ class RandomForestClassifier:
         self.trees_: list[DecisionTreeClassifier] = []
         self.n_classes_: int | None = None
         self.n_features_in_: int | None = None
+        self._nodes: _ForestNodes | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray, *, n_classes: int | None = None) -> "RandomForestClassifier":
         X, y, n_classes = check_fit_inputs(X, y, n_classes, model="tree")
         self.n_classes_ = n_classes
-        self.n_features_in_ = X.shape[1]
-        rng = check_random_state(self.random_state)
-        rngs = spawn_rng(rng, self.n_estimators)
-        n = X.shape[0]
-        # Each tree draws its sample, then its features, from its own stream.
-        samples = [
-            tree_rng.integers(0, n, size=n) if self.bootstrap else np.arange(n, dtype=np.intp)
-            for tree_rng in rngs
-        ]
+        n, d = X.shape
+        self.n_features_in_ = d
+        m = _n_split_features(self.max_features, d)
+        draws = _forest_draws(self.random_state, self.n_estimators, n, d, m, self.bootstrap)
+        # The trees' draws live in ``draws``, not in the trees.
         self.trees_ = [
             DecisionTreeClassifier(
                 max_depth=self.max_depth,
@@ -75,25 +160,38 @@ class RandomForestClassifier:
                 min_samples_leaf=self.min_samples_leaf,
                 max_features=self.max_features,
                 criterion=self.criterion,
-                random_state=tree_rng,
             )
-            for tree_rng in rngs
+            for _ in range(self.n_estimators)
         ]
         # Code the columns once and grow every tree on a row sample of them.
-        _grow(self.trees_, _BinnedX.from_array(X), y, n_classes, samples, rngs)
+        self._nodes = _grow(
+            self.trees_, _BinnedX.from_array(X), y, n_classes, draws.samples, draws.tape
+        )
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        if not self.trees_ or self.n_classes_ is None:
+        nodes = self._nodes
+        if nodes is None or self.n_classes_ is None:
             raise RuntimeError("RandomForestClassifier is not fitted")
         X = check_predict_input(X, self.n_features_in_)
         Xf, row_base = X.ravel(), np.arange(X.shape[0]) * X.shape[1]
-        # One walk per tree keeps the transients O(rows); the trees' leaf
-        # rows add up in tree order.
-        proba = np.zeros((X.shape[0], self.n_classes_))
-        for tree in self.trees_:
-            proba += tree._leaf_values(Xf, row_base)
-        proba /= len(self.trees_)
+        n_trees = nodes.roots.size
+        block = max(1, _WALK_CELLS // n_trees)
+        proba = np.empty((X.shape[0], self.n_classes_))
+        for lo in range(0, X.shape[0], block):
+            # leaves[t, i]: the leaf of row lo + i in tree t.  The sum over
+            # axis 0 adds the trees' leaf rows in tree order.
+            leaves = _leaf_walk(
+                Xf,
+                row_base[lo : lo + block],
+                nodes.feature,
+                nodes.threshold,
+                nodes.children,
+                nodes.depth,
+                roots=nodes.roots,
+            )
+            nodes.value.take(leaves, axis=0).sum(axis=0, out=proba[lo : lo + block])
+        proba /= n_trees
         return proba
 
     def predict(self, X: np.ndarray) -> np.ndarray:

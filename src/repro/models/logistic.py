@@ -43,7 +43,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
 
 from repro.utils.validation import check_fit_inputs, check_predict_input
 
@@ -131,6 +130,9 @@ class LogisticRegression:
 
     # ------------------------------------------------------------------ #
     def fit(self, X: np.ndarray, y: np.ndarray, *, n_classes: int | None = None) -> "LogisticRegression":
+        # SciPy loads on first use, so that ``import repro`` does without it.
+        from scipy.optimize import minimize
+
         X, y, n_classes = check_fit_inputs(X, y, n_classes, model="logistic regression")
         if n_classes < 2:
             raise ValueError("need at least 2 classes")

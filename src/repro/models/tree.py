@@ -62,15 +62,27 @@ two children are the leaf itself, so prediction needs no leaf test: it
 starts every row at the root and takes ``depth_`` steps of
 ``node = children_[2 * node + (x[feature_[node]] > threshold_[node])]``,
 each one a few ``take`` calls over all rows (:func:`_leaf_walk`), and
-then reads ``value_`` at each row's node.  A forest walks its trees one
-after another and adds their leaf rows in tree order.  Walking all trees
-at once would save little, and its temporaries would grow with the
-number of trees times the rows instead of with the rows.  The gradient
-boosting model's trees use the same layout and walk, on bin codes.
+then reads ``value_`` at each row's node.  A forest walks all its trees
+at once: :func:`_grow` also returns their nodes in one set of arrays
+with global child ids (:class:`_ForestNodes`), and :func:`_leaf_walk`
+starts each tree's rows at its root, so one walk's ``take`` calls cover
+trees times rows.  On the paper's 50 shallow trees and a few thousand
+rows, the per-call overhead of walking tree by tree was most of a
+predict; the forest keeps the temporaries bounded by walking blocks of
+rows.  The gradient boosting model's trees use the same layout and walk,
+on bin codes.
+
+Where a tree scans a random subset of the features at each split, it
+reads them from a :class:`_FeatureTape`, which records each tree's
+``choice`` draws in the order its splits use them and draws from the
+tree's generator only past the tape's end.  A standalone tree's tape
+lives for one fit; a forest with an integer seed keeps its trees' tapes
+across fits of the same shape (see :mod:`repro.models.forest`).
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,6 +173,21 @@ class _Splits:
     code: np.ndarray  # rows with codes[feature] <= code go left
     threshold: np.ndarray
     left: np.ndarray  # (k, c): class counts of the left child
+
+
+@dataclass(frozen=True)
+class _ForestNodes:
+    """The nodes of several trees in one set of flat arrays, tree after
+    tree, each tree's in pre-order, laid out like one tree's but with
+    global node ids: ``children`` points into the whole set and ``roots``
+    holds each tree's root.  ``depth`` is the deepest tree's depth."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    children: np.ndarray
+    value: np.ndarray
+    roots: np.ndarray
+    depth: int
 
 
 def _best_splits(
@@ -269,6 +296,7 @@ def _leaf_walk(
     threshold: np.ndarray,
     children: np.ndarray,
     depth: int,
+    roots: np.ndarray | None = None,
 ) -> np.ndarray:
     """The leaf that each row of a matrix reaches in a tree of flat arrays.
 
@@ -277,13 +305,79 @@ def _leaf_walk(
     ``threshold[j]``, to ``children[2 * j + 1]``, and left otherwise, to
     ``children[2 * j]``.  A leaf's children are itself, so every row takes
     ``depth`` steps, one level each, and a row that meets a leaf early
-    stays there.
+    stays there.  Every row starts at node 0, or, for several trees in one
+    set of arrays, at each of ``roots``, their root ids: then the result
+    has one row of leaves per tree.
     """
-    node = np.zeros(row_base.size, dtype=np.intp)
+    if roots is None:
+        node = np.zeros(row_base.size, dtype=np.intp)
+    else:
+        node = np.broadcast_to(roots[:, None], (roots.size, row_base.size))
     for _ in range(depth):
         right = Xf.take(row_base + feature.take(node)) > threshold.take(node)
         node = children.take(2 * node + right)
     return node
+
+
+def _n_split_features(max_features: int | str | None, d: int) -> int:
+    """How many of ``d`` features a split scans under ``max_features``."""
+    if max_features is None:
+        return d
+    if max_features == "sqrt":
+        return max(1, int(np.sqrt(d)))
+    return min(int(max_features), d)
+
+
+class _FeatureTape:
+    """The features each tree's splits scan, drawn once from its generator.
+
+    Row ``k`` of tree ``t`` is the ``k``-th ``choice(d, size=m,
+    replace=False)`` draw of ``rngs[t]``, the features of the ``k``-th
+    node that the tree searches for a split.  A fit reads rows from the
+    start and a tree's generator draws nothing else, so every fit that
+    reads a tape reads the draws it would have drawn itself, whichever
+    fit drew them first.  The tape is extended from the trees' own
+    generators, under a lock, only when a fit reads past its end.
+    """
+
+    def __init__(self, rngs: list[np.random.Generator], d: int, m: int) -> None:
+        self._rngs = rngs
+        self._d, self._m = d, m
+        self._lock = threading.Lock()
+        # (draws, drawn): draws[t, :drawn[t]] are tree t's draws so far.
+        # Replaced as a pair, and rows below ``drawn`` are never written
+        # again, so a reader that takes the pair without the lock sees
+        # finished rows.
+        self._state = (np.empty((len(rngs), 0, m), dtype=np.intp), np.zeros(len(rngs), np.intp))
+
+    def take(self, trees: np.ndarray, index: np.ndarray) -> np.ndarray:
+        """Row ``index[i]`` of tree ``trees[i]``, for every ``i``; a tree
+        appears at most once."""
+        draws, drawn = self._state
+        if (index >= drawn[trees]).any():
+            draws, drawn = self._extend(trees, index)
+        return draws[trees, index]
+
+    def _extend(self, trees: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        with self._lock:
+            draws, drawn = self._state
+            if index.max() >= draws.shape[1]:
+                wider = np.empty((len(self._rngs), 2 * int(index.max()) + 1, self._m), np.intp)
+                wider[:, : draws.shape[1]] = draws
+                draws = wider
+            n_drawn = drawn.tolist()
+            at_tree, at_row, rows = [], [], []
+            for t, k in zip(trees.tolist(), index.tolist()):
+                rng = self._rngs[t]
+                for j in range(n_drawn[t], k + 1):
+                    rows.append(rng.choice(self._d, size=self._m, replace=False))
+                    at_tree.append(t)
+                    at_row.append(j)
+                n_drawn[t] = max(n_drawn[t], k + 1)
+            if rows:  # none when another fit extended the tape first
+                draws[at_tree, at_row] = rows
+            self._state = (draws, np.array(n_drawn, dtype=np.intp))
+            return self._state
 
 
 def _grow(
@@ -292,18 +386,20 @@ def _grow(
     y: np.ndarray,
     n_classes: int,
     samples: list[np.ndarray],
-    rngs: list[np.random.Generator],
-) -> None:
+    tape: _FeatureTape,
+) -> _ForestNodes:
     """Grow ``trees``, which share their parameters, in lockstep.
 
     Tree ``t`` trains on the rows ``samples[t]`` of the validated, binned
-    data and draws its features from ``rngs[t]``.  A row may repeat (a
-    bootstrap sample); a repeat counts as often as it appears, exactly as
-    if the sample had been copied out.
+    data and reads the features of its k-th split search from row ``k``
+    of its draws on ``tape``, ``_n_split_features`` of the ``d`` columns
+    (the tape is not read when that is all of them).  A row may repeat (a bootstrap sample); a repeat
+    counts as often as it appears, exactly as if the sample had been
+    copied out.  Returns the trees' nodes in one set of arrays.
     """
     params = trees[0]
     d, n = data.codes.shape
-    n_split_features = params._resolve_max_features(d)
+    n_split_features = _n_split_features(params.max_features, d)
     draws = n_split_features < d
     m = n_split_features if draws else d
     keys_table = data.codes * n_classes + y
@@ -337,20 +433,23 @@ def _grow(
 
     # A stack entry is a node that needs a split search: (id, tree, rows,
     # class counts, depth).
-    counts = np.array([np.bincount(y[rows], minlength=n_classes) for rows in samples])
+    # One bincount of (tree, label) keys counts every root.
+    tree_keys = np.repeat(np.arange(n_trees) * n_classes, [rows.size for rows in samples])
+    tree_keys += y.take(np.concatenate(samples))
+    counts = np.bincount(tree_keys, minlength=n_trees * n_classes).reshape(n_trees, n_classes)
     leaf = is_leaf(counts, node_depth[0])
     close(np.flatnonzero(leaf), counts[leaf])
     stacks = [[] if leaf[t] else [(t, t, samples[t], counts[t], 0)] for t in range(n_trees)]
     n_nodes = n_trees
+    n_read = np.zeros(n_trees, dtype=np.intp)  # tape rows each tree has read
     while True:
         waiting = []
         if draws:
             # One node per tree: the tree's next node depends on this split.
-            drawn = []
-            for t, stack in enumerate(stacks):
-                if stack:
-                    waiting.append(stack.pop())
-                    drawn.append(rngs[t].choice(d, size=n_split_features, replace=False))
+            drawing = np.array([t for t, stack in enumerate(stacks) if stack], dtype=np.intp)
+            waiting = [stacks[t].pop() for t in drawing.tolist()]
+            drawn = tape.take(drawing, n_read[drawing])
+            n_read[drawing] += 1
         else:
             for stack in stacks:
                 waiting += stack
@@ -368,7 +467,7 @@ def _grow(
             rows,
             sizes,
             counts,
-            np.array(drawn) if draws else np.tile(np.arange(d), (len(waiting), 1)),
+            drawn if draws else np.tile(np.arange(d), (len(waiting), 1)),
             scratch[n_rows:],
             criterion=params.criterion,
             min_samples_leaf=params.min_samples_leaf,
@@ -430,7 +529,7 @@ def _grow(
             if pending[2 * j]:
                 left = left_rows[left_bounds[i] : left_bounds[i + 1]]
                 stacks[t].append((first + 2 * j, t, left, child_counts[2 * j], depth))
-    _write_trees(trees, n_classes, d, node_tree, node_depth, leaf_ids, leaf_values, split_log)
+    return _write_trees(trees, n_classes, d, node_tree, node_depth, leaf_ids, leaf_values, split_log)
 
 
 def _write_trees(
@@ -442,9 +541,10 @@ def _write_trees(
     leaf_ids: list[np.ndarray],
     leaf_values: list[np.ndarray],
     split_log: list[tuple[np.ndarray, ...]],
-) -> None:
+) -> _ForestNodes:
     """Give each tree its node arrays, its nodes numbered in pre-order,
-    from the nodes :func:`_grow` logged in creation order."""
+    from the nodes :func:`_grow` logged in creation order; return all of
+    them in one set."""
     tree_of = np.concatenate(node_tree)
     depth_of = np.concatenate(node_depth)
     n_nodes = tree_of.size
@@ -485,6 +585,8 @@ def _write_trees(
         tree.children_ = children[2 * lo : 2 * hi]
         tree.value_ = value[lo:hi]
         tree.depth_ = int(depth[t])
+    global_children = children + np.repeat(tree_first, 2 * n_tree_nodes)
+    return _ForestNodes(feature, threshold, global_children, value, tree_first, int(depth.max()))
 
 
 def _check_tree_params(
@@ -559,30 +661,21 @@ class DecisionTreeClassifier:
     # ------------------------------------------------------------------ #
     def fit(self, X: np.ndarray, y: np.ndarray, *, n_classes: int | None = None) -> "DecisionTreeClassifier":
         X, y, n_classes = check_fit_inputs(X, y, n_classes, model="tree")
-        rows = np.arange(X.shape[0], dtype=np.intp)
+        n, d = X.shape
+        rows = np.arange(n, dtype=np.intp)
         rng = check_random_state(self.random_state)
-        _grow([self], _BinnedX.from_array(X), y, n_classes, [rows], [rng])
+        tape = _FeatureTape([rng], d, _n_split_features(self.max_features, d))
+        _grow([self], _BinnedX.from_array(X), y, n_classes, [rows], tape)
         return self
-
-    def _resolve_max_features(self, d: int) -> int:
-        if self.max_features is None:
-            return d
-        if self.max_features == "sqrt":
-            return max(1, int(np.sqrt(d)))
-        return min(int(self.max_features), d)
 
     # ------------------------------------------------------------------ #
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         if self.value_ is None or self.n_classes_ is None:
             raise RuntimeError("DecisionTreeClassifier is not fitted")
         X = check_predict_input(X, self.n_features_in_)
-        return self._leaf_values(X.ravel(), np.arange(X.shape[0]) * X.shape[1])
-
-    def _leaf_values(self, Xf: np.ndarray, row_base: np.ndarray) -> np.ndarray:
-        """The class distribution of the leaf each row reaches, for the
-        validated rows laid out as :func:`_leaf_walk` takes them."""
+        row_base = np.arange(X.shape[0]) * X.shape[1]
         leaves = _leaf_walk(
-            Xf, row_base, self.feature_, self.threshold_, self.children_, self.depth_
+            X.ravel(), row_base, self.feature_, self.threshold_, self.children_, self.depth_
         )
         return self.value_.take(leaves, axis=0)
 

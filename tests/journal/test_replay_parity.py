@@ -52,13 +52,13 @@ def make_dataset(n=250, seed=42):
     return Dataset(table, y, ("deny", "approve"))
 
 
-def make_session(dataset=None, *, tau=4, seed=42, **configure):
+RULES = ("age < 35 => approve", "income < 40 AND marital = 'single' => deny")
+
+
+def make_session(dataset=None, *, tau=4, seed=42, rules=RULES, **configure):
     return (
         repro.edit(dataset if dataset is not None else make_dataset())
-        .with_rules(
-            "age < 35 => approve",
-            "income < 40 AND marital = 'single' => deny",
-        )
+        .with_rules(*rules)
         .with_algorithm("LR")
         .configure(tau=tau, q=0.5, random_state=seed, **configure)
     )
@@ -139,6 +139,32 @@ class TestResumeValidation:
         other = make_dataset(seed=7)
         with pytest.raises(JournalResumeError, match="fingerprint"):
             make_session(other, tau=2).journaled(tmp_path, name="s").run()
+
+    def test_rules_mismatch(self, tmp_path):
+        make_session(tau=2).journaled(tmp_path, name="s").run()
+        other = make_session(tau=2, rules=("age < 30 => approve", RULES[1]))
+        with pytest.raises(JournalResumeError, match="'rules'"):
+            other.journaled(tmp_path, name="s").run()
+
+    def test_journal_without_rules_field_resumes(self, tmp_path, monkeypatch):
+        """A journal written before run-meta carried the rules fingerprint
+        resumes as it did then."""
+        from repro.journal.writer import SessionJournal
+
+        run_meta = SessionJournal._run_meta
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                SessionJournal,
+                "_run_meta",
+                lambda self, state: {
+                    k: v for k, v in run_meta(self, state).items() if k != "rules"
+                },
+            )
+            first = make_session(tau=2).journaled(tmp_path, name="s").run()
+        assert "rules" not in SessionReplay.load(tmp_path / "s").meta
+        again = make_session(tau=2).journaled(tmp_path, name="s").run()
+        assert_same_run(again, first)
+        assert SessionReplay.load(tmp_path / "s").summary()["resumes"] == 1
 
     def test_unseeded_session_cannot_resume(self, tmp_path):
         session = make_session(tau=2)

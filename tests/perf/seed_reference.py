@@ -48,7 +48,7 @@ from repro.data.table import Table
 from repro.models.boosting import GradientBoostingClassifier, _HistTreeBuilder
 from repro.models.forest import RandomForestClassifier
 from repro.models.logistic import LogisticRegression
-from repro.models.tree import DecisionTreeClassifier, _impurity_from_counts
+from repro.models.tree import DecisionTreeClassifier, _impurity_from_counts, _n_split_features
 from repro.neighbors import BruteKNN, TableNeighborSpace
 from repro.neighbors.brute import SELF_DISTANCE_TOL
 from repro.rules.predicate import Predicate
@@ -267,7 +267,7 @@ class SeedSplitTree(DecisionTreeClassifier):
         self.n_features_in_ = X.shape[1]
         rng = check_random_state(self.random_state)
         self.nodes_ = []
-        self._n_split_features = self._resolve_max_features(X.shape[1])
+        self._n_split_features = _n_split_features(self.max_features, X.shape[1])
         self._build(X, y, rows, depth=0, rng=rng)
         return self
 

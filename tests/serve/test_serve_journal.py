@@ -136,6 +136,17 @@ class TestServedStart:
         with pytest.raises(JournalResumeError, match="integer random_state"):
             serve_one(spec.journaled(tmp_path, name="own"))
 
+    def test_other_rules_refuse_to_resume(self, tmp_path):
+        serve_one(make_spec(tau=2, seed=5).journaled(tmp_path, name="own"))
+        other = (
+            repro.edit(make_dataset(250, 5))
+            .with_rules("age < 30 => approve", "income < 40 AND marital = 'single' => deny")
+            .with_algorithm("LR")
+            .configure(tau=2, q=0.5, random_state=5)
+        )
+        with pytest.raises(JournalResumeError, match="'rules'"):
+            serve_one(other.journaled(tmp_path, name="own"))
+
     def test_second_live_session_on_one_journal_is_refused(self, tmp_path):
         async def main():
             async with EditService() as service:

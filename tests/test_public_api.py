@@ -29,6 +29,26 @@ class TestImports:
         import repro.sampling
         import repro.utils
 
+    def test_import_loads_no_scipy(self):
+        """SciPy loads on first use (the LP solver, the L-BFGS fit), so a
+        run with another model and its worker processes start without it."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src_dir = os.path.dirname(os.path.dirname(repro.__file__))
+        code = "import sys, repro; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": src_dir},
+        )
+        assert out.stdout.strip() == "[]"
+
     def test_subpackage_alls_resolve(self):
         import importlib
 
