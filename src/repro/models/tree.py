@@ -40,7 +40,8 @@ scored, never the rows between them.  A child's class counts are its
 parent's chosen left or right counts.  The same buffer then routes the
 round's rows: one gather of every row's code on its node's split feature
 splits them into the left rows and the right rows, each grouped by node
-in node order.  Only that grouping matters; the order of the rows inside
+in node order.  A round whose children are all leaves (at the depth cap,
+for instance) routes nothing, since no later round reads their rows.  Only that grouping matters; the order of the rows inside
 a node changes no count.
 
 The result is bit-identical to a recursive builder that sorts each
@@ -480,6 +481,25 @@ def _grow(
         k = len(split_nodes)
         if not k:
             continue
+        # Split j's children get the ids first + 2j (left) and first + 2j + 1.
+        first = n_nodes
+        n_nodes += 2 * k
+        child_counts = np.empty((k, 2, n_classes), dtype=counts.dtype)
+        child_counts[:, 0] = splits.left
+        child_counts[:, 1] = counts[splits.node] - splits.left
+        child_counts = child_counts.reshape(2 * k, n_classes)
+        child_depth = np.repeat([waiting[i][4] + 1 for i in split_nodes], 2)
+        child_leaf = is_leaf(child_counts, child_depth)
+        split_log.append(
+            (ids[splits.node], splits.feature, splits.threshold, first + 2 * np.arange(k))
+        )
+        node_tree.append(np.repeat([waiting[i][1] for i in split_nodes], 2))
+        node_depth.append(child_depth)
+        close(first + np.flatnonzero(child_leaf), child_counts[child_leaf])
+        if child_leaf.all():
+            # Every child is a leaf (at the depth cap, say): no child needs
+            # its rows.
+            continue
         # Route the rows of every waiting node at once: a node that splits
         # by its split, one that does not all right (every code exceeds -1).
         # The left rows, and the right rows, stay grouped by node, in node
@@ -504,21 +524,6 @@ def _grow(
         n_left[splits.node] = splits.left.sum(axis=1)
         left_bounds = [0, *np.cumsum(n_left).tolist()]
         right_bounds = [0, *np.cumsum(sizes - n_left).tolist()]
-        # Split j's children get the ids first + 2j (left) and first + 2j + 1.
-        first = n_nodes
-        n_nodes += 2 * k
-        child_counts = np.empty((k, 2, n_classes), dtype=counts.dtype)
-        child_counts[:, 0] = splits.left
-        child_counts[:, 1] = counts[splits.node] - splits.left
-        child_counts = child_counts.reshape(2 * k, n_classes)
-        child_depth = np.repeat([waiting[i][4] + 1 for i in split_nodes], 2)
-        child_leaf = is_leaf(child_counts, child_depth)
-        split_log.append(
-            (ids[splits.node], splits.feature, splits.threshold, first + 2 * np.arange(k))
-        )
-        node_tree.append(np.repeat([waiting[i][1] for i in split_nodes], 2))
-        node_depth.append(child_depth)
-        close(first + np.flatnonzero(child_leaf), child_counts[child_leaf])
         pending = (~child_leaf).tolist()
         for j, i in enumerate(split_nodes):
             t, depth = waiting[i][1], waiting[i][4] + 1
