@@ -15,10 +15,10 @@ holds every tree's bootstrap sample (read-only) and a
 fit extends from the tree's own generator only when it needs a draw past
 its end.  An entry takes about ``n_estimators * rows * 8`` bytes, the
 samples (464 KB for the paper's 50 trees on 1160 car rows); the tapes
-are a few rows of ``features per split`` per tree.  The edit loop refits
-on the same rows after every rejected batch, and those refits read the
-memo instead of drawing again; the trees are bit-identical to a fit that
-draws.  A ``Generator`` or ``None`` seed draws afresh on every fit and
+are a few rows of ``features per split`` per tree.  After a rejected
+batch the edit loop refits on as many rows as before, and those refits
+read the memo instead of drawing again; the trees are bit-identical to a
+fit that draws.  A ``Generator`` or ``None`` seed draws afresh on every fit and
 is never kept.
 
 ``predict_proba`` walks all trees at once over their concatenated node
