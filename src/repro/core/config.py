@@ -91,10 +91,13 @@ class FroteConfig:
         or a served session, both begun by ``EditSession.start()``)
         appends every iteration to an append-only, crash-safe journal under
         this directory (see :mod:`repro.journal`) and — when the
-        journal already holds committed iterations for this exact
-        session — fast-forwards through them instead of recomputing
-        (journal-based crash-resume).  ``None`` (default) runs exactly
-        as before.
+        journal already holds committed iterations of the same run —
+        fast-forwards through them instead of recomputing
+        (journal-based crash-resume).  The same run means the same
+        :func:`~repro.journal.writer.run_identity`: config snapshot,
+        seed, input dataset, initial rules, bit generator, start
+        iteration and training algorithm; a journal of another run is
+        refused.  ``None`` (default) runs exactly as before.
     journal_name:
         Subdirectory name for this session's journal under
         ``journal_dir`` (default ``"session"``, or the session's name

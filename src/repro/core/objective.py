@@ -43,16 +43,11 @@ class Evaluation:
     f1_outside: float
     n_covered: int
     n_outside: int
-    # Additive merge carriers (None on hand-built legacy instances): the
-    # per-rule agreement *sums* and the outside-coverage confusion counts.
-    # Counts are additive across disjoint row partitions, which is what
-    # makes evaluations mergeable across dataset and ruleset deltas.
-    per_rule_agreement: np.ndarray | None = None
-    outside_confusion: np.ndarray | None = None
-
-    @property
-    def mergeable(self) -> bool:
-        return self.per_rule_agreement is not None and self.outside_confusion is not None
+    # The per-rule agreement *sums* and the outside-coverage confusion
+    # counts, from which append_rule_evaluation extends an evaluation to
+    # an appended rule without a full pass.
+    per_rule_agreement: np.ndarray
+    outside_confusion: np.ndarray
 
     @property
     def n_total(self) -> int:
@@ -113,8 +108,8 @@ def evaluate_predictions(
     per_rule_agreement = np.zeros(m, dtype=np.float64)
     if m == 0:
         # f1_from_confusion over the full confusion matrix is the same
-        # arithmetic default_f1 runs internally; keeping the counts makes
-        # the evaluation mergeable.
+        # arithmetic default_f1 runs internally; the counts let a later
+        # append_rule_evaluation extend this evaluation.
         cm = confusion_matrix(dataset.y, y_pred, n_classes=dataset.n_classes)
         return Evaluation(
             per_rule_mra,
@@ -194,10 +189,6 @@ def append_rule_evaluation(
     floats; and the outside F1 comes from the confusion counts minus the
     moved rows' counts (integer-exact).
     """
-    if not base.mergeable:
-        raise ValueError(
-            "base evaluation carries no merge fields; run evaluate_predictions"
-        )
     y_pred = np.asarray(y_pred, dtype=np.int64)
     moved = np.asarray(moved_mask, dtype=bool)
     cnt = int(moved.sum())
@@ -230,48 +221,4 @@ def append_rule_evaluation(
         n_outside=base.n_outside - cnt,
         per_rule_agreement=per_rule_agreement,
         outside_confusion=outside_cm,
-    )
-
-
-def merge_evaluations(a: Evaluation, b: Evaluation) -> Evaluation:
-    """Merge evaluations of two *disjoint* row partitions under one FRS.
-
-    Counts — per-rule coverage and the outside confusion matrix — are
-    additive and merge integer-exactly, so the merged F1 equals the
-    monolithic one bit-for-bit.  The per-rule means and MRA are exact
-    ratios of the summed agreement carriers; they can differ from a
-    single monolithic pass in the last ulp (floating-point summation
-    order), which is the documented precision of the dataset-axis merge.
-    """
-    if not (a.mergeable and b.mergeable):
-        raise ValueError("both evaluations must carry merge fields")
-    if a.per_rule_count.shape != b.per_rule_count.shape:
-        raise ValueError(
-            "evaluations cover different rule sets: "
-            f"{a.per_rule_count.shape[0]} vs {b.per_rule_count.shape[0]} rules"
-        )
-    if a.outside_confusion.shape != b.outside_confusion.shape:
-        raise ValueError("evaluations disagree on the number of classes")
-    count = a.per_rule_count + b.per_rule_count
-    sums = a.per_rule_agreement + b.per_rule_agreement
-    per_rule_mra = np.full(count.shape[0], np.nan)
-    nz = count > 0
-    per_rule_mra[nz] = sums[nz] / count[nz]
-    n_covered = a.n_covered + b.n_covered
-    weighted_sum = 0.0
-    for r in range(count.shape[0]):
-        if count[r] == 0:
-            continue
-        weighted_sum += per_rule_mra[r] * int(count[r])
-    mra = float(weighted_sum / n_covered) if n_covered else 1.0
-    cm = a.outside_confusion + b.outside_confusion
-    return Evaluation(
-        per_rule_mra=per_rule_mra,
-        per_rule_count=count,
-        mra=mra,
-        f1_outside=f1_from_confusion(cm),
-        n_covered=n_covered,
-        n_outside=a.n_outside + b.n_outside,
-        per_rule_agreement=sums,
-        outside_confusion=cm,
     )

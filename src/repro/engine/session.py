@@ -295,8 +295,12 @@ class EditSession:
         re-run, fast-forwards through already-committed iterations
         instead of recomputing them (journal-based crash-resume; see
         :mod:`repro.journal` for the exactness contract).  Requires an
-        integer ``random_state`` when ``resume`` is on.  Pass
-        ``resume=False`` to wipe any prior journal and start fresh.
+        integer ``random_state`` when ``resume`` is on.  A journal
+        written by another run — any field of
+        :func:`~repro.journal.writer.run_identity` differs, the training
+        algorithm included — raises ``JournalResumeError`` naming the
+        field.  Pass ``resume=False`` to wipe any prior journal and
+        start fresh.
         """
         self._config_kwargs["journal_dir"] = str(journal_dir)
         self._config_kwargs["journal_resume"] = resume

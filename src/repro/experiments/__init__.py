@@ -49,9 +49,7 @@ from repro.experiments.report import BoxStats, ascii_boxplot, format_mean_std, f
 from repro.experiments.runner import (
     RunMetrics,
     RunResult,
-    default_config,
     execute_run,
-    run_many,
 )
 from repro.experiments.setup import (
     ExperimentContext,
@@ -95,8 +93,6 @@ __all__ = [
     "ExperimentContext",
     "PreparedRun",
     "execute_run",
-    "run_many",
-    "default_config",
     "RunResult",
     "RunMetrics",
     "run_fig2",

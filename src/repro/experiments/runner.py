@@ -8,18 +8,16 @@ tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from repro.core.config import FroteConfig
 from repro.core.objective import Evaluation, evaluate_model
 from repro.data.dataset import Dataset
-from repro.datasets import DATASETS
 from repro.engine.session import EditSession, edit
 from repro.engine.state import FroteResult
-from repro.experiments.setup import ExperimentContext, PreparedRun, prepare_run
-from repro.utils.rng import RandomState, check_random_state
+from repro.experiments.setup import ExperimentContext, PreparedRun
 
 
 @dataclass(frozen=True)
@@ -148,65 +146,3 @@ def _infer_tcf(prepared: PreparedRun) -> float:
     n_cov_test = int(prepared.split.test_coverage_mask.sum())
     total = n_cov_train + n_cov_test
     return n_cov_train / total if total else 0.0
-
-
-def run_many(
-    ctx: ExperimentContext,
-    *,
-    frs_size: int,
-    tcf: float,
-    n_runs: int,
-    config: FroteConfig,
-    random_state: RandomState = 42,
-) -> list[RunResult]:
-    """Repeat :func:`execute_run` with fresh FRS draws and splits.
-
-    Each run keeps every field of ``config`` except ``random_state``,
-    which is drawn per run.  Draws that admit no conflict-free FRS are
-    skipped (the paper drops those settings too).  A ``journal_dir`` is
-    refused: every run would write to the same journal.
-    """
-    if config.journal_dir is not None:
-        raise ValueError(
-            "run_many cannot journal: its runs would share one journal "
-            f"(journal_dir={config.journal_dir!r}); journal single runs instead"
-        )
-    rng = check_random_state(random_state)
-    out: list[RunResult] = []
-    for _ in range(n_runs):
-        prepared = prepare_run(ctx, frs_size=frs_size, tcf=tcf, rng=rng)
-        if prepared is None:
-            continue
-        run_cfg = replace(config, random_state=int(rng.integers(2**31)))
-        result, _ = execute_run(ctx, prepared, config=run_cfg)
-        out.append(result)
-    return out
-
-
-def default_config(
-    dataset_name: str,
-    *,
-    tau: int = 30,
-    q: float = 0.5,
-    selection: str = "random",
-    mod_strategy: str = "relabel",
-    eta_scale: float = 1.0,
-    random_state: RandomState = 42,
-) -> FroteConfig:
-    """Paper-style configuration scaled for bench-speed iteration limits.
-
-    The paper runs τ = 200; benchmarks default to τ = 30 with the paper's
-    per-dataset η (optionally scaled), which preserves the oversampling
-    quota dynamics at a fraction of the retraining cost.
-    """
-    eta = DATASETS[dataset_name].eta if dataset_name in DATASETS else None
-    if eta is not None:
-        eta = max(1, int(eta * eta_scale))
-    return FroteConfig(
-        tau=tau,
-        q=q,
-        eta=eta,
-        selection=selection,
-        mod_strategy=mod_strategy,
-        random_state=random_state,
-    )

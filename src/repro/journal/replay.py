@@ -49,6 +49,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.experiments.persistence import to_jsonable
 from repro.journal.reader import JournalReader, ScanResult, Truncation
 from repro.journal.records import (
     KIND_ITERATION,
@@ -59,12 +60,7 @@ from repro.journal.records import (
     KIND_SCHEMA,
     Record,
 )
-from repro.journal.writer import (
-    SessionJournal,
-    config_snapshot,
-    dataset_fingerprint,
-    ruleset_fingerprint,
-)
+from repro.journal.writer import SessionJournal, run_identity
 
 
 class JournalResumeError(RuntimeError):
@@ -375,54 +371,27 @@ class SessionReplay:
 # Crash-resume.
 # ---------------------------------------------------------------------- #
 def _validate_resume(state, meta: dict[str, Any]) -> None:
-    config = state.config
-    if not meta.get("seedable") or not isinstance(config.random_state, int):
+    """Refuse a journal whose stored :func:`run_identity` is not this
+    session's.  A field an older journal does not carry is skipped."""
+    if not meta.get("seedable") or not isinstance(state.config.random_state, int):
         raise JournalResumeError(
             "journal resume requires an integer random_state (the original "
             "run's RNG stream must be reconstructible); rerun with "
             "journal_resume=False for a fresh journal"
         )
-    if meta.get("random_state") != config.random_state:
+    for name, live in run_identity(state).items():
+        if name not in meta:
+            continue
+        stored, live = to_jsonable(meta[name]), to_jsonable(live)
+        if stored == live:
+            continue
+        detail = f"journal has {stored!r}, session has {live!r}"
+        if name == "config":
+            keys = sorted(k for k in stored.keys() | live.keys() if stored.get(k) != live.get(k))
+            detail = f"keys {keys} differ; " + detail
         raise JournalResumeError(
-            f"journal was written with random_state="
-            f"{meta.get('random_state')!r}, session has "
-            f"{config.random_state!r}"
-        )
-    snapshot = config_snapshot(config)
-    journaled = meta.get("config", {})
-    mismatched = {
-        key: (journaled.get(key), value)
-        for key, value in snapshot.items()
-        if journaled.get(key) != value
-    }
-    if mismatched:
-        raise JournalResumeError(
-            f"journaled config disagrees with session config on "
-            f"{sorted(mismatched)}: {mismatched}"
-        )
-    live_fp = dataset_fingerprint(state.input_dataset)
-    if meta.get("dataset") != live_fp:
-        raise JournalResumeError(
-            "journaled input-dataset fingerprint does not match this "
-            "session's dataset; refusing to replay foreign rows"
-        )
-    # Journals written before the field existed carry no rules; they
-    # resume as they did then.
-    if "rules" in meta and meta["rules"] != ruleset_fingerprint(state.frs):
-        raise JournalResumeError(
-            "journaled initial rule set (run-meta field 'rules') does not "
-            "match this session's rules; refusing to replay batches drawn "
-            "for other rules"
-        )
-    if meta.get("bit_generator") != type(state.rng.bit_generator).__name__:
-        raise JournalResumeError(
-            f"journal used bit generator {meta.get('bit_generator')!r}, "
-            f"session has {type(state.rng.bit_generator).__name__!r}"
-        )
-    if int(meta.get("start_iteration", 0)) != state.iteration:
-        raise JournalResumeError(
-            f"journal starts at iteration {meta.get('start_iteration')}, "
-            f"session starts at {state.iteration} (warm-start mismatch)"
+            f"journal belongs to another run: run-meta field {name!r} "
+            f"does not match this session ({detail})"
         )
 
 
@@ -582,8 +551,8 @@ def _open_journal(state, engine) -> SessionJournal:
     """Run setup on ``state`` with its journal attached; return the journal.
 
     The config must carry ``journal_dir``.  If the journal already holds
-    committed iterations for this exact session (validated by config
-    snapshot, dataset fingerprint, seed, and RNG identity) and
+    committed iterations for this exact session (its stored
+    :func:`~repro.journal.writer.run_identity` matches the live one) and
     ``journal_resume`` is on, they are fast-forwarded instead of
     recomputed and the journal records the resume; otherwise the run
     starts fresh (wiping the journal only when ``journal_resume=False``).

@@ -271,6 +271,39 @@ def config_snapshot(config) -> dict[str, Any]:
     return {f: getattr(config, f) for f in CONFIG_SNAPSHOT_FIELDS}
 
 
+def algorithm_identity(algorithm) -> Any:
+    """What names a training algorithm in a run identity: its
+    ``identity`` attribute (``repro.models.algorithm`` sets one), else
+    its ``module.qualname``."""
+    identity = getattr(algorithm, "identity", None)
+    if identity is not None:
+        return identity
+    named = algorithm if hasattr(algorithm, "__qualname__") else type(algorithm)
+    return f"{named.__module__}.{named.__qualname__}"
+
+
+def run_identity(state) -> dict[str, Any]:
+    """The fields that say which run a session journal belongs to.
+
+    Journaled in ``run-meta``; resume compares them with the live
+    session's field by field and refuses the journal on any difference.
+    Each is read from an input setup does not change, so the value is the
+    same before setup (resume validation) and at ``started`` (writing):
+    the rule set is the initial one, because streamed rule deltas are
+    journaled on their own.
+    """
+    seed = state.config.random_state
+    return {
+        "config": config_snapshot(state.config),
+        "random_state": seed if isinstance(seed, (int, type(None))) else None,
+        "dataset": dataset_fingerprint(state.input_dataset),
+        "rules": ruleset_fingerprint(state.frs),
+        "bit_generator": type(state.rng.bit_generator).__name__,
+        "start_iteration": state.iteration,
+        "algorithm": algorithm_identity(state.algorithm),
+    }
+
+
 def rng_snapshot(rng: np.random.Generator) -> dict[str, Any]:
     """Restorable bit-generator state (JSON keeps Python bigints exact)."""
     return {
@@ -286,8 +319,8 @@ class SessionJournal:
     engine runs; every ``ProgressEvent`` becomes a journal record:
 
     ``run-meta`` (at ``started``)
-        Config snapshot, input-dataset fingerprint, budgets, RNG
-        identity — everything resume must validate.
+        The :func:`run_identity` resume validates, plus budgets and the
+        initial loss for status views.
     ``iteration`` (at ``accepted`` / ``rejected`` / ``empty-batch``)
         The full :class:`~repro.engine.state.IterationRecord` payload
         plus stage timings, the post-iteration RNG state, and — for
@@ -379,16 +412,9 @@ class SessionJournal:
 
     # ------------------------------------------------------------------ #
     def _run_meta(self, state) -> dict[str, Any]:
-        config = state.config
-        seed = config.random_state
         return {
-            "config": config_snapshot(config),
-            "random_state": seed if isinstance(seed, (int, type(None))) else None,
-            "seedable": isinstance(seed, (int, type(None))),
-            "dataset": dataset_fingerprint(state.input_dataset),
-            "rules": ruleset_fingerprint(state.frs),
-            "bit_generator": type(state.rng.bit_generator).__name__,
-            "start_iteration": state.iteration,
+            **run_identity(state),
+            "seedable": isinstance(state.config.random_state, (int, type(None))),
             "eta": state.eta,
             "quota": state.quota,
             "max_iteration": state.max_iteration,

@@ -109,11 +109,17 @@ def algorithm(name: str, *, warm_start: bool = False) -> TrainingAlgorithm:
     fit's coefficients for estimators that support it (``"LR"``); see
     :func:`repro.models.base.make_algorithm`.  Opt-in: the default path
     cold-starts every fit and stays parity-pinned.
+
+    The returned callable's ``identity`` (``{"model": name, "warm_start":
+    warm_start}``) is the ``algorithm`` field of a journaled run's
+    identity, so a journal resumes only under the model that wrote it.
     """
     info: ModelInfo = MODELS[name]
-    return make_algorithm(
+    fit = make_algorithm(
         info.factory, standardize=info.standardize, warm_start=warm_start
     )
+    fit.identity = {"model": name, "warm_start": warm_start}  # type: ignore[attr-defined]
+    return fit
 
 
 def paper_algorithm(name: str) -> TrainingAlgorithm:

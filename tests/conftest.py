@@ -161,7 +161,8 @@ class SimulatedCrash(RuntimeError):
 
 def crash_at_fit(at_fit: int):
     """The paper's LR algorithm, raising :class:`SimulatedCrash` in its
-    ``at_fit``-th fit (setup fits once, then each iteration once)."""
+    ``at_fit``-th fit (setup fits once, then each iteration once).  It
+    carries LR's ``identity``, so an LR session resumes its journal."""
     from repro.models import paper_algorithm
 
     fit = paper_algorithm("LR")
@@ -172,6 +173,7 @@ def crash_at_fit(at_fit: int):
             raise SimulatedCrash(f"fit #{at_fit}")
         return fit(dataset)
 
+    crashing.identity = fit.identity
     return crashing
 
 

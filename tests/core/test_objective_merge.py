@@ -1,12 +1,8 @@
-"""Delta-aware objective merge: additive carriers on :class:`Evaluation`.
+"""Delta-aware objective: the counts every :class:`Evaluation` carries.
 
-Pins the two merge axes the feedback layer relies on:
-
-* **ruleset axis** — :func:`append_rule_evaluation` derives the extended
-  evaluation in O(new rule) and matches a from-scratch pass *bitwise*;
-* **dataset axis** — :func:`merge_evaluations` over a disjoint row
-  partition is integer-exact on counts/F1 and exact-ratio on the means
-  (documented last-ulp tolerance from summation order).
+:func:`append_rule_evaluation` derives the evaluation under an appended
+rule in O(new rule) and matches a from-scratch pass *bitwise*; the
+feedback layer relies on it.
 """
 
 from __future__ import annotations
@@ -14,12 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.objective import (
-    Evaluation,
-    append_rule_evaluation,
-    evaluate_predictions,
-    merge_evaluations,
-)
+from repro.core.objective import append_rule_evaluation, evaluate_predictions
 from repro.metrics.classification import confusion_matrix, default_f1, f1_from_confusion
 from repro.rules import FeedbackRule, FeedbackRuleSet, Predicate, clause
 
@@ -79,76 +70,6 @@ class TestAppendAxis:
         assert derived.f1_outside == base.f1_outside
         assert np.isnan(derived.per_rule_mra[-1])
         assert derived.per_rule_count[-1] == 0
-
-    def test_requires_merge_carriers(self):
-        legacy = Evaluation(
-            per_rule_mra=np.array([1.0]),
-            per_rule_count=np.array([3]),
-            mra=1.0,
-            f1_outside=1.0,
-            n_covered=3,
-            n_outside=0,
-        )
-        assert not legacy.mergeable
-        with pytest.raises(ValueError, match="merge fields"):
-            append_rule_evaluation(
-                legacy, predictions(), DATASET, RULE_B,
-                np.zeros(DATASET.n, dtype=bool),
-            )
-
-
-class TestDatasetAxis:
-    def split(self):
-        idx = np.arange(DATASET.n)
-        return DATASET.take(idx[::2]), DATASET.take(idx[1::2]), idx
-
-    def test_merge_partition_counts_are_integer_exact(self):
-        y_pred = predictions()
-        frs = FeedbackRuleSet((RULE_A, RULE_B))
-        left, right, idx = self.split()
-        merged = merge_evaluations(
-            evaluate_predictions(y_pred[idx[::2]], left, frs),
-            evaluate_predictions(y_pred[idx[1::2]], right, frs),
-        )
-        whole = evaluate_predictions(y_pred, DATASET, frs)
-        # Counts and confusion are additive -> F1 merges bit-for-bit.
-        np.testing.assert_array_equal(merged.per_rule_count, whole.per_rule_count)
-        np.testing.assert_array_equal(
-            merged.outside_confusion, whole.outside_confusion
-        )
-        assert merged.f1_outside == whole.f1_outside
-        assert merged.n_covered == whole.n_covered
-        assert merged.n_outside == whole.n_outside
-        # Means re-derive from summed carriers; summation order may move
-        # the last ulp, which is the documented dataset-axis tolerance.
-        assert merged.mra == pytest.approx(whole.mra, abs=1e-12)
-        np.testing.assert_allclose(
-            merged.per_rule_mra, whole.per_rule_mra, atol=1e-12
-        )
-
-    def test_merged_mean_is_summed_carrier_over_count(self):
-        y_pred = predictions()
-        frs = FeedbackRuleSet((RULE_A, RULE_B))
-        left, right, idx = self.split()
-        a = evaluate_predictions(y_pred[idx[::2]], left, frs)
-        b = evaluate_predictions(y_pred[idx[1::2]], right, frs)
-        merged = merge_evaluations(a, b)
-        for r in range(2):
-            cnt = a.per_rule_count[r] + b.per_rule_count[r]
-            if cnt == 0:
-                assert np.isnan(merged.per_rule_mra[r])
-                continue
-            total = a.per_rule_agreement[r] + b.per_rule_agreement[r]
-            assert merged.per_rule_mra[r] == total / cnt
-
-    def test_merge_shape_mismatch_errors(self):
-        y_pred = predictions()
-        one = evaluate_predictions(y_pred, DATASET, FeedbackRuleSet((RULE_A,)))
-        two = evaluate_predictions(
-            y_pred, DATASET, FeedbackRuleSet((RULE_A, RULE_B))
-        )
-        with pytest.raises(ValueError, match="different rule sets"):
-            merge_evaluations(one, two)
 
 
 class TestConfusionF1:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments import (
-    default_config,
+    RunSpec,
     format_ablation,
     format_fig2,
     format_fig3,
@@ -19,20 +19,30 @@ from repro.experiments import (
     run_table3,
     run_table6,
 )
+from repro.experiments.kinds import frote_config_for
 
 TINY = dict(n_runs=1, tau=4, random_state=42)
 
 
+def spec_config(dataset, **config):
+    """The :class:`FroteConfig` a ``frote`` spec run on ``dataset`` gets."""
+    spec = RunSpec(
+        experiment="frote", dataset=dataset, model="LR", frs_size=1, tcf=0.0,
+        run=0, seed=0, context_seed=0, config=config,
+    )
+    return frote_config_for(spec)
+
+
 class TestDefaultConfig:
     def test_paper_eta_applied(self):
-        assert default_config("car").eta == 20
-        assert default_config("adult").eta == 200
+        assert spec_config("car").eta == 20
+        assert spec_config("adult").eta == 200
 
-    def test_eta_scale(self):
-        assert default_config("adult", eta_scale=0.1).eta == 20
+    def test_spec_eta_overrides_paper_eta(self):
+        assert spec_config("adult", eta=20).eta == 20
 
     def test_unknown_dataset_uses_uniform_quota(self):
-        cfg = default_config("unknown")
+        cfg = spec_config("unknown")
         assert cfg.eta is None
 
     def test_paper_eta_is_live_registry_view(self):
@@ -46,10 +56,10 @@ class TestDefaultConfig:
         )
         try:
             assert DATASETS["eta-view-test"].eta == 77  # live, not a snapshot
-            assert default_config("eta-view-test").eta == 77
+            assert spec_config("eta-view-test").eta == 77
         finally:
             DATASETS.unregister("eta-view-test")
-        assert default_config("eta-view-test").eta is None
+        assert spec_config("eta-view-test").eta is None
 
 
 class TestFig2:

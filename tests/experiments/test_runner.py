@@ -1,5 +1,4 @@
-"""Tests for one run's three models (``execute_run``) and repeated runs
-(``run_many``)."""
+"""Tests for one run's three models (``execute_run``)."""
 
 from dataclasses import replace
 
@@ -9,7 +8,7 @@ import pytest
 from repro.core import FroteConfig
 from repro.core.modification import apply_modification
 from repro.core.objective import evaluate_model
-from repro.experiments import build_context, prepare_run, runner
+from repro.experiments import build_context, prepare_run
 from repro.experiments.runner import RunMetrics, edit_session, execute_run
 
 
@@ -87,32 +86,3 @@ def test_selection_kind_fits_the_unmodified_model_once(monkeypatch):
         changed |= result.n_relabelled > 0
     assert changed
     assert len(run_fits) == len(session_fits) + 1
-
-
-def test_run_many_keeps_every_config_field(run_inputs, monkeypatch):
-    """Each repeated run differs from ``config`` in its seed only, so
-    opt-in fields such as the objective and the incremental path reach
-    every run."""
-    ctx, _ = run_inputs
-    configs = []
-
-    def record(ctx, prepared, *, config):
-        configs.append(config)
-        return None, None
-
-    monkeypatch.setattr(runner, "execute_run", record)
-    config = FroteConfig(
-        tau=2, eta=10, objective="weighted", incremental=True, random_state=5
-    )
-    runner.run_many(ctx, frs_size=2, tcf=0.2, n_runs=3, config=config, random_state=0)
-    assert len(configs) == 3
-    assert all(c.objective == "weighted" and c.incremental for c in configs)
-    assert all(replace(c, random_state=5) == config for c in configs)
-    assert len({c.random_state for c in configs}) == 3
-
-
-def test_run_many_refuses_a_shared_journal(run_inputs, tmp_path):
-    ctx, _ = run_inputs
-    config = FroteConfig(tau=2, eta=10, journal_dir=str(tmp_path))
-    with pytest.raises(ValueError, match="share one journal"):
-        runner.run_many(ctx, frs_size=2, tcf=0.2, n_runs=2, config=config)

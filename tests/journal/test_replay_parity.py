@@ -122,33 +122,69 @@ class TestReplayParity:
 
 
 class TestResumeValidation:
-    """Resume refuses journals that belong to a different run."""
+    """Resume refuses journals that belong to a different run, naming the
+    run-identity field that differs; each test changes one field alone."""
+
+    @staticmethod
+    def refused(tmp_path, rerun, field):
+        make_session(tau=2).journaled(tmp_path, name="s").run()
+        with pytest.raises(JournalResumeError, match=f"run-meta field '{field}'") as refused:
+            rerun.journaled(tmp_path, name="s").run()
+        return str(refused.value)
 
     def test_config_mismatch(self, tmp_path):
-        make_session(tau=2).journaled(tmp_path, name="s").run()
-        with pytest.raises(JournalResumeError, match="tau"):
-            make_session(tau=5).journaled(tmp_path, name="s").run()
+        message = self.refused(tmp_path, make_session(tau=5), "config")
+        assert "keys ['tau'] differ" in message
 
     def test_seed_mismatch(self, tmp_path):
-        make_session(tau=2, seed=1).journaled(tmp_path, name="s").run()
-        with pytest.raises(JournalResumeError, match="random_state"):
-            make_session(tau=2, seed=2).journaled(tmp_path, name="s").run()
+        self.refused(tmp_path, make_session(tau=2, seed=2), "random_state")
 
     def test_dataset_mismatch(self, tmp_path):
-        make_session(tau=2).journaled(tmp_path, name="s").run()
-        other = make_dataset(seed=7)
-        with pytest.raises(JournalResumeError, match="fingerprint"):
-            make_session(other, tau=2).journaled(tmp_path, name="s").run()
+        self.refused(tmp_path, make_session(make_dataset(seed=7), tau=2), "dataset")
 
     def test_rules_mismatch(self, tmp_path):
-        make_session(tau=2).journaled(tmp_path, name="s").run()
         other = make_session(tau=2, rules=("age < 30 => approve", RULES[1]))
-        with pytest.raises(JournalResumeError, match="'rules'"):
-            other.journaled(tmp_path, name="s").run()
+        self.refused(tmp_path, other, "rules")
+
+    def test_bit_generator_mismatch(self, tmp_path, monkeypatch):
+        import repro.utils.rng as rng_module
+
+        make_session(tau=2).journaled(tmp_path, name="s").run()
+        monkeypatch.setattr(
+            rng_module,
+            "check_random_state",
+            lambda seed: np.random.Generator(np.random.MT19937(seed)),
+        )
+        with pytest.raises(JournalResumeError, match="run-meta field 'bit_generator'"):
+            make_session(tau=2).journaled(tmp_path, name="s").run()
+
+    def test_start_iteration_mismatch(self, tmp_path):
+        prior = make_session(tau=1).run()
+        self.refused(tmp_path, make_session(tau=2).resume_from(prior), "start_iteration")
+
+    @pytest.mark.parametrize(
+        "model, options", [("RF", {}), ("LR", {"warm_start": True})], ids=["RF", "LR-warm-start"]
+    )
+    def test_algorithm_mismatch(self, tmp_path, model, options):
+        from repro.models import algorithm
+
+        rerun = make_session(tau=2).with_algorithm(algorithm(model, **options))
+        self.refused(tmp_path, rerun, "algorithm")
+
+    def test_identity_before_setup_is_the_journaled_one(self, tmp_path):
+        from repro.experiments.persistence import to_jsonable
+        from repro.journal.writer import run_identity
+
+        session = make_session(tau=2).journaled(tmp_path, name="s")
+        before = to_jsonable(run_identity(session.build_state()))
+        session.run()
+        meta = SessionReplay.load(tmp_path / "s").meta
+        assert before == {field: to_jsonable(meta[field]) for field in before}
+        assert before["algorithm"] == {"model": "LR", "warm_start": False}
 
     def test_journal_without_rules_field_resumes(self, tmp_path, monkeypatch):
-        """A journal written before run-meta carried the rules fingerprint
-        resumes as it did then."""
+        """A journal written before run-meta carried the rules and
+        algorithm fields resumes as it did then."""
         from repro.journal.writer import SessionJournal
 
         run_meta = SessionJournal._run_meta
@@ -157,11 +193,14 @@ class TestResumeValidation:
                 SessionJournal,
                 "_run_meta",
                 lambda self, state: {
-                    k: v for k, v in run_meta(self, state).items() if k != "rules"
+                    k: v
+                    for k, v in run_meta(self, state).items()
+                    if k not in ("rules", "algorithm")
                 },
             )
             first = make_session(tau=2).journaled(tmp_path, name="s").run()
-        assert "rules" not in SessionReplay.load(tmp_path / "s").meta
+        meta = SessionReplay.load(tmp_path / "s").meta
+        assert "rules" not in meta and "algorithm" not in meta
         again = make_session(tau=2).journaled(tmp_path, name="s").run()
         assert_same_run(again, first)
         assert SessionReplay.load(tmp_path / "s").summary()["resumes"] == 1

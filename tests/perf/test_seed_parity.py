@@ -23,6 +23,7 @@ from repro.models import (
     RandomForestClassifier,
     softmax,
 )
+from repro.models.boosting import _Binner, _HistTreeBuilder
 import repro.neighbors.brute as brute
 from repro.neighbors.brute import _topk_from_dists, _topk_from_sq
 from repro.neighbors.distance import MixedMetric, sq_euclidean
@@ -533,16 +534,28 @@ class TestCartSplitParity:
 
 @st.composite
 def gbdt_problems(draw):
-    """Small boosting problems, binary or multiclass, some with a constant
-    column (never split on), with query rows on and beside the
-    bin edges, at ±0.0 and outside the training range."""
+    """Small boosting problems, binary or multiclass, over columns with
+    mixed bin counts — continuous, low-cardinality (two to four values)
+    and constant (never split on) — with a drawn ``min_child_samples``,
+    and query rows on and beside the bin edges, at ±0.0 and outside the
+    training range."""
     n = draw(st.integers(min_value=2, max_value=80))
     d = draw(st.integers(min_value=1, max_value=4))
     n_classes = draw(st.integers(min_value=2, max_value=4))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     X = rng.normal(size=(n, d))
-    if draw(st.booleans()):
-        X[:, rng.integers(0, d)] = 1.5  # a constant column
+    columns = draw(
+        st.lists(
+            st.sampled_from(["continuous", "low-cardinality", "constant"]),
+            min_size=d,
+            max_size=d,
+        )
+    )
+    for f, column in enumerate(columns):
+        if column == "low-cardinality":
+            X[:, f] = rng.integers(0, rng.integers(2, 5), n)
+        elif column == "constant":
+            X[:, f] = 1.5
     if draw(st.booleans()):
         X = np.round(X, 1)  # ties
     y = rng.integers(0, n_classes, n)
@@ -553,6 +566,7 @@ def gbdt_problems(draw):
                 "max_depth": st.sampled_from([None, 1, 3]),
                 "max_leaves": st.sampled_from([2, 4, 31]),
                 "max_bins": st.sampled_from([3, 16, 255]),
+                "min_child_samples": st.sampled_from([1, 2, 3, 5, 20]),
             }
         )
     )
@@ -563,11 +577,35 @@ def gbdt_problems(draw):
     return X, y, n_classes, params, Q
 
 
+def _seed_node_arrays(tree: seed_ref.SeedHistTree) -> tuple[np.ndarray, ...]:
+    """A seed tree's node list in the live ``_HistTree`` layout: a leaf
+    loops to itself with feature and bin threshold 0, a split has value
+    0.0."""
+    feature, bin_threshold, children, value = [], [], [], []
+    for node_id, node in enumerate(tree.nodes):
+        if isinstance(node, float):
+            feature.append(0)
+            bin_threshold.append(0)
+            children.extend((node_id, node_id))
+            value.append(node)
+        else:
+            feature.append(node.feature)
+            bin_threshold.append(node.bin_threshold)
+            children.extend((node.left, node.right))
+            value.append(0.0)
+    return (
+        np.array(feature, dtype=np.intp),
+        np.array(bin_threshold, dtype=np.intp),
+        np.array(children, dtype=np.intp),
+        np.array(value, dtype=np.float64),
+    )
+
+
 class TestBoostingWalkParity:
     """Boosted trees as flat node arrays, walked one level at a time,
     score every row as the seed's node lists walked by a frontier of row
-    sets: same bits in fit (each round's scores feed the next round's
-    gradients) and in prediction."""
+    sets: same nodes and same bits in fit (each round's scores feed the
+    next round's gradients) and in prediction."""
 
     @settings(max_examples=40, deadline=None)
     @given(problem=gbdt_problems())
@@ -575,6 +613,11 @@ class TestBoostingWalkParity:
         X, y, n_classes, params, Q = problem
         current = GradientBoostingClassifier(**params).fit(X, y, n_classes=n_classes)
         seed = seed_ref.SeedFrontierBoosting(**params).fit(X, y, n_classes=n_classes)
+        for live_round, seed_round in zip(current.trees_, seed.trees_, strict=True):
+            for live, oracle in zip(live_round, seed_round, strict=True):
+                live_arrays = (live.feature, live.bin_threshold, live.children, live.value)
+                for a, b in zip(live_arrays, _seed_node_arrays(oracle), strict=True):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         edges = np.concatenate(current.binner_.edges_)
         beside = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
         on_edges = np.repeat(beside[:, None], X.shape[1], axis=1)
@@ -583,6 +626,34 @@ class TestBoostingWalkParity:
                 a = getattr(current, method)(rows)
                 b = getattr(seed, method)(rows)
                 assert a.tobytes() == b.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(problem=gbdt_problems(), node_seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_best_split_on_drawn_nodes(self, problem, node_seed):
+        """The live split search against the seed's on random row subsets
+        (nodes), gradients and hessians, with ``min_child_samples`` as
+        drawn (a fit caps it at a tenth of the rows)."""
+        X, _, _, params, _ = problem
+        binner = _Binner(params["max_bins"]).fit(X)
+        B = binner.transform(X)
+        builder = _HistTreeBuilder(
+            binner,
+            max_leaves=params["max_leaves"],
+            max_depth=params["max_depth"],
+            min_child_samples=params["min_child_samples"],
+            reg_lambda=1.0,
+            min_gain=1e-12,
+        )
+        rng = np.random.default_rng(node_seed)
+        n = X.shape[0]
+        g = np.round(rng.normal(size=n), 1)  # ties between gains
+        h = rng.uniform(0.01, 0.25, size=n)
+        for size in {1, n // 2 + 1, n}:
+            idx = np.sort(rng.choice(n, size=size, replace=False)).astype(np.intp)
+            gain, f, b = builder.best_split(B, g, h, idx)
+            seed_gain, seed_f, seed_b = seed_ref.seed_gbdt_best_split(builder, B, g, h, idx)
+            assert (f, b) == (seed_f, seed_b)
+            assert np.float64(gain).tobytes() == np.float64(seed_gain).tobytes()
 
 
 @st.composite

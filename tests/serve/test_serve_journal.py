@@ -147,6 +147,12 @@ class TestServedStart:
         with pytest.raises(JournalResumeError, match="'rules'"):
             serve_one(other.journaled(tmp_path, name="own"))
 
+    def test_other_model_refuses_to_resume(self, tmp_path):
+        serve_one(make_spec(tau=2, seed=5).journaled(tmp_path, name="own"))
+        other = make_spec(tau=2, seed=5).with_algorithm("RF")
+        with pytest.raises(JournalResumeError, match="'algorithm'"):
+            serve_one(other.journaled(tmp_path, name="own"))
+
     def test_second_live_session_on_one_journal_is_refused(self, tmp_path):
         async def main():
             async with EditService() as service:

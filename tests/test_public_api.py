@@ -202,6 +202,27 @@ class TestRemovedNamesFailLoudly:
         assert not hasattr(repro.journal.replay, "run_journaled")
         assert not hasattr(EditService, "_session_journal_path")
 
+    @staticmethod
+    def _imperative_experiment_path():
+        import repro.experiments
+        import repro.experiments.runner
+
+        for name in ("run_many", "default_config"):
+            assert not hasattr(repro.experiments, name)
+            assert not hasattr(repro.experiments.runner, name)
+
+    @staticmethod
+    def _evaluation_merge():
+        import numpy as np
+
+        import repro.core.objective
+        from repro.core.objective import Evaluation
+
+        assert not hasattr(repro.core.objective, "merge_evaluations")
+        assert not hasattr(Evaluation, "mergeable")
+        with pytest.raises(TypeError, match="per_rule_agreement"):
+            Evaluation(np.array([1.0]), np.array([3]), 1.0, 1.0, 3, 0)
+
     @pytest.mark.parametrize(
         "check",
         [
@@ -216,6 +237,8 @@ class TestRemovedNamesFailLoudly:
             "_registry_snapshots",
             "_population_stale",
             "_run_journaled",
+            "_imperative_experiment_path",
+            "_evaluation_merge",
         ],
     )
     def test_removed_name(self, check):
