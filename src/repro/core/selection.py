@@ -104,12 +104,20 @@ class IPSelector:
 
     Weights follow the supplement: model-prediction neighbourhoods with
     ``k = 10``, borderline points weighted 3, safe and noisy points 1.
+
+    After a rejected batch the engine asks again with the same dataset
+    revision, population and budget; the integer program then has the same
+    solution, which the selector keeps per ``(cache_token, population,
+    eta, k)`` instead of solving again.  The solver draws no random
+    numbers, so a kept solution changes no later draw.
     """
 
     def __init__(self, *, k_classify: int = 10, borderline_weight: float = 3.0) -> None:
         self.k_classify = k_classify
         self.borderline_weight = borderline_weight
         self._analysis_cache: tuple[object, object] | None = None
+        # (population, (token, eta, k), positions) of the last solved call.
+        self._selection_cache: tuple[object, tuple, list[np.ndarray]] | None = None
 
     def _borderline_analysis(self, union: np.ndarray, ctx: SelectionContext):
         """Classify the candidate union, memoized per dataset revision.
@@ -147,6 +155,10 @@ class IPSelector:
         union = bp.union_indices
         if union.size == 0:
             return [np.empty(0, dtype=np.intp) for _ in bp.per_rule]
+        key = (ctx.cache_token, eta, ctx.k)
+        cached = self._selection_cache
+        if ctx.cache_token is not None and cached and cached[0] is bp and cached[1] == key:
+            return [positions.copy() for positions in cached[2]]
         analysis = self._borderline_analysis(union, ctx)
         problem, candidates = build_selection_problem(
             analysis.weights,
@@ -156,10 +168,14 @@ class IPSelector:
         )
         chosen = solve_selection(problem)
         chosen_rows = candidates[chosen]
-        return [
+        selected = [
             np.flatnonzero(np.isin(pop.indices, chosen_rows)).astype(np.intp)
             for pop in bp.per_rule
         ]
+        if ctx.cache_token is not None:
+            # Keeping ``bp`` itself, not its id, keeps the id from being reused.
+            self._selection_cache = (bp, key, selected)
+        return [positions.copy() for positions in selected]
 
 
 def make_selector(name: str, **kwargs) -> BaseInstanceSelector:

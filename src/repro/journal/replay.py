@@ -372,7 +372,8 @@ class SessionReplay:
 # ---------------------------------------------------------------------- #
 def _validate_resume(state, meta: dict[str, Any]) -> None:
     """Refuse a journal whose stored :func:`run_identity` is not this
-    session's.  A field an older journal does not carry is skipped."""
+    session's.  A field an older journal does not carry is skipped, and
+    so is a key its ``algorithm`` identity does not carry."""
     if not meta.get("seedable") or not isinstance(state.config.random_state, int):
         raise JournalResumeError(
             "journal resume requires an integer random_state (the original "
@@ -383,6 +384,9 @@ def _validate_resume(state, meta: dict[str, Any]) -> None:
         if name not in meta:
             continue
         stored, live = to_jsonable(meta[name]), to_jsonable(live)
+        if name == "algorithm" and isinstance(stored, dict) and isinstance(live, dict):
+            # An older journal names its algorithm by fewer keys.
+            live = {key: live[key] for key in stored if key in live}
         if stored == live:
             continue
         detail = f"journal has {stored!r}, session has {live!r}"

@@ -15,8 +15,11 @@ experiment surface (``ExperimentSpec``, drivers, CLI) accepts the name::
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from repro.engine.registry import InfoRegistry
 from repro.models.base import (
@@ -110,16 +113,47 @@ def algorithm(name: str, *, warm_start: bool = False) -> TrainingAlgorithm:
     :func:`repro.models.base.make_algorithm`.  Opt-in: the default path
     cold-starts every fit and stays parity-pinned.
 
-    The returned callable's ``identity`` (``{"model": name, "warm_start":
-    warm_start}``) is the ``algorithm`` field of a journaled run's
-    identity, so a journal resumes only under the model that wrote it.
+    The returned callable's ``identity`` is the ``algorithm`` field of a
+    journaled run's identity, so a journal resumes only under the model
+    that wrote it: the registered name, ``warm_start``, the estimator's
+    class (``module.qualname``), its constructor parameters (read back
+    from the attributes of the same names; a value that is not a plain
+    scalar is named by its type) and ``standardize``.  A name registered
+    again to another estimator therefore names another algorithm.
     """
     info: ModelInfo = MODELS[name]
     fit = make_algorithm(
         info.factory, standardize=info.standardize, warm_start=warm_start
     )
-    fit.identity = {"model": name, "warm_start": warm_start}  # type: ignore[attr-defined]
+    estimator = info.factory()
+    fit.identity = {  # type: ignore[attr-defined]
+        "model": name,
+        "warm_start": warm_start,
+        "estimator": _qualified_name(type(estimator)),
+        "params": {
+            param: _param_identity(getattr(estimator, param))
+            for param in inspect.signature(type(estimator)).parameters
+            if hasattr(estimator, param)
+        },
+        "standardize": info.standardize,
+    }
     return fit
+
+
+def _qualified_name(kind: type) -> str:
+    return f"{kind.__module__}.{kind.__qualname__}"
+
+
+def _param_identity(value: object) -> object:
+    """A constructor parameter as a run identity holds it: plain scalars
+    (and lists of them) as they are, anything else by its type."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if isinstance(value, (list, tuple)):
+        return [_param_identity(v) for v in value]
+    return _qualified_name(type(value))
 
 
 def paper_algorithm(name: str) -> TrainingAlgorithm:

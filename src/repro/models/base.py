@@ -132,9 +132,12 @@ class TableModel:
         the ``(n, n_classes)`` output is ever resident, never the full
         ``(n, n_features)`` matrix.  Caveat (shared with the incremental
         path, see ``docs/architecture.md``): estimators whose forward pass
-        runs through BLAS matmuls (logistic regression) are not guaranteed
-        *bitwise*-identical between blocked and whole-matrix evaluation;
-        elementwise/per-row estimators (GaussianNB, KNN) are.
+        runs through BLAS matmuls are not guaranteed *bitwise*-identical
+        between blocked and whole-matrix evaluation.  Logistic regression's
+        probabilities may differ in the last bits.  KNN's squared distances
+        (``sq_euclidean``'s ``A @ B.T``) may too, so its votes change only
+        where two neighbours tie within that rounding.  Elementwise
+        estimators (GaussianNB) are bitwise-identical.
         """
         if self.encoder_ is None or self.n_classes_ is None:
             raise RuntimeError("TableModel is not fitted")

@@ -10,16 +10,26 @@ from its own child stream of the forest's seed.  With an integer
 the fit, so a fit keeps them for the next fit of the same shape: the
 memo is keyed by ``(seed, n_estimators, rows, features, features per
 split, bootstrap)`` and holds the last :data:`_MEMO_KEYS` keys.  An entry
-holds every tree's bootstrap sample (read-only) and a
+holds every tree's bootstrap sample (read-only, one row per tree) and a
 :class:`~repro.models.tree._FeatureTape` of its feature draws, which a
 fit extends from the tree's own generator only when it needs a draw past
-its end.  An entry takes about ``n_estimators * rows * 8`` bytes, the
-samples (464 KB for the paper's 50 trees on 1160 car rows); the tapes
-are a few rows of ``features per split`` per tree.  After a rejected
-batch the edit loop refits on as many rows as before, and those refits
-read the memo instead of drawing again; the trees are bit-identical to a
-fit that draws.  A ``Generator`` or ``None`` seed draws afresh on every fit and
-is never kept.
+its end.  The samples take ``n_estimators * rows * 8`` bytes (464 KB for
+the paper's 50 trees on 1160 car rows); the tapes are a few rows of
+``features per split`` per tree.  A ``Generator`` or ``None`` seed draws
+afresh on every fit and is never kept.
+
+An entry also keeps the key's last fit (:class:`_LastFit`): a copy of
+its ``y``, its column binning, which gives its ``X`` back, and the
+record of its split searches (see :func:`~repro.models.tree._replay`),
+one record per key, replaced whole by each fit so that a fit in another
+thread reads one fit's record.  That is the codes of ``X`` plus the
+searched nodes' counts, about 0.37 MB at car size.  After a rejected batch the edit loop refits
+on as many rows as before, the earlier rows unchanged: such a fit reads
+the memo's draws instead of drawing again and, where its columns keep
+their distinct values, replays the last fit from its first changed row,
+counting only the rows from there on and growing again only the trees
+whose splits change.  The trees are bit-identical to a fit that draws
+and grows everything.
 
 ``predict_proba`` walks all trees at once over their concatenated node
 arrays (:class:`~repro.models.tree._ForestNodes`) and adds the trees'
@@ -42,8 +52,12 @@ from repro.models.tree import (
     _FeatureTape,
     _ForestNodes,
     _grow,
+    _GrowRecord,
+    _GrowRounds,
     _leaf_walk,
     _n_split_features,
+    _replay,
+    _write_trees,
 )
 from repro.utils.rng import RandomState, check_random_state, spawn_rng
 from repro.utils.validation import check_fit_inputs, check_predict_input
@@ -55,11 +69,23 @@ _WALK_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
-class _ForestDraws:
-    """What the trees of one fit draw: their samples and feature tape."""
+class _LastFit:
+    """The last fit of a memo key: its labels and binned columns, and the
+    record of its split searches."""
 
-    samples: list[np.ndarray]
+    y: np.ndarray
+    data: _BinnedX
+    record: _GrowRecord | _GrowRounds
+
+
+@dataclass
+class _ForestDraws:
+    """What the trees of one fit draw: their samples, tree ``t``'s in row
+    ``t``, and feature tape; in the memo, also the key's last fit."""
+
+    samples: np.ndarray
     tape: _FeatureTape
+    last: _LastFit | None = None
 
 
 _memo: OrderedDict[tuple, _ForestDraws] = OrderedDict()
@@ -72,11 +98,10 @@ def _draw(
     """Spawn one stream per tree from ``rng`` and draw each tree's sample."""
     rngs = spawn_rng(rng, n_trees)
     if bootstrap:
-        samples = [tree_rng.integers(0, n, size=n) for tree_rng in rngs]
-    else:
-        samples = [np.arange(n, dtype=np.intp)] * n_trees
-    for rows in samples:
-        rows.flags.writeable = False
+        samples = np.stack([tree_rng.integers(0, n, size=n) for tree_rng in rngs])
+        samples.flags.writeable = False
+    else:  # read-only
+        samples = np.broadcast_to(np.arange(n, dtype=np.intp), (n_trees, n))
     return _ForestDraws(samples, _FeatureTape(rngs, d, m))
 
 
@@ -100,6 +125,15 @@ def _forest_draws(
         while len(_memo) > _MEMO_KEYS:
             _memo.popitem(last=False)
     return draws
+
+
+def _shared_rows(last: _LastFit, X: np.ndarray, y: np.ndarray) -> int:
+    """How many leading rows of ``X`` and ``y`` equal the last fit's, whose
+    values its binning gives back."""
+    data = last.data
+    last_X = data.values[data.codes + data.first[:, None]]
+    differs = (last_X != X.T).any(axis=0) | (last.y != y)
+    return int(np.argmax(differs)) if differs.any() else y.size
 
 
 class RandomForestClassifier:
@@ -164,9 +198,32 @@ class RandomForestClassifier:
             for _ in range(self.n_estimators)
         ]
         # Code the columns once and grow every tree on a row sample of them.
-        self._nodes = _grow(
-            self.trees_, _BinnedX.from_array(X), y, n_classes, draws.samples, draws.tape
-        )
+        # A refit of the memo key's last fit whose columns keep their
+        # distinct values replays that fit from its first changed row.
+        last = draws.last
+        data = p = None
+        if last is not None and last.record.root_counts.shape[1] == n_classes:
+            p = _shared_rows(last, X, y)
+            data = last.data.extend(X, p)
+        if data is None:
+            data = _BinnedX.from_array(X)
+            log, record = _grow(self.trees_, data, y, n_classes, draws.samples, draws.tape)
+        else:
+            log, record = _replay(
+                self.trees_,
+                data,
+                y,
+                n_classes,
+                draws.samples,
+                draws.tape,
+                last.record,
+                last.data.codes,
+                last.y,
+                p,
+            )
+        self._nodes = _write_trees(self.trees_, n_classes, d, log)
+        # Replaced whole, so that a fit in another thread reads one fit's record.
+        draws.last = _LastFit(y.copy(), data, record)
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:

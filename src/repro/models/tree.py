@@ -7,9 +7,11 @@ explicit stack, in the pre-order a recursive builder would visit them, so
 a tree that samples features draws them from its own generator in exactly
 that builder's order.  A round takes every tree's next such node (a tree
 that draws no features has independent stack entries and gives its whole
-stack), and one call of :func:`_best_splits` scores them all at once.  A
-node that is a leaf (pure, too small, at the depth cap, or without a
-gainful split) never waits: it is closed in the round that makes it.
+stack), and one split search scores them all at once: :func:`_count_bins`
+counts their histograms and :func:`_score_splits` picks each node's best
+split from its histogram alone.  A node that is a leaf (pure, too small,
+at the depth cap, or without a gainful split) never waits: it is closed
+in the round that makes it.
 Nodes are numbered as they are made, and :func:`_write_trees` renumbers
 each tree's nodes in pre-order at the end.
 
@@ -41,8 +43,25 @@ parent's chosen left or right counts.  The same buffer then routes the
 round's rows: one gather of every row's code on its node's split feature
 splits them into the left rows and the right rows, each grouped by node
 in node order.  A round whose children are all leaves (at the depth cap,
-for instance) routes nothing, since no later round reads their rows.  Only that grouping matters; the order of the rows inside
-a node changes no count.
+for instance) routes nothing, since no later round reads their rows.
+Only that grouping matters; the order of the rows inside a node changes
+no count.
+
+A forest fit can also start from the fit before it (:func:`_replay`).
+:func:`_grow` keeps what each round searched (:class:`_GrowRounds`),
+which becomes a :class:`_GrowRecord` only when a replay reads it: per
+searched node its features, its decision (split feature and code, and
+which children are searched) and its histogram.  A fit of the same
+trees on the same samples whose first ``p`` rows are the last fit's
+counts each recorded node again from the record alone: the recorded
+counts, less the last fit's rows from ``p`` on, plus this fit's, both
+routed down the recorded splits.  One :func:`_score_splits` call
+scores every node of every tree.  A tree whose decisions all hold is
+written from the record with this fit's thresholds and leaf values
+(a node whose children neither fit searches may split anew); the
+other trees grow again with :func:`_grow`.  Counts are integers and
+every float comes from them exactly as a fit that grows every tree
+computes it, so the trees are bit-identical to that fit's.
 
 The result is bit-identical to a recursive builder that sorts each
 feature's values and scores every row position, the original tree, which
@@ -64,7 +83,7 @@ starts every row at the root and takes ``depth_`` steps of
 ``node = children_[2 * node + (x[feature_[node]] > threshold_[node])]``,
 each one a few ``take`` calls over all rows (:func:`_leaf_walk`), and
 then reads ``value_`` at each row's node.  A forest walks all its trees
-at once: :func:`_grow` also returns their nodes in one set of arrays
+at once: :func:`_write_trees` also returns their nodes in one set of arrays
 with global child ids (:class:`_ForestNodes`), and :func:`_leaf_walk`
 starts each tree's rows at its root, so one walk's ``take`` calls cover
 trees times rows.  On the paper's 50 shallow trees and a few thousand
@@ -84,7 +103,7 @@ across fits of the same shape (see :mod:`repro.models.forest`).
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -121,6 +140,24 @@ class _BinnedX:
         # The empty head gives concatenate an array when X has no columns.
         return cls(codes, np.concatenate([np.empty(0, X.dtype), *values]), first, n_bins)
 
+    def extend(self, X: np.ndarray, p: int) -> "_BinnedX | None":
+        """The binning of ``X``, whose first ``p`` rows are those this
+        binning codes, by coding only its rows from ``p`` on; None unless
+        ``X`` has the same distinct values in every column."""
+        codes = np.empty((X.shape[1], X.shape[0]), dtype=np.intp)
+        codes[:, :p] = self.codes[:, :p]
+        for f, (lo, size) in enumerate(zip(self.first.tolist(), self.n_bins.tolist())):
+            values = self.values[lo : lo + size]
+            at = np.searchsorted(values, X[p:, f]).clip(max=size - 1)
+            if not (values[at] == X[p:, f]).all():
+                return None
+            codes[f, p:] = at
+        # Every value must keep a row.
+        bins = (codes + self.first[:, None]).ravel()
+        if np.count_nonzero(np.bincount(bins, minlength=self.values.size)) < self.values.size:
+            return None
+        return _BinnedX(codes, self.values, self.first, self.n_bins)
+
 
 def _impurity_from_counts(
     counts: np.ndarray, criterion: str, total: np.ndarray | None = None
@@ -146,7 +183,13 @@ def _dense_counts(keys: np.ndarray, n_cells: int, c: int) -> tuple[np.ndarray, .
     ``n_cells``, counted into one cell per (bin, label): ``bins`` are the
     bins with keys, ``hist`` their class counts and ``through`` the number
     of keys up to and including each of them."""
-    counts = np.bincount(keys, minlength=n_cells).reshape(-1, c)
+    return _present_bins(np.bincount(keys, minlength=n_cells), c)
+
+
+def _present_bins(cells: np.ndarray, c: int) -> tuple[np.ndarray, ...]:
+    """:func:`_dense_counts` of the keys counted in ``cells``, one entry
+    per (bin, label)."""
+    counts = cells.reshape(-1, c)
     bin_rows = counts.sum(axis=1)
     bins = np.flatnonzero(bin_rows)
     return bins, counts[bins], np.cumsum(bin_rows)[bins]
@@ -157,12 +200,19 @@ def _sorted_counts(keys: np.ndarray, c: int) -> tuple[np.ndarray, ...]:
     its runs, at a cost that follows the keys, not the cells."""
     keys.sort()
     first = np.flatnonzero(_run_starts(keys))
-    cells = keys[first]  # one per present (bin, label)
+    return _cell_runs(keys[first], np.diff(np.append(first, keys.size)), c)
+
+
+def _cell_runs(cells: np.ndarray, n_keys: np.ndarray, c: int) -> tuple[np.ndarray, ...]:
+    """:func:`_dense_counts` of ascending distinct (bin, label) cells
+    holding ``n_keys`` keys each."""
     cell_bins = cells // c
     new_bin = _run_starts(cell_bins)
     hist = np.zeros((np.count_nonzero(new_bin), c), dtype=np.intp)
-    hist[np.cumsum(new_bin) - 1, cells % c] = np.append(first[1:], keys.size) - first
-    return cell_bins[new_bin], hist, np.append(first[new_bin][1:], keys.size)
+    hist[np.cumsum(new_bin) - 1, cells % c] = n_keys
+    bin_last = np.ones(cells.size, dtype=bool)  # the last cell of its bin
+    bin_last[:-1] = new_bin[1:]
+    return cell_bins[new_bin], hist, np.cumsum(n_keys)[bin_last]
 
 
 @dataclass(frozen=True)
@@ -191,39 +241,42 @@ class _ForestNodes:
     depth: int
 
 
-def _best_splits(
-    data: _BinnedX,
-    keys_table: np.ndarray,
-    rows: np.ndarray,
-    sizes: np.ndarray,
-    counts: np.ndarray,
-    features: np.ndarray,
-    scratch: np.ndarray,
-    *,
-    criterion: str,
-    min_samples_leaf: int,
-) -> _Splits:
-    """Best split of every node of a round, found in one pass.
-
-    Node ``i`` holds ``sizes[i]`` rows (repeats allowed), stored in
-    ``rows`` one node after another, with class counts ``counts[i]``, and
-    scans the features ``features[i]``.  ``keys_table`` is
-    ``codes * c + y``.  The keys are written into ``scratch``, which holds
-    at least ``(m + 1) * rows.size`` entries.
-    """
-    n_nodes, m = features.shape
-    c = counts.shape[1]
-    n = keys_table.shape[1]
-    n_rows = rows.size
-    # Histogram bins: slot s = i * m + j (node i, its j-th feature) owns
-    # bins [starts[s], ends[s]), one per distinct value of the feature; a
-    # key is bin * c + label.
+def _slot_bins(data: _BinnedX, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(starts, ends)`` of every slot's histogram bins: slot ``s = i * m
+    + j`` (node ``i``, its ``j``-th feature of ``features``) owns the bins
+    ``[starts[s], ends[s])``, one per distinct value of the feature."""
     n_bins = data.n_bins[features].ravel()
     ends = np.cumsum(n_bins)
-    starts = ends - n_bins
-    # Feature-major: keys[j] holds every row's key for its node's j-th
-    # feature, built from per-node constants repeated over the node's rows.
-    # (The indices are in range; mode="raise" would copy ``out`` first.)
+    return ends - n_bins, ends
+
+
+def _count_bins(
+    data: _BinnedX,
+    keys_table: np.ndarray,
+    c: int,
+    rows: np.ndarray,
+    sizes: np.ndarray,
+    features: np.ndarray,
+    scratch: np.ndarray,
+) -> tuple[np.ndarray, ...]:
+    """The histogram of every node of a round, the counting half of the
+    split search: ``(bins, hist, through)`` as :func:`_dense_counts` gives
+    them, over the bins :func:`_slot_bins` lays out.
+
+    Node ``i`` holds ``sizes[i]`` rows (repeats allowed), stored in
+    ``rows`` one node after another, and scans the features
+    ``features[i]``.  ``keys_table`` is ``codes * c + y``.  The keys are
+    written into ``scratch``, which holds at least ``(m + 1) * rows.size``
+    entries.
+    """
+    n_nodes, m = features.shape
+    n = keys_table.shape[1]
+    n_rows = rows.size
+    starts, ends = _slot_bins(data, features)
+    # Feature-major: keys[j] holds every row's key, bin * c + label, for
+    # its node's j-th feature, built from per-node constants repeated over
+    # the node's rows.  (The indices are in range; mode="raise" would copy
+    # ``out`` first.)
     keys = scratch[: m * n_rows].reshape(m, n_rows)
     at = scratch[m * n_rows : (m + 1) * n_rows]
     column_start = features.T * n
@@ -233,17 +286,38 @@ def _best_splits(
         keys_table.take(at, out=keys[j], mode="clip")
         keys[j] += np.repeat(first_key[j], sizes)
     keys = keys.ravel()
-    # bins holds the bins present at their node (values with rows there),
-    # hist[i] the class counts of bins[i], through[i] the keys up to and
-    # including bins[i].  A round with no more (bin, label) cells than keys
-    # counts into one array of cells; one with more, such as deep nodes on
-    # many-valued columns, sorts its keys.  Either way the counts are never
-    # longer than the keys.
-    n_cells = int(n_bins.sum()) * c
+    # A round with no more (bin, label) cells than keys counts into one
+    # array of cells; one with more, such as deep nodes on many-valued
+    # columns, sorts its keys.  Either way the counts are never longer
+    # than the keys.
+    n_cells = int(ends[-1]) * c if ends.size else 0
     if n_cells <= keys.size:
-        bins, hist, through = _dense_counts(keys, n_cells, c)
-    else:
-        bins, hist, through = _sorted_counts(keys, c)
+        return _dense_counts(keys, n_cells, c)
+    return _sorted_counts(keys, c)
+
+
+def _score_splits(
+    data: _BinnedX,
+    bins: np.ndarray,
+    hist: np.ndarray,
+    through: np.ndarray,
+    counts: np.ndarray,
+    features: np.ndarray,
+    *,
+    criterion: str,
+    min_samples_leaf: int,
+) -> _Splits:
+    """Best split of every node of a round from its histogram, the scoring
+    half of the split search.
+
+    Node ``i`` has class counts ``counts[i]`` and scans the features
+    ``features[i]``; ``(bins, hist, through)`` count its rows as
+    :func:`_count_bins` does.  A node's split depends only on its own
+    counts, not on the other nodes scored with it.
+    """
+    m = features.shape[1]
+    sizes = counts.sum(axis=1)
+    starts, ends = _slot_bins(data, features)
     seg = np.searchsorted(ends, bins, side="right")  # slot of each bin
     # A boundary follows every present value but each slot's largest.
     cand = np.flatnonzero(seg[:-1] == seg[1:])
@@ -381,22 +455,202 @@ class _FeatureTape:
             return self._state
 
 
+def _is_leaf(counts: np.ndarray, depth: np.ndarray, params: DecisionTreeClassifier) -> np.ndarray:
+    """Which nodes are leaves without a split search: pure, too small or
+    at the depth cap."""
+    leaf = np.count_nonzero(counts, axis=1) == 1
+    leaf |= counts.sum(axis=1) < params.min_samples_split
+    if params.max_depth is not None:
+        leaf |= depth >= params.max_depth
+    return leaf
+
+
+@dataclass
+class _NodeLog:
+    """The nodes of a fit in the order they are made, which
+    :func:`_write_trees` turns into trees.
+
+    Nodes get ids in that order, a split's left and right child next to
+    each other.  ``tree`` and ``depth`` hold every node's tree and depth,
+    a batch of nodes per entry; ``leaf_ids`` and ``leaf_values`` every
+    leaf's id and class distribution; ``splits`` one ``(ids, feature,
+    threshold, left child ids)`` entry per batch of splits, each entry's
+    parents split in earlier entries.
+    """
+
+    tree: list[np.ndarray] = field(default_factory=list)
+    depth: list[np.ndarray] = field(default_factory=list)
+    leaf_ids: list[np.ndarray] = field(default_factory=list)
+    leaf_values: list[np.ndarray] = field(default_factory=list)
+    splits: list[tuple[np.ndarray, ...]] = field(default_factory=list)
+    n_nodes: int = 0
+
+    def add(self, tree: np.ndarray, depth: np.ndarray) -> int:
+        """Make nodes in the trees ``tree`` at ``depth``; return the first's id."""
+        first = self.n_nodes
+        self.tree.append(tree)
+        self.depth.append(depth)
+        self.n_nodes += tree.size
+        return first
+
+    def close(self, ids: np.ndarray, counts: np.ndarray) -> None:
+        """Make the nodes ``ids`` leaves with the class counts ``counts``."""
+        self.leaf_ids.append(ids)
+        self.leaf_values.append(counts / counts.sum(axis=1, keepdims=True))
+
+
+@dataclass(frozen=True)
+class _GrowRecord:
+    """What a fit decided at every node it searched, and the counts it
+    decided from: :func:`_replay` starts the next fit from them.
+
+    Searched node ``g`` is in tree ``tree[g]`` at depth ``depth[g]``,
+    scanned the features ``features[g]`` and split on ``feature[g]`` at
+    ``code[g]`` (both -1 where no split gained).  ``child[g]`` holds the
+    searched nodes that are its left and right child, -1 for a leaf.  A
+    tree's nodes are in the order it searched them, so a parent comes
+    before its children.  ``counts[g]`` are the node's class counts, and
+    its histogram is the entries ``e`` with ``cell_node[e] == g``:
+    ``cell_hist[e]`` are the class counts of bin ``cell_bin[e]`` of the
+    node's bins, which run feature after feature as :func:`_slot_bins`
+    lays them out.  ``root_counts[t]`` are the class counts of tree
+    ``t``'s sample.
+    """
+
+    tree: np.ndarray
+    depth: np.ndarray
+    features: np.ndarray
+    feature: np.ndarray
+    code: np.ndarray
+    child: np.ndarray
+    counts: np.ndarray
+    cell_node: np.ndarray
+    cell_bin: np.ndarray
+    cell_hist: np.ndarray
+    root_counts: np.ndarray
+
+    def select(self, keep: np.ndarray) -> "_GrowRecord":
+        """The record of the searched nodes ``keep`` (a mask) alone, whose
+        children are kept with them."""
+        index = np.cumsum(keep) - 1
+        cells = keep[self.cell_node]
+        return replace(
+            self,
+            **{name: getattr(self, name)[keep] for name in _NODE_FIELDS},
+            child=np.where(self.child[keep] >= 0, index[self.child[keep]], -1),
+            cell_node=index[self.cell_node[cells]],
+            cell_bin=self.cell_bin[cells],
+            cell_hist=self.cell_hist[cells],
+        )
+
+    def join(self, other: "_GrowRecord") -> "_GrowRecord":
+        """This record's nodes, then ``other``'s; this record's roots."""
+        g = self.tree.size
+        return replace(
+            self,
+            **{
+                name: np.concatenate((getattr(self, name), getattr(other, name)))
+                for name in (*_NODE_FIELDS, "cell_bin", "cell_hist")
+            },
+            child=np.concatenate((self.child, np.where(other.child >= 0, other.child + g, -1))),
+            cell_node=np.concatenate((self.cell_node, other.cell_node + g)),
+        )
+
+
+_NODE_FIELDS = ("tree", "depth", "features", "feature", "code", "counts")
+
+
+@dataclass(frozen=True)
+class _GrowRounds:
+    """The split searches of a :func:`_grow` call as its rounds made them:
+    per round ``(ids, trees, depths, features, counts, (bins, hist,
+    through), splits, first child id)`` of the nodes it searched, a tree
+    ``t`` of the call being tree ``tree_ids[t]``.  :meth:`record` puts
+    them in order only when a replay reads them, so a fit that is never
+    replayed pays for none of it."""
+
+    rounds: list[tuple]
+    tree_ids: np.ndarray
+    n_nodes: int
+    m: int
+    root_counts: np.ndarray
+
+    def record(self, data: _BinnedX) -> _GrowRecord:
+        """The :class:`_GrowRecord` of the searches, in ``data``'s binning."""
+        c = self.root_counts.shape[1]
+        shapes = [(0,)] * 3 + [(0, self.m), (0, c)] + [(0,)] * 5 + [(0, c)]
+        columns = [[np.empty(shape, dtype=np.intp)] for shape in shapes]
+        n_before = bins_before = 0
+        for ids, tree, depth, features, counts, hist, splits, first in self.rounds:
+            # The round's nodes and bins are numbered after earlier rounds'.
+            parts = (
+                ids,
+                tree,
+                depth,
+                features,
+                counts,
+                splits.node + n_before,
+                splits.feature,
+                splits.code,
+                first + 2 * np.arange(splits.node.size),
+                hist[0] + bins_before,
+                hist[1],
+            )
+            for column, part in zip(columns, parts):
+                column.append(part)
+            n_before += ids.size
+            bins_before += int(data.n_bins[features].sum())
+        ids, tree, depth, features, counts, split, split_feature, split_code, left, bins, hist = (
+            np.concatenate(column) for column in columns
+        )
+        feature = np.full(ids.size, -1, dtype=np.intp)
+        feature[split] = split_feature
+        code = np.full(ids.size, -1, dtype=np.intp)
+        code[split] = split_code
+        # Split j's children have the ids left[j] and left[j] + 1; a leaf
+        # is never searched, so its id maps to -1, and so does -1.
+        searched = np.full(self.n_nodes + 1, -1, dtype=np.intp)
+        searched[ids] = np.arange(ids.size)
+        child = np.full((ids.size, 2), -1, dtype=np.intp)
+        child[split] = searched[left[:, None] + np.arange(2)]
+        node_bins = data.n_bins[features].sum(axis=1)
+        node_end = np.cumsum(node_bins)
+        cell_node = np.searchsorted(node_end, bins, side="right")
+        return _GrowRecord(
+            self.tree_ids[tree],
+            depth,
+            features,
+            feature,
+            code,
+            child,
+            counts,
+            cell_node,
+            bins - (node_end - node_bins)[cell_node],
+            hist,
+            self.root_counts,
+        )
+
+
 def _grow(
     trees: list[DecisionTreeClassifier],
     data: _BinnedX,
     y: np.ndarray,
     n_classes: int,
-    samples: list[np.ndarray],
+    samples: list[np.ndarray] | np.ndarray,
     tape: _FeatureTape,
-) -> _ForestNodes:
+    *,
+    tree_ids: np.ndarray | None = None,
+) -> tuple[_NodeLog, _GrowRounds]:
     """Grow ``trees``, which share their parameters, in lockstep.
 
     Tree ``t`` trains on the rows ``samples[t]`` of the validated, binned
     data and reads the features of its k-th split search from row ``k``
-    of its draws on ``tape``, ``_n_split_features`` of the ``d`` columns
-    (the tape is not read when that is all of them).  A row may repeat (a bootstrap sample); a repeat
-    counts as often as it appears, exactly as if the sample had been
-    copied out.  Returns the trees' nodes in one set of arrays.
+    of tree ``tree_ids[t]``'s draws on ``tape`` (``tree_ids`` defaults to
+    ``0, 1, ...``), ``_n_split_features`` of the ``d`` columns (the tape
+    is not read when that is all of them).  A row may repeat (a bootstrap
+    sample); a repeat counts as often as it appears, exactly as if the
+    sample had been copied out.  Returns the log of the trees' nodes, each
+    node's tree given by ``tree_ids``, and the trees' split searches.
     """
     params = trees[0]
     d, n = data.codes.shape
@@ -408,40 +662,23 @@ def _grow(
     # keys.  A tree's waiting nodes hold disjoint parts of its sample, so
     # no round has more rows than the root round.
     scratch = np.empty((m + 2) * sum(rows.size for rows in samples), dtype=np.intp)
-
-    def is_leaf(counts: np.ndarray, depth: np.ndarray) -> np.ndarray:
-        """Which nodes are leaves without a split search: pure, too small
-        or at the depth cap."""
-        leaf = np.count_nonzero(counts, axis=1) == 1
-        leaf |= counts.sum(axis=1) < params.min_samples_split
-        if params.max_depth is not None:
-            leaf |= depth >= params.max_depth
-        return leaf
-
-    # Nodes get ids in the order they are created, the roots first and a
-    # split's left and right child next to each other; the per-tree
-    # pre-order ids are worked out at the end.  Per node: its tree and
-    # depth; per leaf: its class distribution; per split: its id,
-    # feature, threshold and left child's id (the right child's is next).
     n_trees = len(trees)
-    node_tree = [np.arange(n_trees)]
-    node_depth = [np.zeros(n_trees, dtype=np.intp)]
-    leaf_ids, leaf_values, split_log = [], [], []
-
-    def close(ids: np.ndarray, counts: np.ndarray) -> None:
-        leaf_ids.append(ids)
-        leaf_values.append(counts / counts.sum(axis=1, keepdims=True))
+    if tree_ids is None:
+        tree_ids = np.arange(n_trees)
+    log = _NodeLog()
+    # What each round searched (see _GrowRounds).
+    rounds: list[tuple] = []
 
     # A stack entry is a node that needs a split search: (id, tree, rows,
     # class counts, depth).
     # One bincount of (tree, label) keys counts every root.
     tree_keys = np.repeat(np.arange(n_trees) * n_classes, [rows.size for rows in samples])
     tree_keys += y.take(np.concatenate(samples))
-    counts = np.bincount(tree_keys, minlength=n_trees * n_classes).reshape(n_trees, n_classes)
-    leaf = is_leaf(counts, node_depth[0])
-    close(np.flatnonzero(leaf), counts[leaf])
-    stacks = [[] if leaf[t] else [(t, t, samples[t], counts[t], 0)] for t in range(n_trees)]
-    n_nodes = n_trees
+    root_counts = np.bincount(tree_keys, minlength=n_trees * n_classes).reshape(n_trees, n_classes)
+    log.add(tree_ids, np.zeros(n_trees, dtype=np.intp))
+    leaf = _is_leaf(root_counts, np.zeros(n_trees, dtype=np.intp), params)
+    log.close(np.flatnonzero(leaf), root_counts[leaf])
+    stacks = [[] if leaf[t] else [(t, t, samples[t], root_counts[t], 0)] for t in range(n_trees)]
     n_read = np.zeros(n_trees, dtype=np.intp)  # tape rows each tree has read
     while True:
         waiting = []
@@ -449,53 +686,52 @@ def _grow(
             # One node per tree: the tree's next node depends on this split.
             drawing = np.array([t for t, stack in enumerate(stacks) if stack], dtype=np.intp)
             waiting = [stacks[t].pop() for t in drawing.tolist()]
-            drawn = tape.take(drawing, n_read[drawing])
+            features = tape.take(tree_ids[drawing], n_read[drawing])
             n_read[drawing] += 1
         else:
             for stack in stacks:
                 waiting += stack
                 stack.clear()
+            features = np.tile(np.arange(d), (len(waiting), 1))
         if not waiting:
             break
         ids = np.array([w[0] for w in waiting])
+        node_tree = np.array([w[1] for w in waiting])
+        node_depth = np.array([w[4] for w in waiting])
         counts = np.array([w[3] for w in waiting])
         sizes = counts.sum(axis=1)
         n_rows = int(sizes.sum())
         rows = np.concatenate([w[2] for w in waiting], out=scratch[:n_rows])
-        splits = _best_splits(
+        hist = _count_bins(data, keys_table, n_classes, rows, sizes, features, scratch[n_rows:])
+        splits = _score_splits(
             data,
-            keys_table,
-            rows,
-            sizes,
+            *hist,
             counts,
-            drawn if draws else np.tile(np.arange(d), (len(waiting), 1)),
-            scratch[n_rows:],
+            features,
             criterion=params.criterion,
             min_samples_leaf=params.min_samples_leaf,
         )
         # A node without a split is a leaf.
         no_split = np.ones(len(waiting), dtype=bool)
         no_split[splits.node] = False
-        close(ids[no_split], counts[no_split])
+        log.close(ids[no_split], counts[no_split])
+        rounds.append((ids, node_tree, node_depth, features, counts, hist, splits, log.n_nodes))
         split_nodes = splits.node.tolist()
         k = len(split_nodes)
         if not k:
             continue
         # Split j's children get the ids first + 2j (left) and first + 2j + 1.
-        first = n_nodes
-        n_nodes += 2 * k
+        child_depth = np.repeat(node_depth[splits.node] + 1, 2)
+        first = log.add(tree_ids[np.repeat(node_tree[splits.node], 2)], child_depth)
         child_counts = np.empty((k, 2, n_classes), dtype=counts.dtype)
         child_counts[:, 0] = splits.left
         child_counts[:, 1] = counts[splits.node] - splits.left
         child_counts = child_counts.reshape(2 * k, n_classes)
-        child_depth = np.repeat([waiting[i][4] + 1 for i in split_nodes], 2)
-        child_leaf = is_leaf(child_counts, child_depth)
-        split_log.append(
+        child_leaf = _is_leaf(child_counts, child_depth, params)
+        log.splits.append(
             (ids[splits.node], splits.feature, splits.threshold, first + 2 * np.arange(k))
         )
-        node_tree.append(np.repeat([waiting[i][1] for i in split_nodes], 2))
-        node_depth.append(child_depth)
-        close(first + np.flatnonzero(child_leaf), child_counts[child_leaf])
+        log.close(first + np.flatnonzero(child_leaf), child_counts[child_leaf])
         if child_leaf.all():
             # Every child is a leaf (at the depth cap, say): no child needs
             # its rows.
@@ -534,27 +770,238 @@ def _grow(
             if pending[2 * j]:
                 left = left_rows[left_bounds[i] : left_bounds[i + 1]]
                 stacks[t].append((first + 2 * j, t, left, child_counts[2 * j], depth))
-    return _write_trees(trees, n_classes, d, node_tree, node_depth, leaf_ids, leaf_values, split_log)
+    return log, _GrowRounds(rounds, tree_ids, log.n_nodes, m, root_counts)
+
+
+def _signed_counts(keys: np.ndarray, add: np.ndarray, size: int) -> np.ndarray:
+    """Counts of the keys where ``add`` less counts of the others."""
+    return np.bincount(keys[add], minlength=size) - np.bincount(keys[~add], minlength=size)
+
+
+def _merged_counts(
+    bins: np.ndarray, hist: np.ndarray, keys: np.ndarray, add: np.ndarray, n_bins: int, c: int
+) -> tuple[np.ndarray, ...]:
+    """:func:`_dense_counts` of the recorded counts ``hist`` of the distinct
+    ``bins`` (of ``n_bins``), plus the ``keys`` where ``add`` and less the
+    others."""
+    if n_bins * c <= hist.size + keys.size:
+        cells = np.zeros((n_bins, c), dtype=np.intp)
+        cells[bins] = hist
+        cells = cells.ravel()
+        cells += _signed_counts(keys, add, n_bins * c)
+        return _present_bins(cells, c)
+    # Many cells (deep nodes on many-valued columns): add the recorded and
+    # the routed counts by sorting their keys, not into cells.
+    keys = np.concatenate((((bins * c)[:, None] + np.arange(c)).ravel(), keys))
+    weight = np.concatenate((hist.ravel(), np.where(add, 1, -1)))
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = np.flatnonzero(_run_starts(keys))
+    n_keys = np.add.reduceat(weight[order], first)
+    held = n_keys > 0
+    return _cell_runs(keys[first][held], n_keys[held], c)
+
+
+def _log_kept(
+    log: _NodeLog,
+    last: _GrowRecord,
+    root: np.ndarray,
+    kept_tree: np.ndarray,
+    keep: np.ndarray,
+    root_counts: np.ndarray,
+    counts: np.ndarray,
+    feature: np.ndarray,
+    threshold: np.ndarray,
+    child_counts: np.ndarray,
+) -> None:
+    """Log the nodes of the trees ``kept_tree`` (a mask) that keep the
+    shape of ``last``, whose searched nodes ``keep`` are theirs: their
+    roots, then the children of their splits.  ``root[t]`` is tree ``t``'s
+    root among the searched nodes, -1 for a leaf.  Per searched node: its
+    class counts, split (``feature`` -1 for none), threshold and its
+    children's class counts."""
+    kept = np.flatnonzero(kept_tree)
+    first = log.add(kept, np.zeros(kept.size, dtype=np.intp))
+    node_id = np.full(keep.size, -1, dtype=np.intp)
+    kept_root = root[kept]
+    node_id[kept_root[kept_root >= 0]] = first + np.flatnonzero(kept_root >= 0)
+    log.close(first + np.flatnonzero(kept_root < 0), root_counts[kept[kept_root < 0]])
+    # Split j's children get the ids child_first[j] and child_first[j] + 1.
+    split = np.flatnonzero(keep & (feature >= 0))  # parents before children
+    child_first = log.add(np.repeat(last.tree[split], 2), np.repeat(last.depth[split] + 1, 2))
+    child_first += 2 * np.arange(split.size)
+    child_ids = child_first[:, None] + np.arange(2)
+    child = last.child[split]
+    node_id[child[child >= 0]] = child_ids[child >= 0]
+    unsplit = np.flatnonzero(keep & (feature < 0))
+    log.close(node_id[unsplit], counts[unsplit])
+    log.close(child_ids[child < 0], child_counts[split][child < 0])
+    depth = last.depth[split]
+    for level in np.unique(depth).tolist():  # parents before children
+        at = depth == level
+        log.splits.append(
+            (node_id[split[at]], feature[split[at]], threshold[split[at]], child_first[at])
+        )
+
+
+def _replay(
+    trees: list[DecisionTreeClassifier],
+    data: _BinnedX,
+    y: np.ndarray,
+    n_classes: int,
+    samples: np.ndarray,
+    tape: _FeatureTape,
+    last: _GrowRecord | _GrowRounds,
+    last_codes: np.ndarray,
+    last_y: np.ndarray,
+    p: int,
+) -> tuple[_NodeLog, _GrowRecord]:
+    """:func:`_grow`, started from ``last``, the split
+    searches of a fit of the same trees on the same samples and tape whose
+    codes ``last_codes`` and labels ``last_y`` (in ``data``'s binning)
+    equal this fit's in the first ``p`` rows.  Returns the log of the
+    trees' nodes and the record of this fit's searches.
+
+    Every node ``last`` searched gets the counts it holds if its tree
+    makes ``last``'s decisions: the recorded counts, less those of the
+    last fit's rows from ``p`` on, plus those of this fit's rows from
+    ``p`` on, each row routed through the recorded splits.  One
+    :func:`_score_splits` call scores every node.  A tree keeps the
+    record's shape, with this fit's thresholds and leaf values, when
+    every node searches the children it searched before and splits on
+    the recorded feature and code; a node whose children neither fit
+    searches may split anew, since that moves no other node's rows or
+    tape row.  The other trees grow again with :func:`_grow`.  The counts
+    are integers and every float comes from them as in :func:`_grow`, so
+    the trees are bit-identical to a fit that grows them all.
+    """
+    params = trees[0]
+    if isinstance(last, _GrowRounds):
+        last = last.record(data)
+    c = n_classes
+    n_trees, n_searched = len(trees), last.tree.size
+    tail = y.size - p
+    # Every tree's sample rows from p on, twice: as the last fit's rows
+    # (columns below ``tail`` of ``codes``) and as this fit's.
+    sample = samples.ravel()
+    at = np.flatnonzero(sample >= p)
+    row_tree, col = at // y.size, sample[at] - p
+    row_tree, col = np.concatenate((row_tree, row_tree)), np.concatenate((col, col + tail))
+    codes = np.concatenate((last_codes[:, p:], data.codes[:, p:]), axis=1)
+    labels = np.concatenate((last_y[p:], y[p:]))
+    root_counts = last.root_counts + _signed_counts(
+        row_tree * c + labels[col], col >= tail, n_trees * c
+    ).reshape(n_trees, c)
+    # Walk the rows down the recorded splits, noting every searched node
+    # they pass.
+    root = np.full(n_trees, -1, dtype=np.intp)
+    at_root = np.flatnonzero(last.depth == 0)
+    root[last.tree[at_root]] = at_root
+    node = root[row_tree]
+    node, col = node[node >= 0], col[node >= 0]
+    passed, passed_col = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+    while node.size:
+        passed.append(node)
+        passed_col.append(col)
+        split = last.feature[node] >= 0
+        node, col = node[split], col[split]
+        right = codes[last.feature[node], col] > last.code[node]
+        node = last.child.ravel()[2 * node + right]
+        node, col = node[node >= 0], col[node >= 0]
+    node, col = np.concatenate(passed), np.concatenate(passed_col)
+    label, add = labels[col], col >= tail
+    counts = last.counts + _signed_counts(node * c + label, add, n_searched * c).reshape(
+        n_searched, c
+    )
+    # The passed nodes' keys, laid out as one round of every searched node.
+    slot_bins = data.n_bins[last.features]
+    starts = np.cumsum(slot_bins.ravel()).reshape(slot_bins.shape) - slot_bins
+    keys = starts[node]
+    keys += codes.ravel()[last.features[node] * codes.shape[1] + col[:, None]]
+    keys *= c
+    keys += label[:, None]
+    keys = keys.ravel()
+    add = np.repeat(add, slot_bins.shape[1])
+    node_bins = slot_bins.sum(axis=1)
+    node_end = np.cumsum(node_bins)
+    node_start = node_end - node_bins
+    n_bins = int(node_end[-1]) if n_searched else 0
+    hist = _merged_counts(
+        node_start[last.cell_node] + last.cell_bin, last.cell_hist, keys, add, n_bins, c
+    )
+    splits = _score_splits(
+        data,
+        *hist,
+        counts,
+        last.features,
+        criterion=params.criterion,
+        min_samples_leaf=params.min_samples_leaf,
+    )
+    feature = np.full(n_searched, -1, dtype=np.intp)
+    feature[splits.node] = splits.feature
+    code = np.full(n_searched, -1, dtype=np.intp)
+    code[splits.node] = splits.code
+    threshold = np.zeros(n_searched)
+    threshold[splits.node] = splits.threshold
+    child_counts = np.zeros((n_searched, 2, c), dtype=np.intp)
+    child_counts[splits.node, 0] = splits.left
+    child_counts[splits.node, 1] = counts[splits.node] - splits.left
+    child_leaf = _is_leaf(
+        child_counts.reshape(2 * n_searched, c), np.repeat(last.depth + 1, 2), params
+    ).reshape(n_searched, 2)
+    searched = ~child_leaf & (feature >= 0)[:, None]
+    # A node may split anew where neither fit searches its children: no
+    # other node's rows or tape row moves.
+    differs = (searched != (last.child >= 0)).any(axis=1)
+    differs |= ((feature != last.feature) | (code != last.code)) & searched.any(axis=1)
+    regrow = _is_leaf(root_counts, np.zeros(n_trees, dtype=np.intp), params) == (root >= 0)
+    regrow[last.tree[differs]] = True
+    grown = np.flatnonzero(regrow)
+    if grown.size:
+        log, grown_record = _grow(
+            [trees[t] for t in grown],
+            data,
+            y,
+            c,
+            [samples[t] for t in grown],
+            tape,
+            tree_ids=grown,
+        )
+    else:
+        log, grown_record = _NodeLog(), None
+    keep = ~regrow[last.tree]
+    _log_kept(
+        log, last, root, ~regrow, keep, root_counts, counts, feature, threshold, child_counts
+    )
+    cell_node = np.searchsorted(node_end, hist[0], side="right")
+    record = replace(
+        last,
+        feature=feature,
+        code=code,
+        counts=counts,
+        cell_node=cell_node,
+        cell_bin=hist[0] - node_start[cell_node],
+        cell_hist=hist[1],
+        root_counts=root_counts,
+    ).select(keep)
+    return log, record if grown_record is None else record.join(grown_record.record(data))
 
 
 def _write_trees(
     trees: list[DecisionTreeClassifier],
     n_classes: int,
     d: int,
-    node_tree: list[np.ndarray],
-    node_depth: list[np.ndarray],
-    leaf_ids: list[np.ndarray],
-    leaf_values: list[np.ndarray],
-    split_log: list[tuple[np.ndarray, ...]],
+    log: _NodeLog,
 ) -> _ForestNodes:
     """Give each tree its node arrays, its nodes numbered in pre-order,
-    from the nodes :func:`_grow` logged in creation order; return all of
-    them in one set."""
-    tree_of = np.concatenate(node_tree)
-    depth_of = np.concatenate(node_depth)
+    from the nodes ``log`` holds in creation order (tree ``t`` of the log
+    is ``trees[t]``); return all of them in one set."""
+    tree_of = np.concatenate(log.tree)
+    depth_of = np.concatenate(log.depth)
+    split_log = log.splits
     n_nodes = tree_of.size
     value = np.zeros((n_nodes, n_classes))
-    value[np.concatenate(leaf_ids)] = np.concatenate(leaf_values)
+    value[np.concatenate(log.leaf_ids)] = np.concatenate(log.leaf_values)
     feature = np.zeros(n_nodes, dtype=np.intp)
     threshold = np.zeros(n_nodes)
     left = np.arange(n_nodes)  # a leaf's children are itself
@@ -670,7 +1117,8 @@ class DecisionTreeClassifier:
         rows = np.arange(n, dtype=np.intp)
         rng = check_random_state(self.random_state)
         tape = _FeatureTape([rng], d, _n_split_features(self.max_features, d))
-        _grow([self], _BinnedX.from_array(X), y, n_classes, [rows], tape)
+        log, _ = _grow([self], _BinnedX.from_array(X), y, n_classes, [rows], tape)
+        _write_trees([self], n_classes, d, log)
         return self
 
     # ------------------------------------------------------------------ #

@@ -29,13 +29,14 @@ class TestAllocate:
                 assert sum(_allocate_per_rule(eta, m)) == eta
 
 
-def _ctx(dataset, predictions=None, seed=0, frs=None):
+def _ctx(dataset, predictions=None, seed=0, frs=None, cache_token=None):
     return SelectionContext(
         dataset,
         predictions,
         k=5,
         rng=np.random.default_rng(seed),
         frs=frs,
+        cache_token=cache_token,
     )
 
 
@@ -86,6 +87,37 @@ class TestIPSelector:
         bp = preselect_base_population(mixed_dataset, two_rule_frs, k=5)
         sel = IPSelector().select(bp, 12, _ctx(mixed_dataset, None))
         assert any(s.size for s in sel)
+
+    def test_same_revision_reuses_the_solution(self, mixed_dataset, two_rule_frs, monkeypatch):
+        """A second select at the same dataset revision, population and
+        budget solves nothing and returns the first solution; a caller
+        that edits what it got does not edit what later callers get."""
+        import repro.core.selection as selection
+
+        solves = []
+        solve = selection.solve_selection
+        monkeypatch.setattr(selection, "solve_selection", lambda p: solves.append(p) or solve(p))
+        bp = preselect_base_population(mixed_dataset, two_rule_frs, k=5)
+        preds = mixed_dataset.y.copy()
+        selector = IPSelector()
+        first = selector.select(bp, 12, _ctx(mixed_dataset, preds, cache_token=4))
+        expected = [positions.copy() for positions in first]
+        assert expected[0].size
+        for positions in first:
+            positions[:] = -1
+        second = selector.select(bp, 12, _ctx(mixed_dataset, preds, cache_token=4))
+        assert len(solves) == 1
+        for got, want in zip(second, expected):
+            np.testing.assert_array_equal(got, want)
+        second[0][:] = -1
+        third = selector.select(bp, 12, _ctx(mixed_dataset, preds, cache_token=4))
+        np.testing.assert_array_equal(third[0], expected[0])
+        # Another revision, budget or population solves again.
+        selector.select(bp, 12, _ctx(mixed_dataset, preds, cache_token=5))
+        selector.select(bp, 10, _ctx(mixed_dataset, preds, cache_token=5))
+        other = preselect_base_population(mixed_dataset, two_rule_frs, k=5)
+        selector.select(other, 10, _ctx(mixed_dataset, preds, cache_token=5))
+        assert len(solves) == 4
 
 
 class TestMakeSelector:

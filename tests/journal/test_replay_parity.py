@@ -25,6 +25,7 @@ import pytest
 import repro
 from repro.data import Dataset, Table, make_schema
 from repro.journal import JournalReader, JournalResumeError, SessionReplay
+from repro.models import LogisticRegression, RandomForestClassifier
 
 from conftest import assert_same_run
 
@@ -180,7 +181,57 @@ class TestResumeValidation:
         session.run()
         meta = SessionReplay.load(tmp_path / "s").meta
         assert before == {field: to_jsonable(meta[field]) for field in before}
-        assert before["algorithm"] == {"model": "LR", "warm_start": False}
+        assert before["algorithm"] == {
+            "model": "LR",
+            "warm_start": False,
+            "estimator": "repro.models.logistic.LogisticRegression",
+            "params": {"C": 1.0, "max_iter": 500, "tol": 1e-06, "warm_start": False},
+            "standardize": True,
+        }
+
+    @pytest.mark.parametrize(
+        "factory, standardize",
+        [
+            (lambda: RandomForestClassifier(max_depth=3, random_state=42), False),
+            (lambda: LogisticRegression(max_iter=100), True),
+            (lambda: LogisticRegression(max_iter=500), False),
+        ],
+        ids=["other-class", "other-params", "other-standardize"],
+    )
+    def test_reregistered_model_refuses_to_resume(self, tmp_path, factory, standardize):
+        """A journal written under a registered name refuses a rerun after
+        the name is registered again to another estimator class, other
+        constructor parameters or another ``standardize``."""
+        from repro.models import MODELS, register_model
+
+        register_model("M", lambda: LogisticRegression(max_iter=500), standardize=True)
+        try:
+            make_session(tau=2).with_algorithm("M").journaled(tmp_path, name="s").run()
+            register_model("M", factory, standardize=standardize, overwrite=True)
+            with pytest.raises(JournalResumeError, match="run-meta field 'algorithm'"):
+                make_session(tau=2).with_algorithm("M").journaled(tmp_path, name="s").run()
+        finally:
+            MODELS.unregister("M")
+
+    def test_journal_naming_the_model_by_name_alone_resumes(self, tmp_path, monkeypatch):
+        """A journal whose algorithm identity predates the estimator keys
+        resumes under the same model."""
+        from repro.journal.writer import SessionJournal
+
+        run_meta = SessionJournal._run_meta
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                SessionJournal,
+                "_run_meta",
+                lambda self, state: {
+                    **run_meta(self, state),
+                    "algorithm": {"model": "LR", "warm_start": False},
+                },
+            )
+            first = make_session(tau=2).journaled(tmp_path, name="s").run()
+        again = make_session(tau=2).journaled(tmp_path, name="s").run()
+        assert_same_run(again, first)
+        assert SessionReplay.load(tmp_path / "s").summary()["resumes"] == 1
 
     def test_journal_without_rules_field_resumes(self, tmp_path, monkeypatch):
         """A journal written before run-meta carried the rules and

@@ -6,9 +6,12 @@ import threading
 import numpy as np
 import pytest
 import seed_reference as seed_ref
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.models import RandomForestClassifier
 from repro.models import forest as forest_module
+from repro.models import tree as tree_module
 
 
 def _data(n=300, seed=0):
@@ -248,6 +251,250 @@ class TestDrawMemo:
         assert not any(t.is_alive() for t in threads)
         assert [got.get(i) for i in range(len(labels))] == serial
         assert len(forest_module._memo) == 1
+
+
+def _cold(params: dict, X: np.ndarray, y: np.ndarray, n_classes: int) -> RandomForestClassifier:
+    """The forest a fit that keeps nothing grows: a ``Generator`` seeded
+    like the integer seed draws the same samples and features, and the
+    memo never keeps it."""
+    seeded = {**params, "random_state": np.random.default_rng(params["random_state"])}
+    return RandomForestClassifier(**seeded).fit(X, y, n_classes=n_classes)
+
+
+def _assert_same_forest(got, cold, X: np.ndarray) -> None:
+    assert _fitted(got) == _fitted(cold)
+    assert got.predict_proba(X).tobytes() == cold.predict_proba(X).tobytes()
+
+
+class _ReplayLog:
+    """Every replay's first shared row ``p`` and the trees it grew again."""
+
+    def __init__(self, monkeypatch):
+        self.starts: list[int] = []
+        self.regrown: list[list[int]] = []
+        replay, grow = tree_module._replay, tree_module._grow
+
+        def logged_replay(*args):
+            self.starts.append(args[-1])
+            self.regrown.append([])
+            return replay(*args)
+
+        def logged_grow(trees, *args, tree_ids=None, **kwargs):
+            if tree_ids is not None:
+                self.regrown[-1] = tree_ids.tolist()
+            return grow(trees, *args, tree_ids=tree_ids, **kwargs)
+
+        monkeypatch.setattr(forest_module, "_replay", logged_replay)
+        monkeypatch.setattr(tree_module, "_grow", logged_grow)
+
+
+def _mixed_rows(rng: np.random.Generator, k: int, n_onehot: int, n_continuous: int) -> np.ndarray:
+    """``k`` rows of ``n_onehot`` one-hot groups of three columns and
+    ``n_continuous`` columns of one-decimal normals."""
+    parts = [np.eye(3)[rng.integers(0, 3, k)] for _ in range(n_onehot)]
+    parts += [np.round(rng.normal(size=(k, 1)), 1) for _ in range(n_continuous)]
+    return np.hstack(parts)
+
+
+@st.composite
+def refit_sequences(draw):
+    """A forest's parameters and a sequence of same-shape training sets,
+    each made from the one before by one of the edits a FROTE loop or a
+    caller makes: a new batch of known values in the last rows, a batch
+    with new values, a label changed inside the shared rows, every row
+    changed, or no change at all."""
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    n = draw(st.integers(8, 60))
+    n_onehot = draw(st.integers(0, 2))
+    n_continuous = draw(st.integers(0 if n_onehot else 1, 3))
+    n_classes = draw(st.integers(2, 3))
+    params = {
+        "n_estimators": draw(st.integers(1, 6)),
+        "max_depth": draw(st.sampled_from([1, 2, 3, None])),
+        "criterion": draw(st.sampled_from(["gini", "entropy"])),
+        "min_samples_split": draw(st.integers(2, 4)),
+        "min_samples_leaf": draw(st.integers(1, 3)),
+        "bootstrap": draw(st.booleans()),
+        "max_features": draw(st.sampled_from([None, "sqrt"])),
+        "random_state": seed,
+    }
+    X = _mixed_rows(rng, n, n_onehot, n_continuous)
+    y = rng.integers(0, n_classes, n)
+    fits = [(X, y)]
+    for edit in draw(
+        st.lists(st.sampled_from(["batch", "new", "label", "all", "same"]), min_size=1, max_size=4)
+    ):
+        X, y = X.copy(), y.copy()
+        k = int(rng.integers(1, max(2, n // 3)))
+        if edit == "batch":  # values the rows before the batch hold
+            for f in range(X.shape[1]):
+                X[n - k :, f] = rng.choice(X[: n - k, f], k)
+            y[n - k :] = rng.integers(0, n_classes, k)
+        elif edit == "new":
+            X[n - k :] = _mixed_rows(rng, k, n_onehot, n_continuous)
+            y[n - k :] = rng.integers(0, n_classes, k)
+        elif edit == "label":
+            i = int(rng.integers(n))
+            y[i] = (y[i] + 1) % n_classes
+        elif edit == "all":
+            order = rng.permutation(n)
+            X, y = X[order], y[order]
+        fits.append((X, y))
+    return params, n_classes, fits
+
+
+@pytest.mark.usefixtures("empty_memo")
+class TestReplay:
+    """A same-shape refit with an integer seed starts from the last fit's
+    record, grows again only the trees whose splits change, and grows the
+    forest that a fit keeping nothing grows, node for node and bit for
+    bit."""
+
+    params = {"n_estimators": 10, "max_depth": 4, "random_state": 3}
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=refit_sequences())
+    def test_replayed_fits_equal_cold_fits_and_seed(self, case):
+        params, n_classes, fits = case
+        forest_module._memo.clear()
+        for X, y in fits:
+            got = RandomForestClassifier(**params).fit(X, y, n_classes=n_classes)
+            _assert_same_forest(got, _cold(params, X, y, n_classes), X)
+            seed = seed_ref.SeedSplitForest(**params).fit(X, y, n_classes=n_classes)
+            assert [t.n_nodes for t in got.trees_] == [len(t.nodes_) for t in seed.trees_]
+            assert got.predict_proba(X).tobytes() == seed.predict_proba(X).tobytes()
+
+    def _sequence(self, monkeypatch, fits, n_classes=4, **params):
+        """Fit ``fits`` in turn, check each against its cold fit; the log
+        of the replays."""
+        params = {**self.params, **params}
+        log = _ReplayLog(monkeypatch)
+        for X, y in fits:
+            got = RandomForestClassifier(**params).fit(X, y, n_classes=n_classes)
+            _assert_same_forest(got, _cold(params, X, y, n_classes), X)
+        return log
+
+    def test_batch_with_a_new_value_fits_afresh(self, monkeypatch):
+        """A batch that brings a value no row had changes the binning: that
+        fit grows every tree, and the next batch of known values replays it."""
+        # Every row twice, so a batch takes no value out of the columns.
+        X, y = np.tile(_wide(60, seed=8), (2, 1)), np.tile(_data(60, seed=8)[1], 2)
+        X2 = X.copy()
+        X2[-1, 0] = 9.5  # no row holds 9.5
+        X3 = X2.copy()
+        X3[-20:-1] = X2[:19]
+        log = self._sequence(monkeypatch, [(X, y), (X2, y), (X3, y)])
+        assert log.starts == [100]
+
+    def test_label_changed_inside_the_shared_rows(self, monkeypatch):
+        X, y = _wide(150, seed=2), _labels(_wide(150, seed=2), rich=True)
+        y2 = y.copy()
+        y2[37] = (y2[37] + 1) % 4
+        log = self._sequence(monkeypatch, [(X, y), (X, y2)])
+        assert log.starts == [37]
+
+    def test_every_row_changed(self, monkeypatch):
+        """p = 0: every row is taken out of the record and counted again."""
+        X, y = _wide(150, seed=6), _labels(_wide(150, seed=6), rich=True)
+        order = np.random.default_rng(0).permutation(150)
+        log = self._sequence(monkeypatch, [(X, y), (X[order], y[order]), (X, y)])
+        assert log.starts == [0, 0]
+
+    def test_more_classes_fits_afresh(self, monkeypatch):
+        """The same rows with another ``n_classes`` count other cells: no
+        replay, and the next refit with that many classes replays it."""
+        X, y = _wide(150, seed=6), _labels(_wide(150, seed=6), rich=True)
+        params = {**self.params}
+        log = _ReplayLog(monkeypatch)
+        for n_classes in (4, 5, 5):
+            got = RandomForestClassifier(**params).fit(X, y, n_classes=n_classes)
+            _assert_same_forest(got, _cold(params, X, y, n_classes), X)
+        assert log.starts == [150]
+
+    def test_identical_refit_grows_nothing(self, monkeypatch):
+        X, y = _wide(150, seed=6), _labels(_wide(150, seed=6), rich=True)
+        log = self._sequence(monkeypatch, [(X, y), (X, y)])
+        assert log.starts == [150] and log.regrown == [[]]
+
+    def test_trees_diverging_at_the_root_and_at_depth_two_grow_again(self, monkeypatch):
+        """The batch moves some trees' root split and, in others, only a
+        split two levels down that has searched children: both grow
+        again, and the trees whose splits hold are kept."""
+        rng = np.random.default_rng(3)
+        # Every row twice, so that the batch takes no value out of the columns.
+        X = np.tile(_wide(80, seed=3), (2, 1))
+        y = _labels(X, rich=True)
+        X2, y2 = X.copy(), y.copy()
+        X2[-4:] = X[rng.integers(0, 80, 4)]
+        y2[-4:] = rng.integers(0, 4, 4)
+        params = {**self.params, "n_estimators": 24}
+        first = RandomForestClassifier(**params).fit(X, y, n_classes=4)
+        log = _ReplayLog(monkeypatch)
+        second = RandomForestClassifier(**params).fit(X2, y2, n_classes=4)
+        _assert_same_forest(second, _cold(params, X2, y2, 4), X2)
+        (regrown,) = log.regrown
+        depths = [_first_difference(first.trees_[t], second.trees_[t]) for t in regrown]
+        assert 0 in depths and 2 in depths
+        assert 0 < len(regrown) < params["n_estimators"]
+
+    def test_concurrent_refits_equal_cold_fits(self):
+        """Eight threads refit one memo key, each on its own batches,
+        switching every microsecond: every fit reads one whole record and
+        grows its cold fit's forest."""
+        X = _wide(200, seed=5)
+        y = _labels(X, rich=True)
+        rng = np.random.default_rng(1)
+        runs = []
+        for _ in range(8):
+            fits = []
+            for _ in range(3):
+                Xb, yb = X.copy(), y.copy()
+                Xb[-20:] = X[rng.integers(0, 180, 20)]
+                yb[-20:] = rng.integers(0, 4, 20)
+                fits.append((Xb, yb))
+            runs.append(fits)
+        cold = [[_fitted(_cold(self.params, Xb, yb, 4)) for Xb, yb in fits] for fits in runs]
+        forest_module._memo.clear()
+        got: dict[int, list[list[bytes]]] = {}
+        start = threading.Barrier(len(runs), timeout=30)
+
+        def refit(i: int) -> None:
+            start.wait()
+            got[i] = [
+                _fitted(RandomForestClassifier(**self.params).fit(Xb, yb, n_classes=4))
+                for Xb, yb in runs[i]
+            ]
+
+        threads = [threading.Thread(target=refit, args=(i,)) for i in range(len(runs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert [got.get(i) for i in range(len(runs))] == cold
+        assert len(forest_module._memo) == 1
+
+
+def _first_difference(a, b, i: int = 0, j: int = 0, depth: int = 0) -> float:
+    """The depth of the shallowest node, by path from the root, where two
+    trees split on another feature or one splits and the other does not;
+    inf if they never do."""
+    a_leaf = a.children_[2 * i] == i
+    b_leaf = b.children_[2 * j] == j
+    if a_leaf or b_leaf:
+        return np.inf if a_leaf == b_leaf else depth
+    if a.feature_[i] != b.feature_[j]:
+        return depth
+    return min(
+        _first_difference(a, b, a.children_[2 * i + side], b.children_[2 * j + side], depth + 1)
+        for side in (0, 1)
+    )
 
 
 class TestForestWalk:
