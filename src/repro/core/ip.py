@@ -9,7 +9,9 @@ bounds::
 
 ``a_ji = 1`` iff instance ``i`` lies in rule ``j``'s base population.  The
 paper notes that the LP relaxation is usually integral; we solve the
-relaxation with :func:`scipy.optimize.linprog` and repair any fractional
+relaxation with HiGHS through :func:`repro.utils.solvers.highs_lp` (the
+LP, options and solution that ``scipy.optimize.linprog(method="highs")``
+would give, without its per-call layers) and repair any fractional
 solution greedily (round by fractional value × weight, then fix per-rule
 bound violations).  A pure greedy fallback handles LP failures.
 """
@@ -19,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from repro.utils.solvers import highs_lp
 
 
 @dataclass(frozen=True)
@@ -61,16 +65,17 @@ def build_selection_problem(
 
     Returns the problem plus the array of candidate dataset indices
     (the union ``P``); the problem's columns are positions in that array.
-    Bounds are clamped so the problem is always feasible: lower is
-    ``min(k + 1, pool size)``, upper is ``max(lower, eta / m)``.
+    Bounds are clamped per rule: lower is ``min(k + 1, pool size)``,
+    upper is ``max(lower, eta / m)``.  Each rule can meet its own bounds,
+    but overlapping pools can still contradict each other; the LP is
+    then infeasible and :func:`solve_selection` falls back to
+    :func:`greedy_selection`.
     """
     union = np.unique(np.concatenate([p for p in rule_pools])) if rule_pools else np.empty(0, dtype=np.intp)
-    pos = {int(v): i for i, v in enumerate(union)}
     m = len(rule_pools)
     membership = np.zeros((m, union.size), dtype=bool)
     for j, pool in enumerate(rule_pools):
-        for v in pool:
-            membership[j, pos[int(v)]] = True
+        membership[j, np.searchsorted(union, pool)] = True
     per_rule_cap = max(1, eta // max(m, 1))
     lower = np.minimum(k + 1, membership.sum(axis=1))
     upper = np.maximum(lower, per_rule_cap)
@@ -87,23 +92,24 @@ def solve_lp_relaxation(problem: SelectionProblem) -> np.ndarray | None:
     p = problem.n_candidates
     if p == 0:
         return np.empty(0)
-    # SciPy loads on first use, so that ``import repro`` does without it.
-    from scipy.optimize import linprog
-
-    A = problem.membership.astype(np.float64)
-    # linprog minimizes: use -w; constraints A z <= upper and -A z <= -lower.
-    A_ub = np.vstack([A, -A])
+    # HiGHS minimizes: use -w; constraints A z <= upper and -A z <= -lower.
+    # The CSC columns of [A; -A]: column i holds +1 at each rule row j
+    # that contains candidate i, then -1 at row m + j.  ``nonzero`` over
+    # the (candidate, half, rule) view lists them in exactly that order.
+    m = problem.n_rules
+    member_cols = problem.membership.T
+    _, half, rules = np.nonzero(np.broadcast_to(member_cols[:, None, :], (p, 2, m)))
+    indices = (rules + m * half).astype(np.int32)
+    data = np.where(half == 0, 1.0, -1.0)
+    indptr = np.zeros(p + 1, dtype=np.int32)
+    np.cumsum(2 * member_cols.sum(axis=1), out=indptr[1:])
     b_ub = np.concatenate([problem.upper, -problem.lower]).astype(np.float64)
-    res = linprog(
-        -problem.weights,
-        A_ub=A_ub,
-        b_ub=b_ub,
-        bounds=(0.0, 1.0),
-        method="highs",
+    x = highs_lp(
+        -problem.weights, indptr, indices, data, b_ub, np.zeros(p), np.ones(p)
     )
-    if not res.success:
+    if x is None:
         return None
-    return np.clip(res.x, 0.0, 1.0)
+    return np.clip(x, 0.0, 1.0)
 
 
 def _repair(problem: SelectionProblem, chosen: np.ndarray) -> np.ndarray:

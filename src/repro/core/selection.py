@@ -115,25 +115,28 @@ class IPSelector:
     def __init__(self, *, k_classify: int = 10, borderline_weight: float = 3.0) -> None:
         self.k_classify = k_classify
         self.borderline_weight = borderline_weight
-        self._analysis_cache: tuple[object, object] | None = None
+        # (token, union, analysis) of the last classified union.
+        self._analysis_cache: tuple[object, np.ndarray, object] | None = None
         # (population, (token, eta, k), positions) of the last solved call.
         self._selection_cache: tuple[object, tuple, list[np.ndarray]] | None = None
 
     def _borderline_analysis(self, union: np.ndarray, ctx: SelectionContext):
-        """Classify the candidate union, memoized per dataset revision.
+        """Classify the candidate union, memoized per dataset revision and union.
 
-        The union, the dataset rows, and the model predictions are all
-        functions of the active dataset revision, so between accepted
-        batches the (expensive) neighbour classification is reused.
+        The dataset rows and the model predictions are functions of the
+        active dataset revision, so between accepted batches the
+        (expensive) neighbour classification is reused.  The union is part
+        of the key: a streamed rule changes it without a new revision.
         """
         token = ctx.cache_token
+        cached = self._analysis_cache
         if (
             token is not None
-            and self._analysis_cache is not None
-            and self._analysis_cache[0] == token
-            and self._analysis_cache[1].weights.shape[0] == union.size
+            and cached is not None
+            and cached[0] == token
+            and np.array_equal(cached[1], union)
         ):
-            return self._analysis_cache[1]
+            return cached[2]
         labels = (
             ctx.model_predictions[union]
             if ctx.model_predictions is not None
@@ -146,7 +149,7 @@ class IPSelector:
             weights={"noisy": 1.0, "safe": 1.0, "borderline": self.borderline_weight},
         )
         if token is not None:
-            self._analysis_cache = (token, analysis)
+            self._analysis_cache = (token, union.copy(), analysis)
         return analysis
 
     def select(

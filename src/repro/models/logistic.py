@@ -2,7 +2,10 @@
 
 Re-implements the paper's scikit-learn ``LogisticRegression(max_iter=500)``
 configuration: softmax cross-entropy with L2 regularization (C = 1.0,
-intercept unpenalized), optimized via :func:`scipy.optimize.minimize`.
+intercept unpenalized), optimized by L-BFGS-B through
+:func:`repro.utils.solvers.lbfgsb`, which drives SciPy's compiled
+``setulb`` exactly as ``scipy.optimize.minimize(method="L-BFGS-B")``
+does, to the same bits.
 
 The objective runs class-major.  The logits are written once into a
 ``(classes, rows)`` buffer, so every step between the two BLAS products
@@ -44,6 +47,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.utils.solvers import lbfgsb
 from repro.utils.validation import check_fit_inputs, check_predict_input
 
 
@@ -130,9 +134,6 @@ class LogisticRegression:
 
     # ------------------------------------------------------------------ #
     def fit(self, X: np.ndarray, y: np.ndarray, *, n_classes: int | None = None) -> "LogisticRegression":
-        # SciPy loads on first use, so that ``import repro`` does without it.
-        from scipy.optimize import minimize
-
         X, y, n_classes = check_fit_inputs(X, y, n_classes, model="logistic regression")
         if n_classes < 2:
             raise ValueError("need at least 2 classes")
@@ -154,17 +155,9 @@ class LogisticRegression:
             and init_intercept.shape == (n_classes,)
         ):
             w0 = np.concatenate([np.ravel(init_coef), init_intercept])
-        res = minimize(
-            objective,
-            w0,
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": self.max_iter, "gtol": self.tol},
-        )
-        w = res.x
+        w, self.n_iter_ = lbfgsb(objective, w0, max_iter=self.max_iter, gtol=self.tol)
         self.coef_ = w[: d * n_classes].reshape(d, n_classes)
         self.intercept_ = w[d * n_classes :]
-        self.n_iter_ = int(res.nit)
         return self
 
     @staticmethod

@@ -17,6 +17,31 @@ def _problem(weights, pools, k=2, eta=10):
     return build_selection_problem(w, pool_arrays, k=k, eta=eta)
 
 
+def _drawn_problem(seed):
+    """A random Eq. 5 problem.  Odd seeds add a pool that joins two others
+    (overlapping them) and a shuffled pool of the whole union, under a
+    larger ``k``: their bounds can contradict the smaller pools' bounds.
+    From seed % 4 == 2 on, the weights are the borderline weights 1 and 3
+    exactly, as the IP selector passes them: their ties leave several
+    optima, and which one HiGHS returns depends on its options."""
+    rng = np.random.default_rng(seed)
+    pools = [
+        rng.choice(40, size=rng.integers(3, 15), replace=False)
+        for _ in range(rng.integers(1, 5))
+    ]
+    if seed % 2:
+        pools.append(np.concatenate(pools[:2]))
+        pools.append(rng.permutation(np.unique(np.concatenate(pools))))
+    union = np.unique(np.concatenate(pools))
+    weights = rng.choice([1.0, 3.0], size=union.size)
+    if seed % 4 < 2:
+        weights += rng.uniform(0, 0.1, union.size)
+    problem, _ = build_selection_problem(
+        weights, pools, k=int(rng.integers(1, 4 + 3 * (seed % 2))), eta=int(rng.integers(2, 20))
+    )
+    return problem
+
+
 class TestBuildProblem:
     def test_membership_matrix(self):
         problem, union = _problem([1, 1, 1], [[0, 1], [1, 2]])
@@ -24,6 +49,18 @@ class TestBuildProblem:
         np.testing.assert_array_equal(
             problem.membership, [[True, True, False], [False, True, True]]
         )
+        # An unsorted pool that overlaps the others and repeats an index.
+        problem, union = _problem([1, 1, 1, 1, 1], [[3, 8], [9, 5, 3], [8, 5, 8, 1]])
+        np.testing.assert_array_equal(union, [1, 3, 5, 8, 9])
+        np.testing.assert_array_equal(
+            problem.membership,
+            [
+                [False, True, False, True, False],
+                [False, True, True, False, True],
+                [True, False, True, True, False],
+            ],
+        )
+        np.testing.assert_array_equal(problem.lower, [2, 3, 3])
 
     def test_lower_clamped_to_pool_size(self):
         problem, _ = _problem([1, 1], [[0, 1]], k=5, eta=10)
@@ -39,22 +76,14 @@ class TestBuildProblem:
 
 
 class TestSolvers:
-    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("seed", range(40))
     def test_lp_scalar_bounds_match_per_variable_bounds(self, seed):
         """One (0, 1) pair for every variable hands HiGHS the same LP as a
-        list of p pairs: the solutions are identical."""
+        list of p pairs: the solutions are identical.  The relaxation fails
+        (None) exactly where ``linprog`` does."""
         from scipy.optimize import linprog
 
-        rng = np.random.default_rng(seed)
-        pools = [
-            rng.choice(40, size=rng.integers(3, 15), replace=False)
-            for _ in range(rng.integers(1, 5))
-        ]
-        union = np.unique(np.concatenate(pools))
-        weights = rng.choice([1.0, 3.0], size=union.size) + rng.uniform(0, 0.1, union.size)
-        problem, _ = build_selection_problem(
-            weights, pools, k=int(rng.integers(1, 4)), eta=int(rng.integers(2, 20))
-        )
+        problem = _drawn_problem(seed)
         A = problem.membership.astype(np.float64)
         res = linprog(
             -problem.weights,
@@ -63,10 +92,16 @@ class TestSolvers:
             bounds=[(0.0, 1.0)] * problem.n_candidates,
             method="highs",
         )
-        assert res.success
-        np.testing.assert_array_equal(
-            solve_lp_relaxation(problem), np.clip(res.x, 0.0, 1.0)
-        )
+        got = solve_lp_relaxation(problem)
+        if res.success:
+            assert got.tobytes() == np.clip(res.x, 0.0, 1.0).tobytes()
+        else:
+            assert got is None
+
+    def test_drawn_problems_reach_both_outcomes(self):
+        """The draws above include problems the solver finds infeasible."""
+        outcomes = {solve_lp_relaxation(_drawn_problem(seed)) is None for seed in range(40)}
+        assert outcomes == {True, False}
 
     def test_lp_relaxation_feasible(self):
         problem, _ = _problem([3, 1, 1, 1], [[0, 1], [2, 3]], k=1, eta=4)

@@ -10,6 +10,7 @@ from repro.core import (
     make_selector,
     preselect_base_population,
 )
+from repro.core.preselect import BasePopulation
 from repro.core.selection import _allocate_per_rule
 
 
@@ -118,6 +119,35 @@ class TestIPSelector:
         other = preselect_base_population(mixed_dataset, two_rule_frs, k=5)
         selector.select(other, 10, _ctx(mixed_dataset, preds, cache_token=5))
         assert len(solves) == 4
+
+    def test_same_revision_other_union_is_classified_again(self, mixed_dataset, two_rule_frs):
+        """A streamed rule can change the union without a new dataset
+        revision; a union of the same size but other rows gets its own
+        borderline weights, not the memoized ones."""
+        from dataclasses import replace
+
+        pop = preselect_base_population(mixed_dataset, two_rule_frs, k=5).per_rule[0]
+
+        def over(rows):
+            rows = np.asarray(rows, dtype=np.intp)
+            return BasePopulation(
+                (replace(pop, indices=rows, strong_mask=np.ones(rows.size, dtype=bool)),)
+            )
+
+        preds = mixed_dataset.y.copy()
+        first, second = over(np.arange(0, 40)), over(np.arange(100, 140))
+        selector = IPSelector()
+        ctx = _ctx(mixed_dataset, preds, cache_token=7)
+        selector.select(first, 12, ctx)
+        got = selector._borderline_analysis(second.union_indices, ctx)
+        fresh = IPSelector()._borderline_analysis(second.union_indices, ctx)
+        assert got.weights.tobytes() == fresh.weights.tobytes()
+        stale = IPSelector()._borderline_analysis(first.union_indices, ctx)
+        assert stale.weights.tobytes() != fresh.weights.tobytes()
+        for a, b in zip(
+            selector.select(second, 12, ctx), IPSelector().select(second, 12, ctx)
+        ):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestMakeSelector:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.models import LogisticRegression, softmax
 
@@ -90,3 +92,88 @@ class TestLogisticRegression:
     def test_empty_dataset_raises(self):
         with pytest.raises(ValueError, match="cannot fit a logistic regression on an empty"):
             LogisticRegression().fit(np.zeros((0, 2)), np.zeros(0, dtype=int), n_classes=2)
+
+
+@st.composite
+def lr_problems(draw):
+    """LR fits: 1 to 200 rows, continuous (unit or 1e3 scale), constant
+    and one-hot columns, 2 to 9 classes (from eight, each row's sum is
+    pairwise), absent classes, and warm starts."""
+    n = draw(st.integers(min_value=1, max_value=200))
+    n_classes = draw(st.integers(min_value=2, max_value=9))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    scale = draw(st.sampled_from([1.0, 1e3]))
+    blocks = [rng.normal(size=(n, draw(st.integers(min_value=0, max_value=4)))) * scale]
+    if draw(st.booleans()):
+        blocks.append(np.full((n, 1), draw(st.sampled_from([0.0, 1.0, -2.5]))))
+    if draw(st.booleans()):
+        cats = draw(st.integers(min_value=2, max_value=5))
+        blocks.append(np.eye(cats)[rng.integers(0, cats, n)])
+    X = np.hstack(blocks)
+    if X.shape[1] == 0:
+        X = rng.normal(size=(n, 1))
+    present = draw(st.integers(min_value=1, max_value=n_classes))
+    classes = rng.choice(n_classes, size=present, replace=False)
+    y = classes[rng.integers(0, present, n)]
+    warm = None
+    if draw(st.booleans()):
+        warm = (rng.normal(size=(X.shape[1], n_classes)), rng.normal(size=n_classes))
+    return X, y, n_classes, warm
+
+
+class TestSolverParity:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        problem=lr_problems(),
+        max_iter=st.sampled_from([1, 2, 5, 500]),
+        C=st.sampled_from([0.01, 1.0, 100.0]),
+    )
+    def test_fit_matches_scipy_minimize(self, problem, max_iter, C):
+        """``fit`` walks the path ``minimize(method="L-BFGS-B")`` walks on
+        the same objective: the same solution bytes and iteration count."""
+        from scipy.optimize import minimize
+
+        X, y, n_classes, warm = problem
+        n, d = X.shape
+        lr = LogisticRegression(C=C, max_iter=max_iter)
+        w0 = np.zeros((d + 1) * n_classes)
+        if warm is not None:
+            lr.warm_start_from(*warm)
+            w0 = np.concatenate([warm[0].ravel(), warm[1]])
+        lr.fit(X, y, n_classes=n_classes)
+        res = minimize(
+            LogisticRegression._objective(X, y, n_classes, lam=1.0 / (C * n)),
+            w0,
+            jac=True,
+            method="L-BFGS-B",
+            options={"maxiter": max_iter, "gtol": lr.tol},
+        )
+        assert lr.coef_.tobytes() == res.x[: d * n_classes].tobytes()
+        assert lr.intercept_.tobytes() == res.x[d * n_classes :].tobytes()
+        assert lr.n_iter_ == res.nit
+
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_long_line_searches_match_minimize(self, seed):
+        """A warm start on columns of scale 1e3 makes line searches run into
+        the 20-step cap: a cap of 19 walks another path (checked below),
+        and ``fit`` walks the capped path ``minimize`` walks."""
+        from scipy.optimize import minimize
+
+        rng = np.random.default_rng(seed)
+        n, d, n_classes = 9, 4, 4
+        X = rng.normal(size=(n, d)) * 1e3
+        y = rng.integers(0, n_classes, n)
+        w0 = rng.normal(size=(d + 1) * n_classes)
+        lr = LogisticRegression(C=100.0).warm_start_from(
+            w0[: d * n_classes].reshape(d, n_classes), w0[d * n_classes :]
+        )
+        lr.fit(X, y, n_classes=n_classes)
+        objective = LogisticRegression._objective(X, y, n_classes, lam=1.0 / (100.0 * n))
+        options = {"maxiter": lr.max_iter, "gtol": lr.tol}
+        res = minimize(objective, w0, jac=True, method="L-BFGS-B", options=options)
+        short = minimize(
+            objective, w0, jac=True, method="L-BFGS-B", options={**options, "maxls": 19}
+        )
+        assert short.x.tobytes() != res.x.tobytes()
+        assert np.concatenate([lr.coef_.ravel(), lr.intercept_]).tobytes() == res.x.tobytes()
+        assert lr.n_iter_ == res.nit

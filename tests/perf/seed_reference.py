@@ -26,7 +26,9 @@ The logistic-regression objective is kept the same way:
 a row max and row sums along axis 1, two ``exp`` passes, a copied softmax,
 a one-hot label matrix and an axis-0 intercept sum) that
 :class:`repro.models.LogisticRegression` replaced with a class-major one,
-and predicts through :func:`seed_softmax`.
+optimizes it with :func:`scipy.optimize.minimize` as the seed did (the
+library drives SciPy's L-BFGS-B binding directly), and predicts through
+:func:`seed_softmax`.
 
 :func:`seed_encode` is the :class:`repro.data.TabularEncoder` transform
 that built one matrix per column block and joined them with ``np.hstack``,
@@ -491,7 +493,30 @@ def seed_softmax(Z: np.ndarray) -> np.ndarray:
 
 
 class SeedObjectiveLR(LogisticRegression):
-    """Logistic regression fitted with the seed objective."""
+    """Logistic regression fitted with the seed objective, by
+    :func:`scipy.optimize.minimize` as the seed fitted it."""
+
+    def fit(self, X: np.ndarray, y: np.ndarray, *, n_classes: int | None = None):
+        from scipy.optimize import minimize
+
+        X, y, n_classes = check_fit_inputs(X, y, n_classes, model="logistic regression")
+        n, d = X.shape
+        self.n_classes_, self.n_features_in_ = n_classes, d
+        w0 = np.zeros(d * n_classes + n_classes)
+        if self._init_coef is not None:
+            w0 = np.concatenate([np.ravel(self._init_coef), self._init_intercept])
+            self._init_coef = self._init_intercept = None
+        res = minimize(
+            self._objective(X, y, n_classes, lam=1.0 / (self.C * n)),
+            w0,
+            jac=True,
+            method="L-BFGS-B",
+            options={"maxiter": self.max_iter, "gtol": self.tol},
+        )
+        self.coef_ = res.x[: d * n_classes].reshape(d, n_classes)
+        self.intercept_ = res.x[d * n_classes :]
+        self.n_iter_ = int(res.nit)
+        return self
 
     @staticmethod
     def _objective(
