@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.data.dataset import Dataset
 from repro.data.schema import Schema
-from repro.data.shards import ShardedArray, ShardedTable, SpillPolicy
+from repro.data.shards import ShardedArray, ShardedTable, SpillPolicy, row_block_spans
 from repro.data.table import Table
 
 __all__ = ["GrowableArray", "TableBuilder", "DatasetBuilder", "append_rows_2d"]
@@ -213,8 +213,14 @@ class TableBuilder:
     def from_table(
         cls, table: Table, *, policy: SpillPolicy | None = None
     ) -> "TableBuilder":
-        """Seed a builder with ``table``'s rows (one copy, then appends are cheap)."""
+        """Seed a builder with ``table``'s rows (one copy, then appends are
+        cheap).  A :class:`~repro.data.shards.ShardedTable` is copied one
+        row block at a time, never as whole columns."""
         builder = cls(table.schema, policy=policy)
+        if isinstance(table, ShardedTable):
+            for start, stop in row_block_spans(table, advise_cold=True):
+                builder.append(table.row_slice(start, stop))
+            return builder
         for spec in table.schema:
             arr = table.column(spec.name)
             builder._columns[spec.name] = builder._new_column(arr.dtype, initial=arr)

@@ -35,8 +35,10 @@ from typing import Any, Iterable, Iterator
 
 import numpy as np
 
+from repro.data.builder import TableBuilder
 from repro.data.dataset import Dataset
 from repro.data.schema import CATEGORICAL, NUMERIC, Schema
+from repro.data.shards import ShardedTable, row_block_spans
 from repro.data.table import Table
 
 __all__ = [
@@ -251,8 +253,27 @@ class SchemaDelta:
             raise SchemaMigrationError(f"{self.describe()}: {exc}") from exc
 
     def apply_to_table(self, table: Table) -> Table:
-        """Replay this delta over a table (schema + stored values)."""
+        """Replay this delta over a table (schema + stored values).
+
+        A :class:`~repro.data.shards.ShardedTable` migrates one row block
+        at a time (:func:`~repro.data.shards.row_block_spans`) into a
+        sharded table of its shard width whose sealed shards are spilled
+        as they fill (:meth:`~repro.data.shards.SpillPolicy.spilling`), so
+        the migration holds neither a dense copy of the table nor a second
+        resident set; a builder that takes the result in reads it back
+        one block at a time.
+        """
         schema = self.apply_to_schema(table.schema)
+        if not isinstance(table, ShardedTable):
+            return self._apply_to_block(table, schema)
+        policy = table.policy
+        builder = TableBuilder(schema, policy=None if policy is None else policy.spilling())
+        for start, stop in row_block_spans(table, advise_cold=True):
+            builder.append(self._apply_to_block(table.row_slice(start, stop), schema))
+        return builder.snapshot()
+
+    def _apply_to_block(self, table: Table, schema: Schema) -> Table:
+        """This delta over a dense table, whose migrated schema is ``schema``."""
         cols: dict[str, np.ndarray] = {}
         for name in table.schema.names:
             if self.op == DROP_COLUMN and name == self.column:

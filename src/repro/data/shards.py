@@ -310,6 +310,12 @@ class SpillPolicy:
         """Budget given in MiB (the :class:`FroteConfig` unit)."""
         return cls(int(max_resident_mb * _MB), **kwargs)
 
+    def spilling(self) -> "SpillPolicy":
+        """A policy of this shard width that spills every shard it seals,
+        with its own accounting and a new spill directory beside this
+        one's: what it builds adds no sealed shard to the heap."""
+        return SpillPolicy(0, shard_rows=self.shard_rows, spill=SpillDir(self.spill.path.parent))
+
     @property
     def resident_bytes(self) -> int:
         """Heap bytes currently held by sealed shards in the LRU set."""
@@ -694,11 +700,18 @@ class ShardedTable(Table):
 
     # ------------------------------------------------------------------ #
     @property
+    def policy(self) -> SpillPolicy | None:
+        """The :class:`SpillPolicy` every column shares (None without
+        columns)."""
+        for arr in self._arrays.values():
+            return arr.policy
+        return None
+
+    @property
     def shard_rows(self) -> int:
         """Rows per shard (every column shares one :class:`SpillPolicy`)."""
-        for arr in self._arrays.values():
-            return arr.shard_rows
-        return DEFAULT_SHARD_ROWS
+        policy = self.policy
+        return DEFAULT_SHARD_ROWS if policy is None else policy.shard_rows
 
     def column(self, name: str) -> np.ndarray:
         """Materialized full column (read-only); prefer the row-oriented

@@ -18,6 +18,17 @@ the paper's 50 trees on 1160 car rows); the tapes are a few rows of
 ``features per split`` per tree.  A ``Generator`` or ``None`` seed draws
 afresh on every fit and is never kept.
 
+A fit that misses the memo (the first fit of a seed, and in the edit
+loop every fit after an accepted batch, whose rows outnumber the last
+fit's) still starts from what the memo holds.  An entry keeps the child
+``SeedSequence`` of each tree, which depend only on the seed and the
+tree count, so a new shape of the same seed and tree count spawns none.
+And the fit codes its columns by extending the binning of the most
+recently used entry's last fit (:meth:`~repro.models.tree._BinnedX.extend`)
+from the first row that differs, where the columns and their distinct
+values are the same and every value keeps a row; otherwise it codes them
+afresh.  The trees are those a fit that keeps nothing grows.
+
 An entry also keeps the key's last fit (:class:`_LastFit`): a copy of
 its ``y``, its column binning, which gives its ``X`` back, and the
 record of its split searches (see :func:`~repro.models.tree._replay`),
@@ -59,7 +70,7 @@ from repro.models.tree import (
     _replay,
     _write_trees,
 )
-from repro.utils.rng import RandomState, check_random_state, spawn_rng
+from repro.utils.rng import RandomState, check_random_state
 from repro.utils.validation import check_fit_inputs, check_predict_input
 
 #: How many fit shapes the draw memo keeps, the most recently used.
@@ -81,10 +92,12 @@ class _LastFit:
 @dataclass
 class _ForestDraws:
     """What the trees of one fit draw: their samples, tree ``t``'s in row
-    ``t``, and feature tape; in the memo, also the key's last fit."""
+    ``t``, and feature tape, from the streams of ``seeds``; in the memo,
+    also the key's last fit."""
 
     samples: np.ndarray
     tape: _FeatureTape
+    seeds: list[np.random.SeedSequence]
     last: _LastFit | None = None
 
 
@@ -93,47 +106,66 @@ _memo_lock = threading.Lock()
 
 
 def _draw(
-    rng: np.random.Generator, n_trees: int, n: int, d: int, m: int, bootstrap: bool
+    seeds: list[np.random.SeedSequence], n: int, d: int, m: int, bootstrap: bool
 ) -> _ForestDraws:
-    """Spawn one stream per tree from ``rng`` and draw each tree's sample."""
-    rngs = spawn_rng(rng, n_trees)
+    """Draw each tree's sample from its stream, one per seed."""
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     if bootstrap:
         samples = np.stack([tree_rng.integers(0, n, size=n) for tree_rng in rngs])
         samples.flags.writeable = False
     else:  # read-only
-        samples = np.broadcast_to(np.arange(n, dtype=np.intp), (n_trees, n))
-    return _ForestDraws(samples, _FeatureTape(rngs, d, m))
+        samples = np.broadcast_to(np.arange(n, dtype=np.intp), (len(seeds), n))
+    return _ForestDraws(samples, _FeatureTape(rngs, d, m, owned=True), seeds)
 
 
 def _forest_draws(
     random_state: RandomState, n_trees: int, n: int, d: int, m: int, bootstrap: bool
-) -> _ForestDraws:
-    """The draws of a fit: the memo's for an integer seed, else fresh."""
+) -> tuple[_ForestDraws, _BinnedX | None]:
+    """The draws of a fit: the memo's for an integer seed, else fresh; and,
+    when the memo has no entry for the fit, the binning of the last fit
+    of its most recently used entry, which the fit may start from."""
     if not isinstance(random_state, (int, np.integer)):
-        return _draw(check_random_state(random_state), n_trees, n, d, m, bootstrap)
+        seeds = check_random_state(random_state).bit_generator.seed_seq.spawn(n_trees)
+        return _draw(seeds, n, d, m, bootstrap), None
     key = (int(random_state), n_trees, n, d, m, bootstrap)
     with _memo_lock:
         draws = _memo.get(key)
         if draws is not None:
             _memo.move_to_end(key)
-            return draws
-    draws = _draw(np.random.default_rng(random_state), n_trees, n, d, m, bootstrap)
+            return draws, None
+        # Another shape of the same seed and tree count spawned the same
+        # streams.
+        seeds = next((e.seeds for k, e in _memo.items() if k[:2] == key[:2]), None)
+        recent = next(reversed(_memo.values())).last if _memo else None
+        recent = None if recent is None else recent.data
+    if seeds is None:
+        seeds = np.random.SeedSequence(key[0]).spawn(n_trees)
+    draws = _draw(seeds, n, d, m, bootstrap)
     with _memo_lock:
         # A fit of the same key in another thread may have stored its own.
         draws = _memo.setdefault(key, draws)
         _memo.move_to_end(key)
         while len(_memo) > _MEMO_KEYS:
             _memo.popitem(last=False)
-    return draws
+    return draws, recent
 
 
-def _shared_rows(last: _LastFit, X: np.ndarray, y: np.ndarray) -> int:
-    """How many leading rows of ``X`` and ``y`` equal the last fit's, whose
-    values its binning gives back."""
-    data = last.data
-    last_X = data.values[data.codes + data.first[:, None]]
-    differs = (last_X != X.T).any(axis=0) | (last.y != y)
-    return int(np.argmax(differs)) if differs.any() else y.size
+def _shared_rows(data: _BinnedX, X: np.ndarray) -> int:
+    """How many leading rows of ``X`` equal those that ``data`` codes."""
+    k = min(data.codes.shape[1], X.shape[0])
+    differs = (data.values[data.codes[:, :k] + data.first[:, None]] != X[:k].T).any(axis=0)
+    return int(np.argmax(differs)) if differs.any() else k
+
+
+def _binned(X: np.ndarray, other: _BinnedX | None) -> _BinnedX:
+    """The binning of ``X``: ``other`` extended from its first differing
+    row where ``X`` keeps its columns and their distinct values, else
+    coded afresh."""
+    if other is not None and other.codes.shape[0] == X.shape[1]:
+        data = other.extend(X, _shared_rows(other, X))
+        if data is not None:
+            return data
+    return _BinnedX.from_array(X)
 
 
 class RandomForestClassifier:
@@ -185,7 +217,9 @@ class RandomForestClassifier:
         n, d = X.shape
         self.n_features_in_ = d
         m = _n_split_features(self.max_features, d)
-        draws = _forest_draws(self.random_state, self.n_estimators, n, d, m, self.bootstrap)
+        draws, recent = _forest_draws(
+            self.random_state, self.n_estimators, n, d, m, self.bootstrap
+        )
         # The trees' draws live in ``draws``, not in the trees.
         self.trees_ = [
             DecisionTreeClassifier(
@@ -200,13 +234,18 @@ class RandomForestClassifier:
         # Code the columns once and grow every tree on a row sample of them.
         # A refit of the memo key's last fit whose columns keep their
         # distinct values replays that fit from its first changed row.
-        last = draws.last
-        data = p = None
+        # A fit that does not replay starts from the binning of the key's
+        # last fit or, on a memo miss, of the most recent fit.
+        last, data = draws.last, None
+        other = last.data if last is not None else recent
         if last is not None and last.record.root_counts.shape[1] == n_classes:
-            p = _shared_rows(last, X, y)
+            p = _shared_rows(last.data, X)
+            changed = np.flatnonzero(last.y[:p] != y[:p])
+            p = int(changed[0]) if changed.size else p
             data = last.data.extend(X, p)
+            other = None  # its binning does not extend
         if data is None:
-            data = _BinnedX.from_array(X)
+            data = _binned(X, other)
             log, record = _grow(self.trees_, data, y, n_classes, draws.samples, draws.tape)
         else:
             log, record = _replay(

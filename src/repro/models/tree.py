@@ -95,9 +95,10 @@ on bin codes.
 Where a tree scans a random subset of the features at each split, it
 reads them from a :class:`_FeatureTape`, which records each tree's
 ``choice`` draws in the order its splits use them and draws from the
-tree's generator only past the tape's end.  A standalone tree's tape
-lives for one fit; a forest with an integer seed keeps its trees' tapes
-across fits of the same shape (see :mod:`repro.models.forest`).
+tree's generator only past the tape's end, several rows in one
+bounded-integers call.  A standalone tree's tape lives for one fit; a
+forest with an integer seed keeps its trees' tapes across fits of the
+same shape (see :mod:`repro.models.forest`).
 """
 
 from __future__ import annotations
@@ -403,21 +404,107 @@ def _n_split_features(max_features: int | str | None, d: int) -> int:
     return min(int(max_features), d)
 
 
-class _FeatureTape:
-    """The features each tree's splits scan, drawn once from its generator.
+#: Rows an owned :class:`_FeatureTape` first draws for a tree; each later
+#: draw for the tree doubles its rows.
+_TAPE_CHUNK = 8
+#: Rows times features per block of :func:`_choice_rows`'s per-value
+#: arrays.
+_SHUFFLE_CELLS = 1 << 20
+#: The largest sample whose Floyd steps :func:`_choice_rows` checks by
+#: searching the sample so far; a larger one marks taken values.
+_FLOYD_SEARCH = 64
 
-    Row ``k`` of tree ``t`` is the ``k``-th ``choice(d, size=m,
-    replace=False)`` draw of ``rngs[t]``, the features of the ``k``-th
-    node that the tree searches for a split.  A fit reads rows from the
-    start and a tree's generator draws nothing else, so every fit that
-    reads a tape reads the draws it would have drawn itself, whichever
-    fit drew them first.  The tape is extended from the trees' own
-    generators, under a lock, only when a fit reads past its end.
+
+def _tail_shuffle(d: int, m: int) -> bool:
+    """Whether ``choice(d, m, replace=False)`` shuffles the tail of
+    ``arange(d)`` rather than taking Floyd's sample."""
+    return d > 10000 and m > d // 50
+
+
+def _choice_highs(d: int, m: int) -> np.ndarray:
+    """The exclusive upper bounds of the integers, each drawn from 0, that
+    one ``choice(d, m, replace=False)`` call draws, in order."""
+    if _tail_shuffle(d, m):
+        # Position i of arange(d), from d - 1 down to d - m, swaps with one
+        # at or below it.
+        return np.arange(d, d - m, -1)
+    # Floyd's sample (Bentley & Floyd, CACM 1987) draws below j + 1 for j
+    # from d - m to d - 1; the shuffle of its positions m - 1, ..., 1
+    # draws below each position + 1.
+    return np.concatenate((np.arange(d - m + 1, d + 1), np.arange(m, 1, -1)))
+
+
+def _choice_rows(raw: np.ndarray, d: int, m: int) -> np.ndarray:
+    """The rows that ``choice(d, m, replace=False)`` calls return, one per
+    row of ``raw``, the integers a call draws under :func:`_choice_highs`."""
+    n_rows = raw.shape[0]
+    out = np.empty((n_rows, m), dtype=np.intp)
+    if _tail_shuffle(d, m):
+        block = max(1, _SHUFFLE_CELLS // d)
+        for lo in range(0, n_rows, block):
+            swaps = raw[lo : lo + block]
+            perm = np.tile(np.arange(d), (swaps.shape[0], 1))
+            at = np.arange(swaps.shape[0])
+            for s in range(m):
+                i, j = d - 1 - s, swaps[:, s]
+                perm[at, i], perm[at, j] = perm[at, j], perm[at, i]
+            out[lo : lo + block] = perm[:, d - m :]
+        return out
+    # Floyd: the k-th draw v joins the sample unless it is there already,
+    # when d - m + k, which no earlier step can have taken, joins instead.
+    # A small sample is searched; a large one is marked in a row block of
+    # all d values.
+    if m <= _FLOYD_SEARCH:
+        for k in range(m):
+            v = raw[:, k]
+            out[:, k] = np.where((out[:, :k] == v[:, None]).any(axis=1), d - m + k, v)
+    else:
+        block = max(1, _SHUFFLE_CELLS // d)
+        for lo in range(0, n_rows, block):
+            draws, picked = raw[lo : lo + block], out[lo : lo + block]
+            at = np.arange(draws.shape[0])
+            taken = np.zeros((draws.shape[0], d), dtype=bool)
+            for k in range(m):
+                v = draws[:, k]
+                picked[:, k] = np.where(taken[at, v], d - m + k, v)
+                taken[at, picked[:, k]] = True
+    at = np.arange(n_rows)
+    for s, i in enumerate(range(m - 1, 0, -1)):
+        j = raw[:, m + s]
+        out[at, i], out[at, j] = out[at, j], out[at, i]
+    return out
+
+
+class _FeatureTape:
+    """The features each tree's splits scan, drawn from its generator.
+
+    Row ``k`` of tree ``t`` is what the ``k``-th ``choice(d, size=m,
+    replace=False)`` call on ``rngs[t]`` returns, the features of the
+    ``k``-th node that the tree searches for a split.  A fit reads rows
+    from the start and a tree's generator draws nothing else, so every
+    fit that reads a tape reads the draws it would have drawn itself,
+    whichever fit drew them first.  The tape is extended, under a lock,
+    only when a fit reads past its end.
+
+    An extension draws each tree's new rows with one bounded-integers
+    call on its generator and builds the rows from those integers with
+    the steps ``choice`` takes (:func:`_choice_rows`), vectorized over
+    all new rows: the rows, and the generator's state after them, are
+    exactly those of one ``choice`` call per row
+    (``tests/models/test_tree.py::TestFeatureTape`` pins both).  Where
+    the tape owns its generators (``owned``: a forest's spawned streams,
+    or a tree's own stream from an integer or ``None`` seed), it draws ahead
+    in chunks that double from :data:`_TAPE_CHUNK` rows, so a tree of
+    depth 3, which searches at most 7 nodes, draws once.  A caller's
+    generator gives exactly the rows a fit reads, and is left where a
+    ``choice`` call per searched node leaves it.
     """
 
-    def __init__(self, rngs: list[np.random.Generator], d: int, m: int) -> None:
+    def __init__(self, rngs: list[np.random.Generator], d: int, m: int, *, owned: bool) -> None:
         self._rngs = rngs
         self._d, self._m = d, m
+        self._owned = owned
+        self._highs = _choice_highs(d, m)
         self._lock = threading.Lock()
         # (draws, drawn): draws[t, :drawn[t]] are tree t's draws so far.
         # Replaced as a pair, and rows below ``drawn`` are never written
@@ -436,22 +523,32 @@ class _FeatureTape:
     def _extend(self, trees: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         with self._lock:
             draws, drawn = self._state
-            if index.max() >= draws.shape[1]:
-                wider = np.empty((len(self._rngs), 2 * int(index.max()) + 1, self._m), np.intp)
+            short = index >= drawn[trees]
+            trees, upto = trees[short], index[short] + 1
+            if not trees.size:  # another fit extended the tape first
+                return self._state
+            if self._owned:
+                upto = np.maximum(upto, np.maximum(2 * drawn[trees], _TAPE_CHUNK))
+            width = int(upto.max())
+            if width > draws.shape[1]:
+                width = max(width, 2 * draws.shape[1])
+                wider = np.empty((len(self._rngs), width, self._m), np.intp)
                 wider[:, : draws.shape[1]] = draws
                 draws = wider
-            n_drawn = drawn.tolist()
-            at_tree, at_row, rows = [], [], []
-            for t, k in zip(trees.tolist(), index.tolist()):
-                rng = self._rngs[t]
-                for j in range(n_drawn[t], k + 1):
-                    rows.append(rng.choice(self._d, size=self._m, replace=False))
-                    at_tree.append(t)
-                    at_row.append(j)
-                n_drawn[t] = max(n_drawn[t], k + 1)
-            if rows:  # none when another fit extended the tape first
-                draws[at_tree, at_row] = rows
-            self._state = (draws, np.array(n_drawn, dtype=np.intp))
+            # One call per tree draws the integers of all its new rows.
+            new = upto - drawn[trees]
+            highs = np.tile(self._highs, int(new.max()))
+            raw = [
+                self._rngs[t].integers(0, highs[: k * self._highs.size])
+                for t, k in zip(trees.tolist(), new.tolist())
+            ]
+            rows = _choice_rows(np.concatenate(raw).reshape(-1, self._highs.size), self._d, self._m)
+            at_tree = np.repeat(trees, new)
+            at_row = np.arange(at_tree.size) - np.repeat(np.cumsum(new) - new, new) + drawn[at_tree]
+            draws[at_tree, at_row] = rows
+            drawn = drawn.copy()
+            drawn[trees] = upto
+            self._state = (draws, drawn)
             return self._state
 
 
@@ -1116,7 +1213,8 @@ class DecisionTreeClassifier:
         n, d = X.shape
         rows = np.arange(n, dtype=np.intp)
         rng = check_random_state(self.random_state)
-        tape = _FeatureTape([rng], d, _n_split_features(self.max_features, d))
+        owned = not isinstance(self.random_state, np.random.Generator)
+        tape = _FeatureTape([rng], d, _n_split_features(self.max_features, d), owned=owned)
         log, _ = _grow([self], _BinnedX.from_array(X), y, n_classes, [rows], tape)
         _write_trees([self], n_classes, d, log)
         return self

@@ -5,7 +5,8 @@ It streams batches of a wide synthetic dataset through the edit loop's
 per-batch maintenance work — sharded
 :class:`~repro.data.builder.DatasetBuilder` appends (including rejected
 stages), dataset-version moves, incremental FRS assignment merges,
-GaussianNB partial refits, and slice/gather snapshot reads — until the
+GaussianNB partial refits, slice/gather snapshot reads, and, halfway, one
+schema migration of the sharded active dataset — until the
 active dataset's dense size reaches a configured multiple (default 4×)
 of the ``max_resident_mb`` budget, then reports the process peak RSS
 against the ``budget * 1.5 + tolerance`` bound derived below.
@@ -163,6 +164,8 @@ def run_streaming_workload(
     """
     from repro.core.config import FroteConfig
     from repro.data.dataset import Dataset
+    from repro.data.evolution import SchemaDelta
+    from repro.engine.migration import apply_schema_delta
     from repro.engine.state import EditState
     from repro.models import GaussianNB, make_algorithm
     from repro.rules.parser import parse_rule
@@ -212,8 +215,22 @@ def run_streaming_workload(
         state.active_assignment()
         window = (shard_rows or 16384) * 2
         n_batch = base.n
+        # Halfway, a schema migration renames a column the rules do not
+        # read: the engine's migration path over the sharded table, after
+        # which every batch arrives in the migrated schema.
+        migration = None
         for step in range(steps):
+            if step == steps // 2:
+                migration = SchemaDelta.rename_column("c7", "c7_renamed")
+                builder = None  # the state holds the pre-migration builder
+                apply_schema_delta(state, migration)
+                builder = state.ensure_builder()
+                if tracker is not None:
+                    tracker.sample()
+                builder.advise_cold()
             table, y = _batch(schema, n_batch, rng)
+            if migration is not None:
+                table = migration.apply_to_table(table)
             if step % 4 == 3:
                 # Rejected candidate: staged rows are simply overwritten
                 # by the next stage — the edit loop's reject path.

@@ -17,6 +17,7 @@ from repro.data import (
     make_schema,
     spill_policy_for,
 )
+from repro.data.evolution import SchemaDelta
 
 SCHEMA = make_schema(numeric=["a", "b"], categorical={"c": ("x", "y", "z")})
 
@@ -286,6 +287,54 @@ class TestShardedTable:
         _, snap = self.build(10)
         with pytest.raises(KeyError, match="nope"):
             snap.column("nope")
+
+
+class TestBlockwiseCopies:
+    """A sharded table is copied and migrated one row block at a time: no
+    whole column of it is ever materialized."""
+
+    @pytest.fixture
+    def sharded(self, monkeypatch):
+        policy = SpillPolicy(64, shard_rows=8)
+        snap = TableBuilder.from_table(make_table(50, 3), policy=policy).snapshot()
+
+        def whole_column(self, name):
+            raise AssertionError(f"column {name!r} materialized")
+
+        monkeypatch.setattr(ShardedTable, "column", whole_column)
+        return snap
+
+    @staticmethod
+    def _columns(table):
+        return {name: table.row_slice(0, table.n_rows).column(name) for name in table.schema.names}
+
+    def test_from_table_copies_blocks(self, sharded):
+        copy = TableBuilder.from_table(sharded, policy=SpillPolicy(0, shard_rows=16)).snapshot()
+        assert copy.n_rows == 50 and copy.shard_rows == 16
+        for name, col in self._columns(copy).items():
+            np.testing.assert_array_equal(col, make_table(50, 3).column(name))
+
+    @pytest.mark.parametrize(
+        "delta",
+        [
+            SchemaDelta.rename_column("a", "a2"),
+            SchemaDelta.drop_column("b"),
+            SchemaDelta.add_column("d", kind="numeric", fill=2.5),
+            SchemaDelta.retype_column("c", kind="categorical", categories=("p", "q"),
+                                      mapping={"x": "p", "y": "q", "z": "q"}),
+        ],
+        ids=["rename", "drop", "add", "retype"],
+    )
+    def test_migration_migrates_blocks(self, sharded, delta):
+        migrated = delta.apply_to_table(sharded)
+        dense = delta.apply_to_table(make_table(50, 3))
+        assert isinstance(migrated, ShardedTable)
+        assert migrated.schema == dense.schema and migrated.shard_rows == 8
+        # Every sealed shard went to its spill file as it filled.
+        assert migrated.storage_stats()["n_spilled"] == len(dense.schema.names) * (50 // 8)
+        got = self._columns(migrated)
+        for name in dense.schema.names:
+            np.testing.assert_array_equal(got[name], dense.column(name))
 
 
 class TestBuilderCheckpointRollback:

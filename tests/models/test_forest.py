@@ -223,6 +223,47 @@ class TestDrawMemo:
         (draws,) = forest_module._memo.values()
         assert not any(rows.flags.writeable for rows in draws.samples)
 
+    def test_new_shape_reuses_the_seeds_streams(self):
+        """Another row count of one seed and tree count spawns no streams
+        of its own: it takes those of the entry that has them, and grows
+        its cold fit's forest."""
+        X, y = _wide(150, seed=4), _data(150, seed=4)[1]
+        RandomForestClassifier(**self.params).fit(X[:120], y[:120], n_classes=4)
+        grown = RandomForestClassifier(**self.params).fit(X, y, n_classes=4)
+        first, second = forest_module._memo.values()
+        assert second.seeds is first.seeds
+        _assert_same_forest(grown, _cold(self.params, X, y, 4), X)
+        other = {**self.params, "random_state": 8}
+        RandomForestClassifier(**other).fit(X[:120], y[:120], n_classes=4)
+        assert list(forest_module._memo.values())[-1].seeds is not first.seeds
+
+    @pytest.mark.parametrize("random_state", [7, 8])
+    @pytest.mark.parametrize("batch", ["known values", "new value", "value gone"])
+    def test_new_shape_starts_from_the_recent_binning(self, batch, random_state, monkeypatch):
+        """A fit that misses the memo codes afresh only where the rows it
+        adds to the most recent fit's (of any seed) bring a new value, or
+        its rows drop one; either way it grows its cold fit's forest."""
+        X = _wide(120, seed=8)
+        y = _labels(X, rich=True)
+        X2, y2 = np.vstack([X, X[:10]]), np.concatenate([y, y[:10]])
+        if batch == "new value":
+            X2[-1, 0] = 9.5  # no row holds 9.5
+        elif batch == "value gone":  # the last rows' normal values
+            X2, y2 = X[:110], y[:110]
+        coded = []
+        from_array = tree_module._BinnedX.from_array.__func__
+
+        def counted(cls, X):
+            coded.append(X.shape[0])
+            return from_array(cls, X)
+
+        monkeypatch.setattr(tree_module._BinnedX, "from_array", classmethod(counted))
+        RandomForestClassifier(**self.params).fit(X, y, n_classes=4)
+        params = {**self.params, "random_state": random_state}
+        got = RandomForestClassifier(**params).fit(X2, y2, n_classes=4)
+        assert coded == ([120] if batch == "known values" else [120, X2.shape[0]])
+        _assert_same_forest(got, _cold(params, X2, y2, 4), X2)
+
     def test_concurrent_fits_equal_serial_fits(self):
         """Eight threads share one memo entry and extend its tape in turn,
         switching every microsecond, and grow what serial cold fits grow."""
@@ -344,6 +385,36 @@ def refit_sequences(draw):
     return params, n_classes, fits
 
 
+@st.composite
+def paired_refit_sequences(draw):
+    """:func:`refit_sequences` for two forests of one seed, tree count,
+    ``max_features`` and ``bootstrap`` whose other tree parameters differ,
+    so that they share memo keys; before some fits a batch of rows is also
+    appended for good (an accepted batch), of known values or with a new
+    one, so those fits miss the memo."""
+    params, n_classes, fits = draw(refit_sequences())
+    other = {
+        **params,
+        "max_depth": draw(st.sampled_from([1, 2, 3, None])),
+        "criterion": "entropy" if params["criterion"] == "gini" else "gini",
+        "min_samples_split": draw(st.integers(2, 4)),
+        "min_samples_leaf": draw(st.integers(1, 3)),
+    }
+    rng = np.random.default_rng(params["random_state"] + 1)
+    X_added, y_added = fits[0][0][:0], fits[0][1][:0]
+    grown = []
+    for X, y in fits:
+        if grown and draw(st.booleans()):
+            k = int(rng.integers(1, 6))
+            rows = X[rng.integers(0, X.shape[0], k)]
+            if draw(st.booleans()):
+                rows[-1, -1] += 0.05  # a value no row holds
+            X_added = np.vstack([X_added, rows])
+            y_added = np.concatenate([y_added, rng.integers(0, n_classes, k)])
+        grown.append((np.vstack([X, X_added]), np.concatenate([y, y_added])))
+    return params, other, n_classes, grown
+
+
 @pytest.mark.usefixtures("empty_memo")
 class TestReplay:
     """A same-shape refit with an integer seed starts from the last fit's
@@ -364,6 +435,23 @@ class TestReplay:
             seed = seed_ref.SeedSplitForest(**params).fit(X, y, n_classes=n_classes)
             assert [t.n_nodes for t in got.trees_] == [len(t.nodes_) for t in seed.trees_]
             assert got.predict_proba(X).tobytes() == seed.predict_proba(X).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=paired_refit_sequences())
+    def test_forests_sharing_memo_keys_equal_cold_fits_and_seed(self, case):
+        """The memo key leaves out ``max_depth``, ``criterion`` and the
+        sample-size limits, so two such forests replay each other's
+        records, and a fit that misses the memo takes the other's
+        binning and streams: every fit still grows its cold fit's
+        forest and the seed forest."""
+        params, other, n_classes, fits = case
+        forest_module._memo.clear()
+        for i, (X, y) in enumerate(fits):
+            for p in (params, other) if i % 2 else (other, params):
+                got = RandomForestClassifier(**p).fit(X, y, n_classes=n_classes)
+                _assert_same_forest(got, _cold(p, X, y, n_classes), X)
+                seed = seed_ref.SeedSplitForest(**p).fit(X, y, n_classes=n_classes)
+                assert got.predict_proba(X).tobytes() == seed.predict_proba(X).tobytes()
 
     def _sequence(self, monkeypatch, fits, n_classes=4, **params):
         """Fit ``fits`` in turn, check each against its cold fit; the log

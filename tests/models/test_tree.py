@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.models import DecisionTreeClassifier
-from repro.models.tree import _dense_counts, _sorted_counts
+from repro.models.tree import _dense_counts, _FeatureTape, _sorted_counts, _tail_shuffle
 
 
 def _xor(n=200, seed=0):
@@ -209,3 +209,92 @@ def test_dense_and_sorted_counts_agree(case):
     bins, hist, through = dense
     np.testing.assert_array_equal(bins, np.unique(keys // c))
     assert hist.sum() == through[-1] == keys.size
+
+
+@st.composite
+def tape_reads(draw):
+    """A feature tape over ``n_trees`` seeded generators, each of which
+    first draws ``integers(size=pre)`` (a forest's bootstrap sample), and
+    the rounds of a fit reading it: in each round some trees read their
+    next row.  ``d`` falls on both sides of ``choice``'s tail-shuffle
+    branch (``d > 10000`` and ``m > d // 50``) and of the sample size
+    that :func:`_choice_rows` searches rather than marks."""
+    if draw(st.booleans()):
+        d = draw(st.integers(10000, 10300))
+        m = draw(st.integers(1, 2 * (d // 50)))
+    else:
+        d = draw(st.integers(2, 150))
+        m = draw(st.integers(1, d - 1))
+    n_trees = draw(st.integers(1, 4))
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=n_trees, max_size=n_trees))
+    pre = draw(st.integers(0, 40))
+    rounds = draw(
+        st.lists(st.lists(st.booleans(), min_size=n_trees, max_size=n_trees), max_size=20)
+    )
+    return d, m, seeds, pre, rounds, draw(st.booleans())
+
+
+class TestFeatureTape:
+    """A tape's rows, and its generators' states after them, are those of
+    one ``choice(d, m, replace=False)`` call per row drawn."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=tape_reads())
+    @example(case=(21, 4, [42, 7], 1140, [[True, True]] * 9 + [[False, True]], True))
+    @example(case=(10001, 201, [3], 5, [[True]] * 3, False))  # tail shuffle
+    @example(case=(10001, 200, [3], 5, [[True]] * 3, True))  # Floyd, just below it
+    @example(case=(10000, 300, [3], 0, [[True]] * 2, False))  # Floyd, d not above 10000
+    def test_rows_and_state_match_choice(self, case):
+        d, m, seeds, pre, rounds, owned = case
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        refs = [np.random.default_rng(seed) for seed in seeds]
+        for rng in rngs + refs:
+            rng.integers(0, max(pre, 1), size=pre)
+        tape = _FeatureTape(rngs, d, m, owned=owned)
+        n_read = np.zeros(len(seeds), dtype=np.intp)
+        read: list[list[np.ndarray]] = [[] for _ in seeds]
+        for reading in rounds:
+            trees = np.flatnonzero(reading)
+            if trees.size:
+                for t, row in zip(trees.tolist(), tape.take(trees, n_read[trees])):
+                    read[t].append(row)
+                n_read[trees] += 1
+        drawn = tape._state[1]
+        for t, ref in enumerate(refs):
+            if not owned:  # a caller's generator draws only the rows read
+                assert drawn[t] == n_read[t]
+            rows = [ref.choice(d, m, replace=False) for _ in range(drawn[t])]
+            assert len(read[t]) == n_read[t] <= len(rows)
+            assert all(np.array_equal(a, b) for a, b in zip(read[t], rows))
+            assert rngs[t].bit_generator.state == ref.bit_generator.state
+        # A second fit reads every drawn row back unchanged.
+        if n_read.any():
+            again = tape.take(np.arange(len(seeds)), np.maximum(n_read - 1, 0))
+            for t in np.flatnonzero(n_read).tolist():
+                assert np.array_equal(again[t], read[t][-1])
+
+    def test_examples_reach_both_branches(self):
+        assert _tail_shuffle(10001, 201) and not _tail_shuffle(10001, 200)
+        assert not _tail_shuffle(10000, 300)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 80),
+        d=st.integers(2, 8),
+        max_features=st.sampled_from(["sqrt", 1, 2, 3]),
+        max_depth=st.sampled_from([1, 3, None]),
+    )
+    def test_callers_generator_draws_once_per_search(self, seed, n, d, max_features, max_depth):
+        """A tree given a caller's ``Generator`` leaves it where the seed
+        tree's one ``choice`` call per searched node leaves it."""
+        data = np.random.default_rng(seed)
+        X = np.round(data.normal(size=(n, d)), 1)
+        y = data.integers(0, 3, n)
+        params = {"max_depth": max_depth, "max_features": max_features}
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        tree = DecisionTreeClassifier(random_state=rng, **params).fit(X, y, n_classes=3)
+        seed_tree = seed_ref.SeedSplitTree(random_state=ref, **params).fit(X, y, n_classes=3)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert tree.n_nodes == len(seed_tree.nodes_)
+        assert tree.predict_proba(X).tobytes() == seed_tree.predict_proba(X).tobytes()
