@@ -253,24 +253,10 @@ class SchemaDelta:
             raise SchemaMigrationError(f"{self.describe()}: {exc}") from exc
 
     def apply_to_table(self, table: Table) -> Table:
-        """Replay this delta over a table (schema + stored values).
-
-        A :class:`~repro.data.shards.ShardedTable` migrates one row block
-        at a time (:func:`~repro.data.shards.row_block_spans`) into a
-        sharded table of its shard width whose sealed shards are spilled
-        as they fill (:meth:`~repro.data.shards.SpillPolicy.spilling`), so
-        the migration holds neither a dense copy of the table nor a second
-        resident set; a builder that takes the result in reads it back
-        one block at a time.
-        """
-        schema = self.apply_to_schema(table.schema)
-        if not isinstance(table, ShardedTable):
-            return self._apply_to_block(table, schema)
-        policy = table.policy
-        builder = TableBuilder(schema, policy=None if policy is None else policy.spilling())
-        for start, stop in row_block_spans(table, advise_cold=True):
-            builder.append(self._apply_to_block(table.row_slice(start, stop), schema))
-        return builder.snapshot()
+        """Replay this delta over a table (schema + stored values); a
+        :class:`~repro.data.shards.ShardedTable` migrates block by block
+        (:func:`migrate_table`)."""
+        return migrate_table(table, (self,))
 
     def _apply_to_block(self, table: Table, schema: Schema) -> Table:
         """This delta over a dense table, whose migrated schema is ``schema``."""
@@ -547,17 +533,50 @@ class Migration:
 
 
 def migrate_table(table: Table, deltas: Iterable[SchemaDelta]) -> Table:
-    """Replay ``deltas`` in order over a table."""
-    for delta in deltas:
-        table = delta.apply_to_table(table)
+    """Replay ``deltas`` in order over a table.
+
+    A :class:`~repro.data.shards.ShardedTable` goes through every delta
+    one row block at a time (:func:`~repro.data.shards.row_block_spans`)
+    into one sharded table of its shard width whose sealed shards are
+    spilled as they fill (:meth:`~repro.data.shards.SpillPolicy.spilling`),
+    so the migration holds neither a dense copy of the table nor a second
+    resident set; a builder that takes the result in reads it back one
+    block at a time.
+    """
+    deltas = tuple(deltas)
+    schemas = []
+    schema = table.schema
+    for delta in deltas:  # raises before any data is read
+        schema = delta.apply_to_schema(schema)
+        schemas.append(schema)
+    if not deltas:
+        return table
+    if not isinstance(table, ShardedTable):
+        return _migrate_block(table, deltas, schemas)
+    policy = table.policy
+    builder = TableBuilder(schema, policy=None if policy is None else policy.spilling())
+    for start, stop in row_block_spans(table, advise_cold=True):
+        # No name holds a block past its append: the next one is read
+        # with only the builder's copy of this one alive.
+        builder.append(_migrate_block(table.row_slice(start, stop), deltas, schemas))
+    return builder.snapshot()
+
+
+def _migrate_block(
+    table: Table, deltas: tuple[SchemaDelta, ...], schemas: list[Schema]
+) -> Table:
+    """``deltas`` over a dense table, ``schemas[i]`` being the schema after
+    ``deltas[i]``."""
+    for delta, schema in zip(deltas, schemas):
+        table = delta._apply_to_block(table, schema)
     return table
 
 
 def migrate_dataset(dataset: Dataset, deltas: Iterable[SchemaDelta]) -> Dataset:
     """Replay ``deltas`` in order over a dataset's features."""
-    for delta in deltas:
-        dataset = delta.apply_to_dataset(dataset)
-    return dataset
+    return Dataset._from_trusted(
+        migrate_table(dataset.X, deltas), dataset.y, dataset.label_names
+    )
 
 
 # ---------------------------------------------------------------------- #

@@ -407,12 +407,6 @@ def _n_split_features(max_features: int | str | None, d: int) -> int:
 #: Rows an owned :class:`_FeatureTape` first draws for a tree; each later
 #: draw for the tree doubles its rows.
 _TAPE_CHUNK = 8
-#: Rows times features per block of :func:`_choice_rows`'s per-value
-#: arrays.
-_SHUFFLE_CELLS = 1 << 20
-#: The largest sample whose Floyd steps :func:`_choice_rows` checks by
-#: searching the sample so far; a larger one marks taken values.
-_FLOYD_SEARCH = 64
 
 
 def _tail_shuffle(d: int, m: int) -> bool:
@@ -423,11 +417,8 @@ def _tail_shuffle(d: int, m: int) -> bool:
 
 def _choice_highs(d: int, m: int) -> np.ndarray:
     """The exclusive upper bounds of the integers, each drawn from 0, that
-    one ``choice(d, m, replace=False)`` call draws, in order."""
-    if _tail_shuffle(d, m):
-        # Position i of arange(d), from d - 1 down to d - m, swaps with one
-        # at or below it.
-        return np.arange(d, d - m, -1)
+    one ``choice(d, m, replace=False)`` call draws, in order, where it
+    takes Floyd's sample (not :func:`_tail_shuffle`)."""
     # Floyd's sample (Bentley & Floyd, CACM 1987) draws below j + 1 for j
     # from d - m to d - 1; the shuffle of its positions m - 1, ..., 1
     # draws below each position + 1.
@@ -439,35 +430,11 @@ def _choice_rows(raw: np.ndarray, d: int, m: int) -> np.ndarray:
     row of ``raw``, the integers a call draws under :func:`_choice_highs`."""
     n_rows = raw.shape[0]
     out = np.empty((n_rows, m), dtype=np.intp)
-    if _tail_shuffle(d, m):
-        block = max(1, _SHUFFLE_CELLS // d)
-        for lo in range(0, n_rows, block):
-            swaps = raw[lo : lo + block]
-            perm = np.tile(np.arange(d), (swaps.shape[0], 1))
-            at = np.arange(swaps.shape[0])
-            for s in range(m):
-                i, j = d - 1 - s, swaps[:, s]
-                perm[at, i], perm[at, j] = perm[at, j], perm[at, i]
-            out[lo : lo + block] = perm[:, d - m :]
-        return out
     # Floyd: the k-th draw v joins the sample unless it is there already,
     # when d - m + k, which no earlier step can have taken, joins instead.
-    # A small sample is searched; a large one is marked in a row block of
-    # all d values.
-    if m <= _FLOYD_SEARCH:
-        for k in range(m):
-            v = raw[:, k]
-            out[:, k] = np.where((out[:, :k] == v[:, None]).any(axis=1), d - m + k, v)
-    else:
-        block = max(1, _SHUFFLE_CELLS // d)
-        for lo in range(0, n_rows, block):
-            draws, picked = raw[lo : lo + block], out[lo : lo + block]
-            at = np.arange(draws.shape[0])
-            taken = np.zeros((draws.shape[0], d), dtype=bool)
-            for k in range(m):
-                v = draws[:, k]
-                picked[:, k] = np.where(taken[at, v], d - m + k, v)
-                taken[at, picked[:, k]] = True
+    for k in range(m):
+        v = raw[:, k]
+        out[:, k] = np.where((out[:, :k] == v[:, None]).any(axis=1), d - m + k, v)
     at = np.arange(n_rows)
     for s, i in enumerate(range(m - 1, 0, -1)):
         j = raw[:, m + s]
@@ -491,7 +458,9 @@ class _FeatureTape:
     the steps ``choice`` takes (:func:`_choice_rows`), vectorized over
     all new rows: the rows, and the generator's state after them, are
     exactly those of one ``choice`` call per row
-    (``tests/models/test_tree.py::TestFeatureTape`` pins both).  Where
+    (``tests/models/test_tree.py::TestFeatureTape`` pins both).  The
+    shapes where ``choice`` shuffles the tail of ``arange(d)`` instead
+    (:func:`_tail_shuffle`) call ``choice`` once per row.  Where
     the tape owns its generators (``owned``: a forest's spawned streams,
     or a tree's own stream from an integer or ``None`` seed), it draws ahead
     in chunks that double from :data:`_TAPE_CHUNK` rows, so a tree of
@@ -535,14 +504,8 @@ class _FeatureTape:
                 wider = np.empty((len(self._rngs), width, self._m), np.intp)
                 wider[:, : draws.shape[1]] = draws
                 draws = wider
-            # One call per tree draws the integers of all its new rows.
             new = upto - drawn[trees]
-            highs = np.tile(self._highs, int(new.max()))
-            raw = [
-                self._rngs[t].integers(0, highs[: k * self._highs.size])
-                for t, k in zip(trees.tolist(), new.tolist())
-            ]
-            rows = _choice_rows(np.concatenate(raw).reshape(-1, self._highs.size), self._d, self._m)
+            rows = self._draw(trees.tolist(), new.tolist())
             at_tree = np.repeat(trees, new)
             at_row = np.arange(at_tree.size) - np.repeat(np.cumsum(new) - new, new) + drawn[at_tree]
             draws[at_tree, at_row] = rows
@@ -550,6 +513,22 @@ class _FeatureTape:
             drawn[trees] = upto
             self._state = (draws, drawn)
             return self._state
+
+    def _draw(self, trees: list[int], new: list[int]) -> np.ndarray:
+        """The next ``new[i]`` rows of tree ``trees[i]``, tree by tree."""
+        d, m = self._d, self._m
+        if _tail_shuffle(d, m):
+            # No forest here scans such a shape; draw it the plain way.
+            rows = [
+                self._rngs[t].choice(d, m, replace=False)
+                for t, k in zip(trees, new)
+                for _ in range(k)
+            ]
+            return np.array(rows, dtype=np.intp)
+        # One call per tree draws the integers of all its new rows.
+        highs = np.tile(self._highs, max(new))
+        raw = [self._rngs[t].integers(0, highs[: k * self._highs.size]) for t, k in zip(trees, new)]
+        return _choice_rows(np.concatenate(raw).reshape(-1, self._highs.size), d, m)
 
 
 def _is_leaf(counts: np.ndarray, depth: np.ndarray, params: DecisionTreeClassifier) -> np.ndarray:

@@ -35,13 +35,6 @@ and ``k_eff = 8``; on the ``bc-knn-ip`` benchmark's KNN-predict queries
 (~350 × 350, ``k = 5``) 0.33.  Hence the gate: at least
 :data:`SWEEP_MIN_CELLS` entries and ``k_eff <= SWEEP_MAX_K``.  A matrix
 whose rows all tie costs two sweeps more than argpartition alone.
-argpartition also pays per row, so a matrix of at least
-:data:`SWEEP_MIN_ROWS` query rows is swept from half as many entries: on
-the recorded queries of three ``adult-lr`` sessions (their generator
-queries are 67 rows of 240–270 entries), the whole top-k selection took
-5.87 instead of 6.49 ms, and on those of a ``bc-knn-ip`` pass 61.5
-instead of 62.0 ms (medians of 21 passes).  On uniform matrices of 64
-rows and more, sweeping fewer than 8192 entries was slower.
 """
 
 from __future__ import annotations
@@ -200,8 +193,6 @@ SELF_DISTANCE_TOL = 1e-6
 # docstring): smaller matrices or more neighbours go to argpartition.
 SWEEP_MIN_CELLS = 16384
 SWEEP_MAX_K = 6
-#: Query rows from which a matrix of ``SWEEP_MIN_CELLS // 2`` entries is swept.
-SWEEP_MIN_ROWS = 64
 
 
 def _topk_from_sq(
@@ -214,8 +205,7 @@ def _topk_from_sq(
     """
     n_q, n_x = SQ.shape
     k_eff = min(k + 1 if exclude_self else k, n_x)
-    min_cells = SWEEP_MIN_CELLS // 2 if n_q >= SWEEP_MIN_ROWS else SWEEP_MIN_CELLS
-    if k_eff >= n_x or k_eff > SWEEP_MAX_K or SQ.size < min_cells:
+    if k_eff >= n_x or k_eff > SWEEP_MAX_K or SQ.size < SWEEP_MIN_CELLS:
         return _topk_from_dists(dists_from_sq(SQ), k, exclude_self=exclude_self)
     flat = SQ.reshape(-1)  # a view: SQ is a fresh C-ordered matrix
     base = np.arange(n_q, dtype=np.intp) * n_x

@@ -17,7 +17,7 @@ from repro.data import (
     make_schema,
     spill_policy_for,
 )
-from repro.data.evolution import SchemaDelta
+from repro.data.evolution import SchemaDelta, migrate_table
 
 SCHEMA = make_schema(numeric=["a", "b"], categorical={"c": ("x", "y", "z")})
 
@@ -335,6 +335,32 @@ class TestBlockwiseCopies:
         got = self._columns(migrated)
         for name in dense.schema.names:
             np.testing.assert_array_equal(got[name], dense.column(name))
+
+    def test_deltas_migrate_in_one_pass(self, sharded, monkeypatch):
+        """Every delta runs over a block before the next block is read, so
+        a sequence of deltas writes one migrated table, not one per delta."""
+        deltas = [
+            SchemaDelta.rename_column("a", "a2"),
+            SchemaDelta.add_column("d", kind="numeric", fill=2.5),
+            SchemaDelta.drop_column("b"),
+        ]
+        builders = []
+        monkeypatch.setattr(TableBuilder, "snapshot", _counted(TableBuilder.snapshot, builders))
+        migrated = migrate_table(sharded, deltas)
+        dense = migrate_table(make_table(50, 3), deltas)
+        assert len(builders) == 1
+        assert migrated.schema == dense.schema
+        got = self._columns(migrated)
+        for name in dense.schema.names:
+            np.testing.assert_array_equal(got[name], dense.column(name))
+
+
+def _counted(method, calls):
+    def wrapper(self, *args, **kwargs):
+        calls.append(self)
+        return method(self, *args, **kwargs)
+
+    return wrapper
 
 
 class TestBuilderCheckpointRollback:

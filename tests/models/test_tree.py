@@ -217,8 +217,8 @@ def tape_reads(draw):
     first draws ``integers(size=pre)`` (a forest's bootstrap sample), and
     the rounds of a fit reading it: in each round some trees read their
     next row.  ``d`` falls on both sides of ``choice``'s tail-shuffle
-    branch (``d > 10000`` and ``m > d // 50``) and of the sample size
-    that :func:`_choice_rows` searches rather than marks."""
+    branch (``d > 10000`` and ``m > d // 50``), and ``m`` reaches past
+    100 for Floyd's sample."""
     if draw(st.booleans()):
         d = draw(st.integers(10000, 10300))
         m = draw(st.integers(1, 2 * (d // 50)))

@@ -210,18 +210,6 @@ class TestTopKParity:
         self._check(sq_euclidean(Q, X), brute.SWEEP_MAX_K + 1, False)
         assert fallback_rows == [40, 140]  # argpartition on every row
 
-    @pytest.mark.parametrize(
-        "n_q, swept", [(brute.SWEEP_MIN_ROWS, True), (brute.SWEEP_MIN_ROWS - 1, False)]
-    )
-    def test_default_gate_counts_query_rows(self, fallback_rows, n_q, swept):
-        """Enough query rows sweep a matrix of half SWEEP_MIN_CELLS entries."""
-        n_x = brute.SWEEP_MIN_CELLS // 2 // (brute.SWEEP_MIN_ROWS - 1) + 1
-        X, Q = self._euclidean(8, n_q=n_q, n_x=n_x, with_self=False)
-        SQ = sq_euclidean(Q, X)
-        assert brute.SWEEP_MIN_CELLS // 2 <= SQ.size < brute.SWEEP_MIN_CELLS
-        self._check(SQ, 5, False)
-        assert fallback_rows == ([] if swept else [n_q])
-
     @settings(max_examples=300, deadline=None)
     @given(SQ=sq_matrices(), k=st.integers(1, 10), exclude_self=st.booleans())
     def test_property(self, SQ, k, exclude_self):
